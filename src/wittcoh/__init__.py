@@ -8,7 +8,7 @@ replay of the diagonal-recurrence argument that kills H^2_0(W;W), and
 order-by-order formal deformations over truncated polynomial bases.
 """
 
-from .linalg import LinearSolution, Scalar, SparseMatrix, kernel_basis, rank, solve, solve_affine
+from .linalg import LinearSolution, SparseMatrix, kernel_basis, rank, solve, solve_affine
 from .algebra import (
     CENTRAL,
     Element,
@@ -24,10 +24,8 @@ from .cochains import (
     ADJOINT,
     TRIVIAL,
     Cochain,
-    CochainBasis,
     MixedCochain,
     differential,
-    trivial_coefficient_differential,
     weight_components,
 )
 from .cohomology import (
@@ -57,7 +55,6 @@ from .deformation import (
     DefectReport,
     DeformedBracket,
     Equivalence,
-    TruncatedBase,
     conjugate,
     infinitesimal,
     jacobi_defect,

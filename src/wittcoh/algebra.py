@@ -112,7 +112,6 @@ class GradedLieAlgebra:
     bracket_rule: object
     has_central: bool = False
     graded: bool = True
-    support: frozenset | None = None  # declared indices for loaded algebras
 
     def bracket_generators(self, a, b) -> Element:
         return self.bracket_rule(a, b)
@@ -276,11 +275,6 @@ def load_algebra(text: str) -> GradedLieAlgebra:
                         f"{degree(k)}, expected {i + j}"
                     )
 
-    support = set()
-    for (i, j), elt in table.items():
-        support.update((i, j))
-        support.update(k for k in elt.terms if k != CENTRAL)
-
     def rule(a, b):
         if a == CENTRAL or b == CENTRAL:
             if not has_central:
@@ -292,10 +286,7 @@ def load_algebra(text: str) -> GradedLieAlgebra:
             return table.get((a, b), Element.zero())
         return -table.get((b, a), Element.zero())
 
-    return GradedLieAlgebra(
-        header["name"], rule, has_central=has_central, graded=graded,
-        support=frozenset(support),
-    )
+    return GradedLieAlgebra(header["name"], rule, has_central=has_central, graded=graded)
 
 
 def dump_algebra(alg: GradedLieAlgebra, window: Window) -> str:

@@ -34,16 +34,21 @@ every intermediate index (pairwise bracket targets, intermediate cochain
 outputs) stays inside the window; the remaining tuples are omitted from the
 result and recorded on it, so no equation is ever fabricated with missing
 terms.
+
+`delta_matrix` is the single builder of delta: cocycles, comparison sets,
+coboundaries, primitives, the infinitesimal check and `differential` (a
+matrix-vector product) all read the sparse matrix it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .algebra import CENTRAL, Element, GradedLieAlgebra, Window
 from .errors import FormatError, OutOfWindowError
+from .linalg import SparseMatrix
 
 ADJOINT = "adjoint"
 TRIVIAL = "trivial"
@@ -88,31 +93,6 @@ def basis_tuples(degree: int, weight: int, window: Window, coeffs: str = ADJOINT
             if s + weight == 0:
                 out.append(t)
     return out
-
-
-@dataclass(frozen=True)
-class CochainBasis:
-    """Deterministic enumeration of the admissible tuples of C^q_d."""
-
-    degree: int
-    weight: int
-    window: Window
-    coeffs: str = ADJOINT
-    tuples: tuple = field(default=None)
-
-    def __post_init__(self):
-        if self.tuples is None:
-            object.__setattr__(
-                self, "tuples",
-                tuple(basis_tuples(self.degree, self.weight, self.window, self.coeffs)),
-            )
-
-    @property
-    def dimension(self) -> int:
-        return len(self.tuples)
-
-    def index(self):
-        return {t: i for i, t in enumerate(self.tuples)}
 
 
 @dataclass(frozen=True)
@@ -198,7 +178,7 @@ class Cochain:
     # -- evaluation -------------------------------------------------------
 
     def component(self, *args) -> Fraction:
-        """Scalar coefficient at possibly unsorted arguments (antisymmetrized)."""
+        """Rational coefficient at possibly unsorted arguments (antisymmetrized)."""
         for a in args:
             if a not in self.window:
                 raise OutOfWindowError(f"argument index {a} outside window {self.window}")
@@ -229,14 +209,11 @@ class Cochain:
 
     @classmethod
     def from_function(cls, fn, degree, weight, window, coeffs=ADJOINT) -> "Cochain":
-        """Canonicalize a tuple function into a cochain, rejecting non-alternating data."""
+        """Canonicalize a tuple function into a cochain; every tuple must alternate."""
         entries = {}
         for t in basis_tuples(degree, weight, window, coeffs):
             entries[t] = Fraction(fn(*t))
-        from itertools import permutations
-
-        for t in list(entries)[:64]:
-            base = entries[t]
+        for t, base in entries.items():
             for perm in permutations(t):
                 expect = _sort_with_sign(perm)[1] * base
                 if Fraction(fn(*perm)) != expect:
@@ -246,10 +223,6 @@ class Cochain:
                 if Fraction(fn(*rep)) != 0:
                     raise ValueError(f"function does not vanish on repeated arguments {rep}")
         return cls(degree, weight, window, coeffs, entries)
-
-
-def zero_cochain(degree, weight, window, coeffs=ADJOINT) -> Cochain:
-    return Cochain(degree, weight, window, coeffs)
 
 
 # -- the differential ------------------------------------------------------
@@ -262,7 +235,7 @@ def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
     Returns a list of (reference tuple, coefficient) pairs such that for any
     cochain c of the given shape, delta(c) at out_tuple equals the sum of
     coefficient * c[reference tuple].  Raises _Omit when the expansion would
-    reference an index outside the window; the caller omits that tuple.
+    reference an index outside the window; delta_matrix omits that tuple.
     """
     q = degree
     d = weight
@@ -315,14 +288,30 @@ def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
     return [(t, v) for t, v in merged.items() if v != 0]
 
 
-def _delta_component(alg: GradedLieAlgebra, c: Cochain, out_tuple):
-    """Scalar coefficient of delta(c) at out_tuple; raises _Omit on window exit."""
-    total = Fraction(0)
-    for ref, coeff in delta_terms(alg, c.degree, c.weight, c.window, c.coeffs, out_tuple):
-        v = c.entries.get(ref)
-        if v:
-            total += coeff * v
-    return total
+def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: str = ADJOINT):
+    """The matrix of delta from C^q_d to C^{q+1}_d on the window, interior-only.
+
+    Columns follow basis_tuples(q, d, window, coeffs); rows are the
+    (q+1)-tuples, in basis order, whose expansion stays inside the window.
+    Returns (matrix, row tuples, omitted tuples), the omitted tuples being
+    the (q+1)-tuples whose expansion would leave the window.
+    """
+    if not 0 <= q <= 2:
+        raise ValueError("differential supports cochain degrees 0..2")
+    col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
+    entries = {}
+    rows = []
+    omitted = []
+    for t in basis_tuples(q + 1, d, window, coeffs):
+        try:
+            terms = delta_terms(alg, q, d, window, coeffs, t)
+        except _Omit:
+            omitted.append(t)
+            continue
+        for ref, coeff in terms:
+            entries[(len(rows), col[ref])] = coeff
+        rows.append(t)
+    return SparseMatrix(len(rows), len(col), entries), rows, omitted
 
 
 def differential(alg: GradedLieAlgebra, c: Cochain) -> Cochain:
@@ -331,26 +320,12 @@ def differential(alg: GradedLieAlgebra, c: Cochain) -> Cochain:
     Output tuples whose evaluation would reference an index outside the window
     are omitted and listed on the result's `omitted` attribute.
     """
-    if c.degree > 2:
-        raise ValueError("differential supports cochain degrees 0..2")
-    entries = {}
-    omitted = []
-    for t in basis_tuples(c.degree + 1, c.weight, c.window, c.coeffs):
-        try:
-            v = _delta_component(alg, c, t)
-        except _Omit:
-            omitted.append(t)
-            continue
-        if v != 0:
-            entries[t] = v
-    return Cochain(c.degree + 1, c.weight, c.window, c.coeffs, entries, tuple(omitted))
-
-
-def trivial_coefficient_differential(alg: GradedLieAlgebra, c: Cochain) -> Cochain:
-    """delta for trivial coefficients: only the bracket-composition terms remain."""
-    if c.coeffs != TRIVIAL:
-        raise ValueError("expected a trivial-coefficient cochain")
-    return differential(alg, c)
+    matrix, rows, omitted = delta_matrix(alg, c.degree, c.weight, c.window, c.coeffs)
+    vec = [c.entries.get(t, Fraction(0))
+           for t in basis_tuples(c.degree, c.weight, c.window, c.coeffs)]
+    values = matrix.apply(vec)
+    return Cochain(c.degree + 1, c.weight, c.window, c.coeffs,
+                   {t: v for t, v in zip(rows, values) if v}, tuple(omitted))
 
 
 # -- mixed-weight cochains --------------------------------------------------

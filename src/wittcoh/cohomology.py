@@ -13,6 +13,9 @@ every computation here separates three regions:
 The comparison set is the core-admissible output tuples that are also legal
 for the incoming differential, so no coboundary value is ever fabricated.
 For weights |d| <= margin that is exactly the set of core-admissible tuples.
+Cocycle equations (delta_q) and coboundaries (delta_{q-1} on the comparison
+set) both come from `cochains.delta_matrix`.  Every report validates its
+window through `_check_window`: lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
 
 Alongside the dimension counts the module houses the two constructive moves
 that drive everything downstream: reduction of an arbitrary cocycle to weight
@@ -23,7 +26,6 @@ cocycle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -32,16 +34,14 @@ from .cochains import (
     ADJOINT,
     TRIVIAL,
     Cochain,
-    CochainBasis,
     MixedCochain,
-    _Omit,
     basis_tuples,
-    delta_terms,
+    delta_matrix,
     differential,
     weight_components,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
-from .linalg import SparseMatrix, _eliminate, _int_row, kernel_basis, solve_affine
+from .linalg import SparseMatrix, kernel_basis, row_span_rank, solve_affine
 
 
 @dataclass(frozen=True)
@@ -98,55 +98,35 @@ class CohomologyReport:
 
 
 def _check_window(window: Window, margin: int):
+    if not window.lo < 0 < window.hi:
+        raise ConfigError(f"window {window} must straddle zero (lo < 0 < hi)")
     if margin < 2:
         raise ConfigError(f"margin must be at least 2, got {margin}")
-    if window.lo + margin > window.hi - margin:
+    if 2 * margin >= window.hi - window.lo:
         raise ConfigError(f"window {window} too small for margin {margin}")
 
 
 def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                    coeffs: str = ADJOINT):
-    """(matrix of delta on C^q_d over interior tuples, domain basis, omitted count)."""
-    basis = CochainBasis(q, d, window, coeffs)
-    col = basis.index()
-    entries = {}
-    n_rows = 0
-    omitted = 0
-    for t in basis_tuples(q + 1, d, window, coeffs):
-        try:
-            terms = delta_terms(alg, q, d, window, coeffs, t)
-        except _Omit:
-            omitted += 1
-            continue
-        for ref, coeff in terms:
-            entries[(n_rows, col[ref])] = coeff
-        n_rows += 1
-    return SparseMatrix(n_rows, basis.dimension, entries), basis, omitted
-
-
-def _delta_legal(alg, q_prev, d, window, coeffs, t) -> bool:
-    try:
-        delta_terms(alg, q_prev, d, window, coeffs, t)
-        return True
-    except _Omit:
-        return False
+    """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count)."""
+    matrix, _, omitted = delta_matrix(alg, q, d, window, coeffs)
+    return matrix, basis_tuples(q, d, window, coeffs), len(omitted)
 
 
 def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                       margin: int, coeffs: str = ADJOINT):
-    """Core-admissible q-tuples on which cocycles and coboundaries are compared."""
-    core = window.core(margin)
-    out = []
-    for t in basis_tuples(q, d, core, coeffs):
-        if q == 0 or _delta_legal(alg, q - 1, d, window, coeffs, t):
-            out.append(t)
-    return out
+    """Core-admissible q-tuples on which cocycles and coboundaries are compared.
 
-
-def _rows_rank(rows, n_cols) -> int:
-    dicts = [{c: v for c, v in enumerate(row) if v} for row in rows]
-    piv, _ = _eliminate([_int_row(r) for r in dicts], n_cols)
-    return len(piv)
+    Returns (tuples, delta_{q-1} restricted to those rows); the matrix columns
+    follow basis_tuples(q - 1, ...), and for q = 0 it has none.
+    """
+    comp = basis_tuples(q, d, window.core(margin), coeffs)
+    if q == 0:
+        return comp, SparseMatrix(len(comp), 0)
+    matrix, rows, _ = delta_matrix(alg, q - 1, d, window, coeffs)
+    core = set(comp)
+    keep = [r for r, t in enumerate(rows) if t in core]
+    return [rows[r] for r in keep], matrix.take_rows(keep)
 
 
 def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude=frozenset()):
@@ -159,22 +139,14 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
     if q < 1:
         raise ValueError("0-cochains have no primitives")
     d, window, coeffs = c.weight, c.window, c.coeffs
-    prev = CochainBasis(q - 1, d, window, coeffs)
-    col = prev.index()
-    rows = [t for t in comparison_tuples(alg, q, d, window, margin, coeffs)
-            if t not in exclude]
-    entries = {}
-    rhs = []
-    for r, t in enumerate(rows):
-        for ref, coeff in delta_terms(alg, q - 1, d, window, coeffs, t):
-            entries[(r, col[ref])] = coeff
-        rhs.append(c.entries.get(t, Fraction(0)))
-    m = SparseMatrix(len(rows), prev.dimension, entries)
-    x = solve_affine(m, rhs)
+    comp, matrix = comparison_tuples(alg, q, d, window, margin, coeffs)
+    keep = [r for r, t in enumerate(comp) if t not in exclude]
+    x = solve_affine(matrix.take_rows(keep),
+                     [c.entries.get(comp[r], Fraction(0)) for r in keep])
     if x is None:
         return None
-    return Cochain(q - 1, d, window, coeffs,
-                   {t: x[i] for i, t in enumerate(prev.tuples) if x[i]})
+    cols = basis_tuples(q - 1, d, window, coeffs)
+    return Cochain(q - 1, d, window, coeffs, {t: x[i] for i, t in enumerate(cols) if x[i]})
 
 
 def _lex_normalize(c: Cochain) -> Cochain:
@@ -196,33 +168,30 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         raise ConfigError(f"degree must be 0, 1 or 2, got {q}")
     _check_window(window, margin)
 
-    matrix, basis, omitted = cocycle_matrix(alg, q, d, window, coeffs)
+    matrix, cols, omitted = cocycle_matrix(alg, q, d, window, coeffs)
     kernel = kernel_basis(matrix)
 
-    comp = comparison_tuples(alg, q, d, window, margin, coeffs)
+    comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
     comp_col = {t: i for i, t in enumerate(comp)}
     n_comp = len(comp)
 
     def restrict_vec(vec):
         out = [Fraction(0)] * n_comp
-        for i, t in enumerate(basis.tuples):
+        for i, t in enumerate(cols):
             j = comp_col.get(t)
             if j is not None and vec[i]:
                 out[j] = vec[i]
         return out
 
     z_rows = [restrict_vec(v) for v in kernel]
-    dim_v = _rows_rank(z_rows, n_comp)
+    dim_v = row_span_rank(z_rows, n_comp)
 
-    w_rows = []
-    if q >= 1:
-        prev = CochainBasis(q - 1, d, window, coeffs)
-        for bt in prev.tuples:
-            b = Cochain(q - 1, d, window, coeffs, {bt: 1})
-            db = differential(alg, b)
-            w_rows.append([db.entries.get(t, Fraction(0)) for t in comp])
-    dim_w = _rows_rank(w_rows, n_comp)
-    dim_vw = _rows_rank(z_rows + w_rows, n_comp)
+    # delta of each basis (q-1)-cochain on the comparison set: a column of coboundary
+    w_rows = [[Fraction(0)] * n_comp for _ in range(coboundary.n_cols)]
+    for (r, j), v in coboundary.entries.items():
+        w_rows[j][r] = v
+    dim_w = row_span_rank(w_rows, n_comp)
+    dim_vw = row_span_rank(z_rows + w_rows, n_comp)
     dim_meet = dim_v + dim_w - dim_vw
     dim_stable = dim_v - dim_meet
 
@@ -231,12 +200,12 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         chosen_rows = list(w_rows)
         rank_now = dim_w
         for vec, row in zip(kernel, z_rows):
-            r2 = _rows_rank(chosen_rows + [row], n_comp)
+            r2 = row_span_rank(chosen_rows + [row], n_comp)
             if r2 > rank_now:
                 rank_now = r2
                 chosen_rows.append(row)
                 rep = Cochain(q, d, window, coeffs,
-                              {t: vec[i] for i, t in enumerate(basis.tuples) if vec[i]})
+                              {t: vec[i] for i, t in enumerate(cols) if vec[i]})
                 representatives.append(_lex_normalize(rep))
             if len(representatives) == dim_stable:
                 break
@@ -383,7 +352,3 @@ def central_extension_dim(window: Window, margin: int) -> CohomologyReport:
             rep = rep - (v / Fraction(2)) * direction
         fixed.append(_lex_normalize(rep))
     return replace(report, representatives=tuple(fixed))
-
-
-def report_to_json(report: CohomologyReport) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2)

@@ -2,12 +2,15 @@
 
 A deformed bracket is mu_0 + t mu_1 + ... + t^N mu_N with mu_0 a graded Lie
 algebra on the window and each layer an antisymmetric 2-cochain of arbitrary
-mixed weight.  The three staple computations:
+mixed weight.  Brackets and equivalences carry the truncation order N as a
+plain `order` field, with exactly N layers.  The staple computations:
 
 * jacobi_defect expands the Jacobi identity of the deformed bracket order by
   order; cleanliness at order 1 is exactly delta(mu_1) = 0;
 * conjugate transports a bracket along phi = id + t^1 phi_1 + ... (unipotent,
   hence invertible over the truncated base): mu'(x,y) = phi^{-1} mu(phi x, phi y);
+* infinitesimal checks delta(mu_1) = 0 row by row on the delta_2 matrix of
+  `cochains.delta_matrix`;
 * trivialize peels a Jacobi-clean deformation one order at a time, solving
   delta(b_s) = mu_s on the core comparison tuples and conjugating by
   id + t^s b_s; under the sign convention of `cochains.differential` that
@@ -26,21 +29,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CENTRAL, Element, GradedLieAlgebra, Window
-from .cochains import ADJOINT, Cochain, MixedCochain, weight_components
+from .cochains import (
+    ADJOINT,
+    Cochain,
+    MixedCochain,
+    basis_tuples,
+    delta_matrix,
+    weight_components,
+)
 from .cohomology import coboundary_primitive
 from .errors import BoundaryError, FormatError, NotACocycleError, OutOfWindowError
-
-
-@dataclass(frozen=True)
-class TruncatedBase:
-    """The local base K[t]/(t^{N+1}); its maximal ideal is (t), and evaluation
-    at t = 0 is the augmentation back to the scalar field."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValueError("truncation order must be nonnegative")
 
 
 def zero_layer(window: Window) -> MixedCochain:
@@ -49,23 +47,25 @@ def zero_layer(window: Window) -> MixedCochain:
 
 @dataclass(frozen=True)
 class DeformedBracket:
-    base: TruncatedBase
+    """mu_0 + t mu_1 + ... + t^order mu_order over K[t]/(t^{order+1})."""
+
+    order: int
     algebra: GradedLieAlgebra
     window: Window
     layers: tuple = ()
     omitted_pairs: frozenset = frozenset()
 
     def __post_init__(self):
-        if len(self.layers) != self.base.order:
+        if len(self.layers) != self.order:
             raise ValueError(
-                f"expected {self.base.order} layers, got {len(self.layers)}")
+                f"expected {self.order} layers, got {len(self.layers)}")
         for mu in self.layers:
             if mu.degree != 2 or mu.window != self.window:
                 raise ValueError("layers must be 2-cochains on the bracket window")
 
     @classmethod
     def trivial(cls, algebra: GradedLieAlgebra, window: Window, order: int) -> "DeformedBracket":
-        return cls(TruncatedBase(order), algebra, window,
+        return cls(order, algebra, window,
                    tuple(zero_layer(window) for _ in range(order)))
 
     def layer(self, s: int) -> MixedCochain:
@@ -98,29 +98,27 @@ class DeformedBracket:
 class Equivalence:
     """phi = id + t phi_1 + ... + t^N phi_N, a unipotent change of basis."""
 
-    base: TruncatedBase
+    order: int
     window: Window
     layers: tuple = ()
-    direction: str = "forward"
 
     def __post_init__(self):
-        if len(self.layers) != self.base.order:
+        if len(self.layers) != self.order:
             raise ValueError(
-                f"expected {self.base.order} layers, got {len(self.layers)}")
+                f"expected {self.order} layers, got {len(self.layers)}")
         for phi in self.layers:
             if phi.degree != 1 or phi.window != self.window:
                 raise ValueError("equivalence layers must be 1-cochains on the window")
 
     @classmethod
     def identity(cls, window: Window, order: int) -> "Equivalence":
-        return cls(TruncatedBase(order), window,
-                   tuple(MixedCochain(1, window) for _ in range(order)))
+        return cls(order, window, tuple(MixedCochain(1, window) for _ in range(order)))
 
     @classmethod
     def single(cls, window: Window, order: int, s: int, phi_s: MixedCochain) -> "Equivalence":
         layers = [MixedCochain(1, window) for _ in range(order)]
         layers[s - 1] = phi_s
-        return cls(TruncatedBase(order), window, tuple(layers))
+        return cls(order, window, tuple(layers))
 
     def apply_order(self, s: int, x: Element) -> Element:
         """phi_s applied to an element (phi_0 = id)."""
@@ -130,8 +128,6 @@ class Equivalence:
         out = Element.zero()
         for k, v in x.terms.items():
             if k == CENTRAL:
-                if s == 0:
-                    out = out + Element({CENTRAL: v})
                 continue  # the center is not moved by these equivalences
             out = out + v * phi.evaluate(k)
         return out
@@ -149,7 +145,7 @@ class Equivalence:
 def invert(e: Equivalence) -> Equivalence:
     """The inverse series psi = id - phi_1 t + ...; generators whose inverse
     layers leak out of the window are dropped (same policy as compose)."""
-    N = e.base.order
+    N = e.order
     window = e.window
     layers = []
     for s in range(1, N + 1):
@@ -165,7 +161,7 @@ def invert(e: Equivalence) -> Equivalence:
             if outs:
                 entries[(i,)] = outs
         layers.append(MixedCochain(1, window, entries))
-    return Equivalence(e.base, window, tuple(layers), direction="inverse")
+    return Equivalence(N, window, tuple(layers))
 
 
 def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
@@ -175,9 +171,9 @@ def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
     composed layers; conjugation by the composition is only compared on
     entries both sides carry.
     """
-    if outer.base != inner.base or outer.window != inner.window:
+    if outer.order != inner.order or outer.window != inner.window:
         raise ValueError("equivalence shape mismatch")
-    N = outer.base.order
+    N = outer.order
     window = outer.window
     layers = []
     for s in range(1, N + 1):
@@ -195,7 +191,7 @@ def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
             if outs:
                 entries[(i,)] = outs
         layers.append(MixedCochain(1, window, entries))
-    return Equivalence(outer.base, window, tuple(layers))
+    return Equivalence(N, window, tuple(layers))
 
 
 # -- Jacobi defects ------------------------------------------------------------
@@ -245,7 +241,7 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
     """
     if window.lo < d.window.lo or window.hi > d.window.hi:
         raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
-    N = d.base.order
+    N = d.order
     orders = []
     idx = list(window.indices())
     for s in range(0, N + 1):
@@ -297,25 +293,19 @@ def infinitesimal(d: DeformedBracket) -> InfinitesimalReport:
     reference a pair lost to the window edge are skipped rather than read as
     zero.
     """
-    from .cochains import _Omit, basis_tuples, delta_terms
-
-    if d.base.order < 1:
+    if d.order < 1:
         raise ValueError("need at least one layer")
     mu1 = d.layers[0]
     comps = weight_components(mu1)
     violation = None
     for wt in sorted(comps):
-        comp = comps[wt]
-        for t in basis_tuples(3, wt, d.window, ADJOINT):
-            try:
-                terms = delta_terms(d.algebra, 2, wt, d.window, ADJOINT, t)
-            except _Omit:
+        entries = comps[wt].entries
+        matrix, rows, _ = delta_matrix(d.algebra, 2, wt, d.window, ADJOINT)
+        cols = basis_tuples(2, wt, d.window, ADJOINT)
+        for t, row in zip(rows, matrix.row_dicts()):
+            if any(cols[j] in d.omitted_pairs for j in row):
                 continue
-            if any(ref in d.omitted_pairs for ref, _ in terms):
-                continue
-            total = sum((coeff * comp.entries.get(ref, Fraction(0)) for ref, coeff in terms),
-                        Fraction(0))
-            if total != 0:
+            if sum(v * entries.get(cols[j], Fraction(0)) for j, v in row.items()) != 0:
                 violation = t
                 break
         if violation:
@@ -339,9 +329,9 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
     layer and the pair is recorded in omitted_pairs; all stored entries are
     exact.
     """
-    if e.base != d.base or e.window != d.window:
-        raise ValueError("equivalence and bracket must share base and window")
-    N = d.base.order
+    if e.order != d.order or e.window != d.window:
+        raise ValueError("equivalence and bracket must share order and window")
+    N = d.order
     window = d.window
     # smallest order with a nonzero equivalence layer; psi_u = 0 for 0 < u < m0
     m0 = next((s for s in range(1, N + 1) if not e.layers[s - 1].is_zero), N + 1)
@@ -387,7 +377,7 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
                 if outs:
                     new_entries[s][(i, j)] = outs
     layers = tuple(MixedCochain(2, window, entries) for entries in new_entries)
-    return DeformedBracket(d.base, d.algebra, window, layers, frozenset(omitted))
+    return DeformedBracket(N, d.algebra, window, layers, frozenset(omitted))
 
 
 # -- trivialization -------------------------------------------------------------------
@@ -419,13 +409,16 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
     and on success the conjugated layers vanish exactly on the margin core
     (verified entry by entry).  A component with no primitive aborts with the
     obstruction representative instead.
+
+    The comparison set is all of the core only for weights |w| <= margin, so a
+    component of larger weight raises BoundaryError.
     """
     report = jacobi_defect(d, window)
     if not report.clean:
         bad = report.first_unclean()
         raise NotACocycleError(bad.triple,
                                f"jacobi defect at order {bad.order}; not a deformation")
-    N = d.base.order
+    N = d.order
     current = d
     total_eq = Equivalence.identity(d.window, N)
     for s in range(1, N + 1):
@@ -434,6 +427,10 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
             comps = weight_components(mu_s)
             parts = []
             for wt in sorted(comps):
+                if abs(wt) > margin:
+                    raise BoundaryError(
+                        f"order {s} has a weight-{wt} component; trivializing it "
+                        f"needs margin >= {abs(wt)}, got {margin}")
                 prim = coboundary_primitive(d.algebra, comps[wt], margin,
                                             exclude=current.omitted_pairs)
                 if prim is None:
@@ -554,16 +551,16 @@ def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
             layers.append(MixedCochain(2, window, layer_entries.get(s, {})))
         except (OutOfWindowError, ValueError) as exc:
             raise FormatError(f"layer {s}: {exc}") from None
-    return DeformedBracket(TruncatedBase(order), algebra, window, tuple(layers))
+    return DeformedBracket(order, algebra, window, tuple(layers))
 
 
 def render_deformation(d: DeformedBracket) -> str:
     lines = [
         f"algebra: {d.algebra.name}",
-        f"order: {d.base.order}",
+        f"order: {d.order}",
         f"window: {d.window.lo}:{d.window.hi}",
     ]
-    for s in range(1, d.base.order + 1):
+    for s in range(1, d.order + 1):
         mu = d.layers[s - 1]
         lines.append(f"layer: {s}")
         for t in sorted(mu.entries):

@@ -20,19 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-Scalar = Fraction
-
 _AUG = -1  # virtual column index used for the right-hand side
-
-
-def parse_scalar(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' into an exact rational."""
-    return Fraction(text.strip())
-
-
-def render_scalar(x: Fraction) -> str:
-    """Render a rational as 'p' or 'p/q'; parse_scalar(render_scalar(x)) == x."""
-    return str(x)
 
 
 @dataclass(frozen=True)
@@ -75,6 +63,12 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             rows[r][c] = v
         return rows
+
+    def take_rows(self, keep) -> "SparseMatrix":
+        """The submatrix of the rows listed in `keep`, in that order."""
+        rows = self.row_dicts()
+        return SparseMatrix(len(keep), self.n_cols,
+                            {(i, c): v for i, r in enumerate(keep) for c, v in rows[r].items()})
 
     def apply(self, vec):
         """Matrix-vector product, exact."""
@@ -121,7 +115,7 @@ def _reduce_row(row):
     return row
 
 
-def _eliminate(rows, n_cols, pivot_rule="min-bits"):
+def _eliminate(rows, n_cols):
     """Forward-eliminate integer rows; returns (pivot list, leftover rows).
 
     `rows` is a list of {col: int} dicts (the virtual _AUG column is never
@@ -134,12 +128,7 @@ def _eliminate(rows, n_cols, pivot_rule="min-bits"):
         cand = [(i, r) for i, r in active if r.get(col)]
         if not cand:
             continue
-        if pivot_rule == "min-bits":
-            idx, piv = min(cand, key=lambda ir: (abs(ir[1][col]).bit_length(), ir[0]))
-        elif pivot_rule == "first":
-            idx, piv = cand[0]
-        else:
-            raise ValueError(f"unknown pivot rule {pivot_rule!r}")
+        idx, piv = min(cand, key=lambda ir: (abs(ir[1][col]).bit_length(), ir[0]))
         active = [(i, r) for i, r in active if i != idx]
         p = piv[col]
         nxt = []
@@ -196,7 +185,7 @@ def _canonical_vector(vec):
     return tuple(Fraction(v) for v in ints)
 
 
-def solve(m: SparseMatrix, rhs=None, pivot_rule="min-bits", check=True) -> LinearSolution:
+def solve(m: SparseMatrix, rhs=None, check=True) -> LinearSolution:
     """Eliminate m (augmented by rhs if given) and return the full solution data.
 
     The kernel basis is canonical: primitive integer vectors, one per free
@@ -213,7 +202,7 @@ def solve(m: SparseMatrix, rhs=None, pivot_rule="min-bits", check=True) -> Linea
             if b != 0:
                 frac_rows[i][_AUG] = -b
         rows = [_int_row(r) for r in frac_rows]
-    pivots, leftovers = _eliminate(rows, m.n_cols, pivot_rule)
+    pivots, leftovers = _eliminate(rows, m.n_cols)
     pivot_cols = [c for c, _ in pivots]
     free_cols = [c for c in range(m.n_cols) if c not in set(pivot_cols)]
 
@@ -247,7 +236,7 @@ def solve(m: SparseMatrix, rhs=None, pivot_rule="min-bits", check=True) -> Linea
                 len(kernel), m.n_cols,
                 {(i, j): v for i, row in enumerate(kernel) for j, v in enumerate(row) if v},
             )
-            re_piv, _ = _eliminate([_int_row(r) for r in km.row_dicts()], m.n_cols, pivot_rule)
+            re_piv, _ = _eliminate([_int_row(r) for r in km.row_dicts()], m.n_cols)
             if len(re_piv) != len(kernel):
                 raise AssertionError("kernel basis not independent under re-elimination")
         if particular is not None:
@@ -257,21 +246,21 @@ def solve(m: SparseMatrix, rhs=None, pivot_rule="min-bits", check=True) -> Linea
     return LinearSolution(rank=len(pivots), kernel_basis=tuple(kernel), particular=particular)
 
 
-def rank(m: SparseMatrix, pivot_rule="min-bits") -> int:
+def rank(m: SparseMatrix) -> int:
     """Rank over Q; deterministic for a given input."""
     rows = [_int_row(r) for r in m.row_dicts()]
-    pivots, _ = _eliminate(rows, m.n_cols, pivot_rule)
+    pivots, _ = _eliminate(rows, m.n_cols)
     return len(pivots)
 
 
-def kernel_basis(m: SparseMatrix, pivot_rule="min-bits"):
+def kernel_basis(m: SparseMatrix):
     """Basis of the right null space; m.apply(v) is exactly zero for each v."""
-    return list(solve(m, pivot_rule=pivot_rule).kernel_basis)
+    return list(solve(m).kernel_basis)
 
 
-def solve_affine(m: SparseMatrix, rhs, pivot_rule="min-bits"):
+def solve_affine(m: SparseMatrix, rhs):
     """Some x with m*x = rhs, or None when the system is infeasible."""
-    return solve(m, rhs=rhs, pivot_rule=pivot_rule).particular
+    return solve(m, rhs=rhs).particular
 
 
 def row_span_rank(vectors, n_cols) -> int:

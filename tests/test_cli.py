@@ -57,6 +57,18 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def test_stabilize_windows_must_straddle_zero(capsys):
+    code, _, err = run(capsys, "cohomology", "--stabilize=1:12", "--margin", "2")
+    assert code == 2
+    assert "straddle" in err
+
+
+def test_stabilize_ignores_the_window_option(capsys):
+    code, out, _ = run(capsys, "cohomology", "--stabilize=-8:8", "--window=3:12", "--expect", "0")
+    assert code == 0
+    assert "stabilization: [-8,8] -> 0" in out
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["cohomology", "--frobnicate"]) == 2
 
@@ -106,7 +118,7 @@ def test_deform_trivial_and_defective(capsys, tmp_path):
 
     from wittcoh.algebra import make_witt
     from wittcoh.cochains import MixedCochain, differential
-    from wittcoh.deformation import DeformedBracket, TruncatedBase, render_deformation
+    from wittcoh.deformation import DeformedBracket, render_deformation
 
     import sys
     sys.path.insert(0, str(Path(__file__).parent))
@@ -116,7 +128,7 @@ def test_deform_trivial_and_defective(capsys, tmp_path):
     w = Window(-10, 10)
     b = random_cochain(rng, 1, 0, w, fill=0.4)
     mu1 = MixedCochain.from_cochain(differential(make_witt(), b))
-    d = DeformedBracket(TruncatedBase(1), make_witt(), w, (mu1,))
+    d = DeformedBracket(1, make_witt(), w, (mu1,))
     good = tmp_path / "good.txt"
     good.write_text(render_deformation(d))
     code, out, _ = run(capsys, "deform", "--file", str(good), "--margin", "3",
@@ -180,6 +192,13 @@ def test_deform_obstructed_custom_algebra(capsys, tmp_path):
     code, _, _ = run(capsys, "deform", "--file", str(doc), "--algebra-file", str(alg),
                      "--margin", "0", "--expect", "trivial")
     assert code == 1
+    # a layer whose weight exceeds the margin is a configuration error
+    heavy = tmp_path / "heavy.txt"
+    heavy.write_text("algebra: abelian-plane\norder: 1\nwindow: 0:4\nlayer: 1\n(0,1) -> 4:1\n")
+    code, _, err = run(capsys, "deform", "--file", str(heavy), "--algebra-file", str(alg),
+                       "--margin", "2")
+    assert code == 2
+    assert "weight-3 component" in err
 
 
 def test_deform_algebra_file_name_mismatch(capsys, tmp_path):

@@ -4,11 +4,10 @@ from random import Random
 import pytest
 
 from wittcoh.algebra import Window, load_algebra, make_virasoro, make_witt
-from wittcoh.cochains import MixedCochain, differential
+from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential, weight_components
 from wittcoh.deformation import (
     DeformedBracket,
     Equivalence,
-    TruncatedBase,
     compose,
     conjugate,
     infinitesimal,
@@ -19,7 +18,7 @@ from wittcoh.deformation import (
     trivialize,
     zero_layer,
 )
-from wittcoh.errors import FormatError, NotACocycleError
+from wittcoh.errors import BoundaryError, FormatError, NotACocycleError
 
 from helpers import random_cochain
 
@@ -39,7 +38,7 @@ def random_unipotent(rng, window, order, weight_pool=(-1, 0, 1)):
     for _ in range(order):
         ws = rng.sample(weight_pool, k=2)
         layers.append(mixed_coboundary(rng, window, ws))
-    return Equivalence(TruncatedBase(order), window, tuple(layers))
+    return Equivalence(order, window, tuple(layers))
 
 
 # -- jacobi defects ---------------------------------------------------------------
@@ -49,13 +48,13 @@ def test_coboundary_layer_is_clean_at_order_one():
     rng = Random(1)
     b = random_cochain(rng, 1, 0, W12, fill=0.4)
     mu1 = MixedCochain.from_cochain(differential(WITT, b))
-    d = DeformedBracket(TruncatedBase(1), WITT, W12, (mu1,))
+    d = DeformedBracket(1, WITT, W12, (mu1,))
     assert jacobi_defect(d, W8).clean
 
 
 def test_non_cocycle_layer_defect_equals_delta():
     mu1 = MixedCochain(2, W12, {(1, 2): {3: 1}, (1, 3): {4: 2}})
-    d = DeformedBracket(TruncatedBase(1), WITT, W12, (mu1,))
+    d = DeformedBracket(1, WITT, W12, (mu1,))
     report = jacobi_defect(d, W8)
     assert not report.clean
     bad = report.first_unclean()
@@ -99,7 +98,7 @@ def test_infinitesimal_coboundary_is_trivializable():
     rng = Random(2)
     _, c = truncated_coboundary(rng, WITT, 1, 1, W12, fill=0.4)
     mu1 = MixedCochain.from_cochain(c)
-    d = DeformedBracket(TruncatedBase(1), WITT, W12, (mu1,))
+    d = DeformedBracket(1, WITT, W12, (mu1,))
     rep = infinitesimal(d)
     assert rep.is_cocycle
     assert rep.weights == (1,)
@@ -109,7 +108,7 @@ def test_infinitesimal_coboundary_is_trivializable():
 
 def test_infinitesimal_non_cocycle_flagged():
     mu1 = MixedCochain(2, W12, {(1, 2): {3: 1}})
-    d = DeformedBracket(TruncatedBase(1), WITT, W12, (mu1,))
+    d = DeformedBracket(1, WITT, W12, (mu1,))
     rep = infinitesimal(d)
     assert not rep.is_cocycle
     assert rep.first_violation is not None
@@ -121,7 +120,7 @@ def test_infinitesimal_non_cocycle_flagged():
 def test_conjugate_by_identity_is_identity():
     rng = Random(3)
     mu1 = MixedCochain.from_cochain(differential(WITT, random_cochain(rng, 1, 0, W12, fill=0.3)))
-    d = DeformedBracket(TruncatedBase(2), WITT, W12, (mu1, zero_layer(W12)))
+    d = DeformedBracket(2, WITT, W12, (mu1, zero_layer(W12)))
     same = conjugate(d, Equivalence.identity(W12, 2))
     assert same.layers[0] == d.layers[0]
     assert same.layers[1] == d.layers[1]
@@ -177,7 +176,7 @@ def test_single_step_trivialization():
     rng = Random(7)
     b0 = random_cochain(rng, 1, 0, W12, fill=0.4)
     mu1 = MixedCochain.from_cochain(differential(WITT, b0))
-    d = DeformedBracket(TruncatedBase(1), WITT, W12, (mu1,))
+    d = DeformedBracket(1, WITT, W12, (mu1,))
     res = trivialize(d, W12, margin=4)
     assert res.trivialized
     assert res.conjugated.layers[0].restrict(res.verification_core).is_zero
@@ -205,9 +204,20 @@ def test_roundtrip_trivialization_order_three():
 
 def test_trivialize_rejects_jacobi_unclean():
     mu1 = MixedCochain(2, W12, {(1, 2): {3: 1}})
-    d = DeformedBracket(TruncatedBase(1), WITT, W12, (mu1,))
+    d = DeformedBracket(1, WITT, W12, (mu1,))
     with pytest.raises(NotACocycleError):
         trivialize(d, W12, margin=4)
+
+
+def test_trivialize_rejects_weight_above_margin():
+    # the comparison set is the whole core only for weights |w| <= margin; peeling
+    # this trivial deformation with margin 2 used to leave a nonzero layer on the core
+    w7 = Window(-7, 7)
+    b = MixedCochain.from_cochain(Cochain(1, 3, w7, ADJOINT, {(4,): 1}))
+    d = conjugate(DeformedBracket.trivial(WITT, w7, 1), Equivalence.single(w7, 1, 1, b))
+    assert set(weight_components(d.layers[0])) == {3}
+    with pytest.raises(BoundaryError, match="order 1 has a weight-3 component.*margin >= 3"):
+        trivialize(d, w7, margin=2)
 
 
 ABELIAN2 = "name: abelian-plane\ngraded: yes\ncentral: no\n"
@@ -217,7 +227,7 @@ def test_obstruction_reported_for_nontrivial_class():
     alg = load_algebra(ABELIAN2)
     w01 = Window(0, 1)
     mu1 = MixedCochain(2, w01, {(0, 1): {1: 1}})
-    d = DeformedBracket(TruncatedBase(1), alg, w01, (mu1,))
+    d = DeformedBracket(1, alg, w01, (mu1,))
     assert jacobi_defect(d, w01).clean
     res = trivialize(d, w01, margin=0)
     assert not res.trivialized
@@ -232,10 +242,10 @@ def test_deformation_document_round_trip():
     rng = Random(9)
     mu1 = MixedCochain.from_cochain(differential(WITT, random_cochain(rng, 1, 1, W8, fill=0.4)))
     mu2 = MixedCochain.from_cochain(differential(WITT, random_cochain(rng, 1, 0, W8, fill=0.4)))
-    d = DeformedBracket(TruncatedBase(2), WITT, W8, (mu1, mu2))
+    d = DeformedBracket(2, WITT, W8, (mu1, mu2))
     text = render_deformation(d)
     again = parse_deformation(text)
-    assert again.base == d.base
+    assert again.order == d.order
     assert again.window == d.window
     assert again.layers == d.layers
 
@@ -258,7 +268,7 @@ def test_composed_equivalence_trivializes_in_one_step():
         ws = rng.sample([-1, 0, 1], k=2)
         phis.append(mixed_coboundary(rng, W12, ws, order_fill=0.25))
     d = conjugate(DeformedBracket.trivial(WITT, W12, 2),
-                  Equivalence(TruncatedBase(2), W12, tuple(phis)))
+                  Equivalence(2, W12, tuple(phis)))
     res = trivialize(d, W12, margin=4)
     redone = conjugate(d, res.equivalence)
     assert all(l.restrict(res.verification_core).is_zero for l in redone.layers)
