@@ -8,7 +8,7 @@ replay of the diagonal-recurrence argument that kills H^2_0(W;W), and
 order-by-order formal deformations over truncated polynomial bases.
 """
 
-from .linalg import LinearSolution, SparseMatrix, kernel_basis, rank, solve, solve_affine
+from .linalg import LinearSolution, SparseMatrix, rank, solve
 from .algebra import (
     CENTRAL,
     Element,

@@ -193,14 +193,26 @@ def _cmd_central(args) -> int:
     return 0
 
 
+def _parse_injection(text: str):
+    """'K=V' as (label, k, v) with k an int and v a rational; ConfigError otherwise."""
+    key, sep, value = (part.strip() for part in text.partition("="))
+    try:
+        if sep:
+            return f"injected[a_{key}={value}]", int(key), Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ConfigError("--inject-relation wants K=V with an integer K and a rational V, "
+                      f"got {text!r}")
+
+
 def _cmd_replay(args) -> int:
+    injected = _parse_injection(args.inject_relation) if args.inject_relation else None
     result = run_replay(K=args.K, buffer=args.buffer)
     verdict = result.verdict
-    if args.inject_relation:
-        key, _, value = args.inject_relation.partition("=")
+    if injected:
+        label, k, v = injected
         rels = result.relations
-        rels.add(f"injected[a_{key.strip()}={value.strip()}]", "Diag",
-                 SymbolicValue.make({int(key): 1}, const=-Fraction(value.strip())))
+        rels.add(label, "Diag", SymbolicValue.make({k: 1}, const=-v))
         verdict = final_solve(result.table, rels, buffer=args.buffer)
     chunks = []
     if args.emit_table:

@@ -47,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .algebra import CENTRAL, Element, GradedLieAlgebra, Window
-from .errors import FormatError, OutOfWindowError
+from .errors import ConfigError, FormatError, OutOfWindowError
 from .linalg import SparseMatrix
 
 ADJOINT = "adjoint"
@@ -256,7 +256,7 @@ def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
             bracket = alg.bracket_generators(xs[s], xs[t])
             for key, coeff in bracket.terms.items():
                 if key == CENTRAL:
-                    raise ValueError(
+                    raise ConfigError(
                         "differential needs bracket values inside the indexed span; "
                         "central targets are not supported as cochain arguments")
                 if key not in window:
@@ -274,7 +274,7 @@ def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
             bracket = alg.bracket_generators(xs[s], inner)
             for key, coeff in bracket.terms.items():
                 if key == CENTRAL:
-                    raise ValueError(
+                    raise ConfigError(
                         "differential needs bracket values inside the indexed span; "
                         "central targets are not supported as cochain arguments")
                 if key != out_index:

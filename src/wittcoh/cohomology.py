@@ -41,7 +41,7 @@ from .cochains import (
     weight_components,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
-from .linalg import SparseMatrix, kernel_basis, row_span_rank, solve_affine
+from .linalg import SparseMatrix, rank, solve
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
     d, window, coeffs = c.weight, c.window, c.coeffs
     comp, matrix = comparison_tuples(alg, q, d, window, margin, coeffs)
     keep = [r for r, t in enumerate(comp) if t not in exclude]
-    x = solve_affine(matrix.take_rows(keep),
-                     [c.entries.get(comp[r], Fraction(0)) for r in keep])
+    x = solve(matrix.take_rows(keep),
+              [c.entries.get(comp[r], Fraction(0)) for r in keep]).particular
     if x is None:
         return None
     cols = basis_tuples(q - 1, d, window, coeffs)
@@ -169,29 +169,25 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     _check_window(window, margin)
 
     matrix, cols, omitted = cocycle_matrix(alg, q, d, window, coeffs)
-    kernel = kernel_basis(matrix)
+    kernel = solve(matrix).kernel_basis
 
     comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
     comp_col = {t: i for i, t in enumerate(comp)}
-    n_comp = len(comp)
 
-    def restrict_vec(vec):
-        out = [Fraction(0)] * n_comp
-        for i, t in enumerate(cols):
-            j = comp_col.get(t)
-            if j is not None and vec[i]:
-                out[j] = vec[i]
-        return out
+    def span_rank(rows):
+        return rank(SparseMatrix(len(rows), len(comp),
+                                 {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}))
 
-    z_rows = [restrict_vec(v) for v in kernel]
-    dim_v = row_span_rank(z_rows, n_comp)
-
-    # delta of each basis (q-1)-cochain on the comparison set: a column of coboundary
-    w_rows = [[Fraction(0)] * n_comp for _ in range(coboundary.n_cols)]
+    # each cocycle on the comparison set, and delta of each basis (q-1)-cochain
+    # there (a column of coboundary), as sparse {comparison index: value} rows
+    z_rows = [{comp_col[t]: vec[i] for i, t in enumerate(cols) if vec[i] and t in comp_col}
+              for vec in kernel]
+    w_rows = [{} for _ in range(coboundary.n_cols)]
     for (r, j), v in coboundary.entries.items():
         w_rows[j][r] = v
-    dim_w = row_span_rank(w_rows, n_comp)
-    dim_vw = row_span_rank(z_rows + w_rows, n_comp)
+    dim_v = span_rank(z_rows)
+    dim_w = span_rank(w_rows)
+    dim_vw = span_rank(z_rows + w_rows)
     dim_meet = dim_v + dim_w - dim_vw
     dim_stable = dim_v - dim_meet
 
@@ -200,7 +196,7 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         chosen_rows = list(w_rows)
         rank_now = dim_w
         for vec, row in zip(kernel, z_rows):
-            r2 = row_span_rank(chosen_rows + [row], n_comp)
+            r2 = span_rank(chosen_rows + [row])
             if r2 > rank_now:
                 rank_now = r2
                 chosen_rows.append(row)

@@ -1,4 +1,4 @@
-"""Exact rational sparse linear algebra.
+"""Exact rational sparse linear algebra: `solve` and `rank`.
 
 Coefficients are arbitrary-precision rationals (`fractions.Fraction`), so rank,
 kernel and affine solves are exact; every dimension reported downstream is an
@@ -7,18 +7,21 @@ constant handled by this package is rational, and kernel/image dimensions of a
 rational matrix over Q equal those over C, so nothing is lost by staying
 rational.
 
-Elimination is fraction-free: rows are scaled to primitive integer vectors and
-combined by cross-multiplication, with a gcd reduction after every update to
-bound coefficient growth.  The pivot rule is deterministic (smallest absolute
-value by bit length, ties broken by row order), so identical inputs always
-produce identical outputs.
+Two entries: `solve(m, rhs=None)` gives the rank, the canonical kernel basis
+and a particular solution (None when rhs is inconsistent), each certified in
+integer arithmetic; `rank(m)` gives the rank alone.  Both scale every row once
+to a primitive integer row and run one fraction-free elimination core
+(Bareiss 1968): rows are combined by cross-multiplication, with a gcd
+reduction after every update to bound coefficient growth.  The pivot rule is
+deterministic (smallest absolute value by bit length, ties broken by row
+order), so identical inputs always produce identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _AUG = -1  # virtual column index used for the right-hand side
 
@@ -89,184 +92,118 @@ class LinearSolution:
     particular: tuple | None = None
 
 
-def _int_row(row_dict):
-    """Scale a {col: Fraction} row to a primitive {col: int} row."""
-    if not row_dict:
-        return {}
-    denom = 1
-    for v in row_dict.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = {c: int(v * denom) for c, v in row_dict.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+def _primitive(row):
+    """The primitive {col: int} row (gcd 1, same sign) on the line of a rational row.
+
+    Fractions n/d in lowest terms are scaled by lcm(d) / gcd(n), ints by 1 / gcd.
+    """
+    values = row.values()
+    try:
+        g = gcd(*values)
+    except TypeError:  # gcd takes only ints: clear the denominators
+        denom = lcm(*(v.denominator for v in values))
+        g = gcd(*(v.numerator for v in values))
+        return {c: v.numerator // g * (denom // v.denominator) for c, v in row.items()}
+    return {c: v // g for c, v in row.items()} if g > 1 else row
 
 
-def _reduce_row(row):
-    """Divide an integer row by the gcd of its entries."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-    if g > 1:
-        return {c: v // g for c, v in row.items()}
-    return row
+def _combine(r, piv, col):
+    """The primitive row of p*r - v*piv, with p = piv[col] and v = r[col]: r cleared at col."""
+    p, v = piv[col], r[col]
+    new = {}
+    for c in r.keys() | piv.keys():
+        w = p * r.get(c, 0) - v * piv.get(c, 0)
+        if w:
+            new[c] = w
+    return _primitive(new)
 
 
 def _eliminate(rows, n_cols):
-    """Forward-eliminate integer rows; returns (pivot list, leftover rows).
+    """Forward-eliminate primitive integer rows; returns (pivot list, leftover rows).
 
     `rows` is a list of {col: int} dicts (the virtual _AUG column is never
-    chosen as a pivot).  Pivot rows come back fully back-substituted, i.e. each
-    pivot row is zero on every other pivot column.
+    chosen as a pivot).  Pivots are (col, row) in increasing column order;
+    leftovers are the nonzero rows no pivot cleared, so they can only hold _AUG.
     """
-    active = [(i, dict(r)) for i, r in enumerate(rows) if r]
-    pivots = []  # (col, row_dict), increasing col
+    active = [(i, r) for i, r in enumerate(rows) if r]
+    pivots = []
     for col in range(n_cols):
         cand = [(i, r) for i, r in active if r.get(col)]
         if not cand:
             continue
         idx, piv = min(cand, key=lambda ir: (abs(ir[1][col]).bit_length(), ir[0]))
-        active = [(i, r) for i, r in active if i != idx]
-        p = piv[col]
         nxt = []
         for i, r in active:
-            v = r.get(col)
-            if v:
-                new = {}
-                for c in r.keys() | piv.keys():
-                    w = p * r.get(c, 0) - v * piv.get(c, 0)
-                    if w:
-                        new[c] = w
-                r = _reduce_row(new)
+            if i == idx:
+                continue
+            if r.get(col):
+                r = _combine(r, piv, col)
                 if not r:
                     continue
             nxt.append((i, r))
         active = nxt
         pivots.append((col, piv))
-    # back-substitute earlier pivot rows against later ones
-    for k in range(len(pivots) - 1, -1, -1):
-        col, piv = pivots[k]
-        for m in range(k):
-            cm, rm = pivots[m]
-            v = rm.get(col)
-            if v:
-                p = piv[col]
-                new = {}
-                for c in rm.keys() | piv.keys():
-                    w = p * rm.get(c, 0) - v * piv.get(c, 0)
-                    if w:
-                        new[c] = w
-                pivots[m] = (cm, _reduce_row(new))
     return pivots, [r for _, r in active]
 
 
-def _canonical_vector(vec):
-    """Scale a rational vector to a primitive integer vector, first nonzero positive."""
-    nz = [v for v in vec if v]
-    if not nz:
-        return tuple(vec)
-    denom = 1
-    for v in nz:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
+def _annihilates(rows, vec):
+    """Whether the integer vector {col: int} has dot product 0 with every row."""
+    return not any(sum(a * vec.get(c, 0) for c, a in row.items()) for row in rows)
 
 
-def solve(m: SparseMatrix, rhs=None, check=True) -> LinearSolution:
+def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     """Eliminate m (augmented by rhs if given) and return the full solution data.
 
     The kernel basis is canonical: primitive integer vectors, one per free
     column, first nonzero entry positive.  When rhs is inconsistent the
     particular solution is None.
+
+    Every answer is certified exactly before it is returned.  Each integer row
+    of [m | rhs] is a nonzero rational multiple of an input row, so an integer
+    dot product of 0 with it is the identity m*v = 0 (or m*x = rhs).  The
+    kernel vectors are independent because each is nonzero on its own free
+    column and zero on every other one.
     """
-    rows = [_int_row(r) for r in m.row_dicts()]
+    frac_rows = m.row_dicts()
     if rhs is not None:
         if len(rhs) != m.n_rows:
             raise ValueError("rhs length mismatch")
-        frac_rows = m.row_dicts()
-        for i, b in enumerate(rhs):
-            b = Fraction(b)
-            if b != 0:
-                frac_rows[i][_AUG] = -b
-        rows = [_int_row(r) for r in frac_rows]
+        for row, b in zip(frac_rows, rhs):
+            if b:
+                row[_AUG] = -Fraction(b)
+    rows = [_primitive(r) for r in frac_rows]
     pivots, leftovers = _eliminate(rows, m.n_cols)
-    pivot_cols = [c for c, _ in pivots]
-    free_cols = [c for c in range(m.n_cols) if c not in set(pivot_cols)]
+    # back-substitute: clear each pivot column from the earlier pivot rows
+    for k in range(len(pivots) - 1, -1, -1):
+        col, piv = pivots[k]
+        for j in range(k):
+            cj, rj = pivots[j]
+            if rj.get(col):
+                pivots[j] = (cj, _combine(rj, piv, col))
 
+    pivot_cols = {c for c, _ in pivots}
     kernel = []
-    for f in free_cols:
-        vec = [Fraction(0)] * m.n_cols
-        vec[f] = Fraction(1)
-        for c, r in pivots:
-            vf = r.get(f)
-            if vf:
-                vec[c] = Fraction(-vf, r[c])
-        kernel.append(_canonical_vector(vec))
+    for f in (c for c in range(m.n_cols) if c not in pivot_cols):
+        vec = _primitive({f: Fraction(1),
+                          **{c: Fraction(-r[f], r[c]) for c, r in pivots if r.get(f)}})
+        if not _annihilates(rows, vec):
+            raise AssertionError("kernel vector fails m*v = 0")
+        if not vec.get(f) or any(c != f and c not in pivot_cols for c in vec):
+            raise AssertionError("kernel basis is not independent on the free columns")
+        sign = 1 if vec[min(vec)] > 0 else -1
+        kernel.append(tuple(Fraction(sign * vec.get(j, 0)) for j in range(m.n_cols)))
 
     particular = None
-    if rhs is not None:
-        feasible = all(not lr or set(lr) != {_AUG} for lr in leftovers)
-        if feasible:
-            vec = [Fraction(0)] * m.n_cols
-            for c, r in pivots:
-                va = r.get(_AUG)
-                if va:
-                    vec[c] = Fraction(-va, r[c])
-            particular = tuple(vec)
-
-    if check:
-        for v in kernel:
-            if any(m.apply(v)):
-                raise AssertionError("kernel vector fails m*v = 0")
-        if kernel:
-            km = SparseMatrix(
-                len(kernel), m.n_cols,
-                {(i, j): v for i, row in enumerate(kernel) for j, v in enumerate(row) if v},
-            )
-            re_piv, _ = _eliminate([_int_row(r) for r in km.row_dicts()], m.n_cols)
-            if len(re_piv) != len(kernel):
-                raise AssertionError("kernel basis not independent under re-elimination")
-        if particular is not None:
-            if list(m.apply(particular)) != [Fraction(b) for b in rhs]:
-                raise AssertionError("particular solution fails m*x = rhs")
+    if rhs is not None and not leftovers:
+        x = {c: Fraction(-r[_AUG], r[c]) for c, r in pivots if r.get(_AUG)}
+        if not _annihilates(rows, _primitive({**x, _AUG: Fraction(1)})):
+            raise AssertionError("particular solution fails m*x = rhs")
+        particular = tuple(x.get(j, Fraction(0)) for j in range(m.n_cols))
 
     return LinearSolution(rank=len(pivots), kernel_basis=tuple(kernel), particular=particular)
 
 
 def rank(m: SparseMatrix) -> int:
     """Rank over Q; deterministic for a given input."""
-    rows = [_int_row(r) for r in m.row_dicts()]
-    pivots, _ = _eliminate(rows, m.n_cols)
-    return len(pivots)
-
-
-def kernel_basis(m: SparseMatrix):
-    """Basis of the right null space; m.apply(v) is exactly zero for each v."""
-    return list(solve(m).kernel_basis)
-
-
-def solve_affine(m: SparseMatrix, rhs):
-    """Some x with m*x = rhs, or None when the system is infeasible."""
-    return solve(m, rhs=rhs).particular
-
-
-def row_span_rank(vectors, n_cols) -> int:
-    """Rank of the span of coordinate vectors (helper for dimension counting)."""
-    rows = []
-    for v in vectors:
-        rows.append(_int_row({c: Fraction(x) for c, x in enumerate(v) if x}))
-    pivots, _ = _eliminate(rows, n_cols)
+    pivots, _ = _eliminate([_primitive(r) for r in m.row_dicts()], m.n_cols)
     return len(pivots)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundaryError, ContradictionError
-from .linalg import _eliminate, _int_row
+from .linalg import SparseMatrix, rank
 
 TAGS = ("Eq1", "Eq5", "Eq6", "Eq7", "Diag", "Antisym", "Sec5", "Sec9")
 
@@ -526,8 +526,8 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
         if vec:
             rows.append(vec)
             touching.append(u)
-    piv, _ = _eliminate([_int_row(r) for r in rows], len(targets))
-    dimension = len(piv)
+    dimension = rank(SparseMatrix(len(rows), len(targets),
+                                  {(i, c): v for i, r in enumerate(rows) for c, v in r.items()}))
 
     solved_targets = {k: solved.get(k, SymbolicValue.unknown(k)) for k in targets}
     all_zero = dimension == 0 and all(v.is_zero for v in solved_targets.values())

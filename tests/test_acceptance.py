@@ -36,7 +36,7 @@ from wittcoh.deformation import (
     trivialize,
 )
 from wittcoh.errors import NotACocycleError
-from wittcoh.linalg import SparseMatrix, kernel_basis
+from wittcoh.linalg import SparseMatrix, solve
 from wittcoh.replay import (
     SymbolicValue,
     diagonal_relations,
@@ -276,7 +276,7 @@ def test_criterion_07_brute_force_normalized_cocycles():
             rows[(r, col[t])] = Fraction(1)
             r += 1
     full = SparseMatrix(r, len(cols), rows)
-    kern = kernel_basis(full)
+    kern = solve(full).kernel_basis
     core = window.core(margin)
     for vec in kern:
         for i, t in enumerate(cols):

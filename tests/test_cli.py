@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from wittcoh.cli import emit_report, main
 from wittcoh.cohomology import CohomologyReport, central_extension_dim
 from wittcoh.algebra import Window
@@ -77,6 +79,21 @@ def test_contradiction_exits_three(capsys):
     code, _, err = run(capsys, "replay", "--K", "12", "--inject-relation", "3=1")
     assert code == 3
     assert "contradiction" in err
+
+
+@pytest.mark.parametrize("relation", ["3=1/0", "x=1", "5"])
+def test_malformed_injected_relation_exits_two(capsys, relation):
+    code, _, err = run(capsys, "replay", "--K", "8", "--inject-relation", relation)
+    assert code == 2
+    assert "--inject-relation" in err and relation in err
+    assert len(err.splitlines()) == 1
+
+
+def test_virasoro_cohomology_is_rejected_for_its_central_targets(capsys):
+    code, _, err = run(capsys, "cohomology", "--algebra", "virasoro", "--window=-6:6",
+                       "--margin", "2")
+    assert code == 2
+    assert "central" in err
 
 
 def test_jacobi_clean_and_corrupt(capsys, tmp_path):

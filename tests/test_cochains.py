@@ -16,7 +16,7 @@ from wittcoh.cochains import (
     never_leaves_window,
     weight_components,
 )
-from wittcoh.errors import OutOfWindowError
+from wittcoh.errors import ConfigError, OutOfWindowError
 
 from helpers import random_cochain, random_mixed_cocycle
 
@@ -274,5 +274,5 @@ def test_adjoint_differential_rejects_central_targets():
 
     vir = make_virasoro()
     c = Cochain(1, 0, W8, ADJOINT, {(2,): 1, (-2,): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="central targets"):
         differential(vir, c)

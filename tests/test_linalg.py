@@ -3,13 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittcoh.linalg import (
-    SparseMatrix,
-    kernel_basis,
-    rank,
-    solve,
-    solve_affine,
-)
+from wittcoh import linalg
+from wittcoh.linalg import SparseMatrix, rank, solve
 
 
 def mat(rows):
@@ -30,35 +25,33 @@ def test_rank_proportional_rows():
 
 
 def test_kernel_injective():
-    assert kernel_basis(mat([[1, 0], [0, 1]])) == []
+    assert solve(mat([[1, 0], [0, 1]])).kernel_basis == ()
 
 
 def test_kernel_proportional_rows():
-    (v,) = kernel_basis(mat([[1, 2], [2, 4]]))
+    (v,) = solve(mat([[1, 2], [2, 4]])).kernel_basis
     # solving x + 2y = 0 by hand gives (2, -1) up to scale
     assert v[0] * Fraction(-1) == v[1] * Fraction(2)
     assert any(v)
 
 
 def test_kernel_zero_map():
-    vecs = kernel_basis(SparseMatrix(1, 3))
+    vecs = solve(SparseMatrix(1, 3)).kernel_basis
     assert len(vecs) == 3
-    from wittcoh.linalg import row_span_rank
-
-    assert row_span_rank(vecs, 3) == 3
+    assert rank(SparseMatrix.from_rows(vecs)) == 3
 
 
 def test_solve_identity():
-    assert solve_affine(mat([[1, 0], [0, 1]]), [5, 7]) == (5, 7)
+    assert solve(mat([[1, 0], [0, 1]]), [5, 7]).particular == (5, 7)
 
 
 def test_solve_infeasible():
     # second row is twice the first but 3 != 2*1
-    assert solve_affine(mat([[1, 2], [2, 4]]), [1, 3]) is None
+    assert solve(mat([[1, 2], [2, 4]]), [1, 3]).particular is None
 
 
 def test_solve_underdetermined():
-    x = solve_affine(mat([[1, 2], [2, 4]]), [1, 2])
+    x = solve(mat([[1, 2], [2, 4]]), [1, 2]).particular
     assert x is not None
     assert x[0] + 2 * x[1] == 1
 
@@ -67,6 +60,44 @@ def test_solution_counts():
     m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     sol = solve(m)
     assert sol.rank + len(sol.kernel_basis) == m.n_cols
+
+
+def test_rational_rows_give_a_primitive_kernel():
+    # 3x + 2y - z = 0 and y = z, given as rational rows; z - y = 2 with z = 0 gives x = 7/3
+    m = mat([[Fraction(1, 2), Fraction(1, 3), Fraction(-1, 6)],
+             [0, Fraction(-2, 5), Fraction(2, 5)]])
+    sol = solve(m, [Fraction(1, 2), Fraction(4, 5)])
+    assert sol.rank == 2
+    assert sol.kernel_basis == ((Fraction(1), Fraction(-3), Fraction(-3)),)
+    assert sol.particular == (Fraction(7, 3), Fraction(-2), Fraction(0))
+
+
+def _perturb_first_pivot(monkeypatch, col):
+    """Make _eliminate return its first pivot row with the entry at `col` raised by 1."""
+    real = linalg._eliminate
+
+    def perturbed(rows, n_cols):
+        pivots, leftovers = real(rows, n_cols)
+        pcol, row = pivots[0]
+        pivots[0] = (pcol, {**row, col: row.get(col, 0) + 1})
+        return pivots, leftovers
+
+    monkeypatch.setattr(linalg, "_eliminate", perturbed)
+
+
+def test_kernel_certificate_fires(monkeypatch):
+    m = mat([[1, 2, 3], [0, 1, 1]])
+    assert solve(m).kernel_basis == ((Fraction(1), Fraction(1), Fraction(-1)),)
+    _perturb_first_pivot(monkeypatch, 2)  # column 2 is free
+    with pytest.raises(AssertionError, match="kernel vector"):
+        solve(m)
+
+
+def test_particular_certificate_fires(monkeypatch):
+    m = mat([[1, 0], [0, 1]])
+    _perturb_first_pivot(monkeypatch, linalg._AUG)
+    with pytest.raises(AssertionError, match="particular solution"):
+        solve(m, [5, 7])
 
 
 def test_rejects_out_of_bounds_entry():
@@ -80,7 +111,7 @@ def test_kernel_vectors_annihilate(rows):
     width = max(len(r) for r in rows)
     rows = [r + [0] * (width - len(r)) for r in rows]
     m = mat(rows)
-    for v in kernel_basis(m):
+    for v in solve(m).kernel_basis:
         assert all(x == 0 for x in m.apply(v))
 
 
@@ -92,6 +123,6 @@ def test_solve_affine_exact_or_none(rows, rhs):
     rows = [r + [0] * (width - len(r)) for r in rows]
     rhs = (rhs + [0] * len(rows))[: len(rows)]
     m = mat(rows)
-    x = solve_affine(m, rhs)
+    x = solve(m, rhs).particular
     if x is not None:
         assert list(m.apply(x)) == [Fraction(b) for b in rhs]
