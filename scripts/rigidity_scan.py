@@ -24,7 +24,7 @@ def main():
     print(header)
     print("-" * len(header))
     grand_total = 0
-    start = time.time()
+    start = time.perf_counter()
     for d in range(-max_weight, max_weight + 1):
         dims = []
         for window in windows:
@@ -32,7 +32,7 @@ def main():
             dims.append(report.dim_stable)
             grand_total += report.dim_stable
         print(f"  {d:+3d} | " + " | ".join(f"{n:^8d}" for n in dims))
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     print("-" * len(header))
     verdict = "rigid (every stable dimension is 0)" if grand_total == 0 else "NONZERO CLASSES FOUND"
     print(f"{verdict}; scan took {elapsed:.1f}s")

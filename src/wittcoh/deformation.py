@@ -3,10 +3,14 @@
 A deformed bracket is mu_0 + t mu_1 + ... + t^N mu_N with mu_0 a graded Lie
 algebra on the window and each layer an antisymmetric 2-cochain of arbitrary
 mixed weight.  Brackets and equivalences carry the truncation order N as a
-plain `order` field, with exactly N layers.  The staple computations:
+plain `order` field, with exactly N layers.  Evaluation reads the layers as
+tables (`DeformedBracket.pair` for mu_s(e_i, e_j), `Equivalence.apply_order`
+for phi_s) on plain {index: coefficient} dicts.  The staple computations:
 
 * jacobi_defect expands the Jacobi identity of the deformed bracket order by
   order; cleanliness at order 1 is exactly delta(mu_1) = 0;
+* invert builds the inverse series once, order by order, and compose
+  multiplies two series; both go through one composition helper;
 * conjugate transports a bracket along phi = id + t^1 phi_1 + ... (unipotent,
   hence invertible over the truncated base): mu'(x,y) = phi^{-1} mu(phi x, phi y);
 * infinitesimal checks delta(mu_1) = 0 row by row on the delta_2 matrix of
@@ -16,11 +20,11 @@ plain `order` field, with exactly N layers.  The staple computations:
   id + t^s b_s; under the sign convention of `cochains.differential` that
   replaces mu_s by mu_s - delta(b_s) at order s.
 
-Window bookkeeping is strictly honest: any evaluation that would reference an
-index outside the window drops that entry (or triple) and the drop is
-recorded, so every stored value is the exact global one.  Reading a dropped
-pair later raises instead of faking a zero, and the defect/solve routines
-skip such data.
+Window bookkeeping is strictly honest, and `pair` is the only place it is
+checked: an order-0 bracket whose target lies outside the window, or a layer
+value at a pair lost to the window edge, raises OutOfWindowError.  The
+defect and conjugation routines skip the triple or pair that needed it (and
+record the drop), so every stored value is the exact global one.
 """
 
 from __future__ import annotations
@@ -38,11 +42,7 @@ from .cochains import (
     weight_components,
 )
 from .cohomology import coboundary_primitive
-from .errors import BoundaryError, FormatError, NotACocycleError, OutOfWindowError
-
-
-def zero_layer(window: Window) -> MixedCochain:
-    return MixedCochain(2, window)
+from .errors import BoundaryError, ConfigError, FormatError, NotACocycleError, OutOfWindowError
 
 
 @dataclass(frozen=True)
@@ -66,31 +66,34 @@ class DeformedBracket:
     @classmethod
     def trivial(cls, algebra: GradedLieAlgebra, window: Window, order: int) -> "DeformedBracket":
         return cls(order, algebra, window,
-                   tuple(zero_layer(window) for _ in range(order)))
+                   tuple(MixedCochain(2, window) for _ in range(order)))
 
-    def layer(self, s: int) -> MixedCochain:
-        if s == 0:
-            raise ValueError("order 0 is the underlying algebra")
-        return self.layers[s - 1]
+    def pair(self, s: int, i, j) -> dict:
+        """mu_s(e_i, e_j) as {output: coefficient}; raises OutOfWindowError on leaks.
 
-    def evaluate_order(self, s: int, x: Element, y: Element) -> Element:
-        """Bilinear evaluation of mu_s; raises OutOfWindowError on leaks."""
+        The returned dict may be shared with the layer table; do not mutate it.
+        """
         if s == 0:
-            out = self.algebra.bracket(x, y)
-            for key in out.terms:
+            out = self.algebra.bracket_rule(i, j).terms
+            for key in out:
                 if key != CENTRAL and key not in self.window:
                     raise OutOfWindowError(f"bracket target {key} outside {self.window}")
             return out
-        mu = self.layers[s - 1]
-        out = Element.zero()
-        for kx, vx in x.terms.items():
-            for ky, vy in y.terms.items():
-                if CENTRAL in (kx, ky):
-                    continue  # layers act on the indexed span; the center is rigid here
-                if kx != ky and (min(kx, ky), max(kx, ky)) in self.omitted_pairs:
-                    raise OutOfWindowError(
-                        f"layer value at ({kx},{ky}) was lost to the window edge")
-                out = out + (vx * vy) * mu.evaluate(kx, ky)
+        if CENTRAL in (i, j) or i == j:
+            return {}  # layers act on the indexed span; the center is rigid here
+        if (min(i, j), max(i, j)) in self.omitted_pairs:
+            raise OutOfWindowError(f"layer value at ({i},{j}) was lost to the window edge")
+        if i < j:
+            return self.layers[s - 1].entries.get((i, j), {})
+        return {k: -v for k, v in self.layers[s - 1].entries.get((j, i), {}).items()}
+
+    def evaluate_order(self, s: int, x: dict, y: dict) -> dict:
+        """Bilinear extension of `pair` to {index: coefficient} dicts."""
+        out = {}
+        for kx, vx in x.items():
+            for ky, vy in y.items():
+                for k, v in self.pair(s, kx, ky).items():
+                    out[k] = out.get(k, 0) + vx * vy * v
         return out
 
 
@@ -120,78 +123,50 @@ class Equivalence:
         layers[s - 1] = phi_s
         return cls(order, window, tuple(layers))
 
-    def apply_order(self, s: int, x: Element) -> Element:
-        """phi_s applied to an element (phi_0 = id)."""
+    def apply_order(self, s: int, x: dict) -> dict:
+        """phi_s applied to an {index: coefficient} dict (phi_0 = id); the center,
+        which has no row in a layer, is not moved."""
         if s == 0:
             return x
-        phi = self.layers[s - 1]
-        out = Element.zero()
-        for k, v in x.terms.items():
-            if k == CENTRAL:
-                continue  # the center is not moved by these equivalences
-            out = out + v * phi.evaluate(k)
+        rows = self.layers[s - 1].entries
+        out = {}
+        for k, v in x.items():
+            for o, w in rows.get((k,), {}).items():
+                out[o] = out.get(o, 0) + v * w
         return out
 
-    def inverse_order(self, s: int, x: Element) -> Element:
-        """psi_s applied to x, where psi = phi^{-1}: psi_s = -phi_s - sum psi_p phi_{s-p}."""
-        if s == 0:
-            return x
-        out = -self.apply_order(s, x)
-        for p in range(1, s):
-            out = out - self.inverse_order(p, self.apply_order(s - p, x))
-        return out
+
+def _compose_order(outer: Equivalence, inner: Equivalence, s: int) -> MixedCochain:
+    """(outer o inner)_s(e_i) = sum_u outer_u(inner_{s-u}(e_i)) on every generator."""
+    entries = {}
+    for i in outer.window.indices():
+        total = {}
+        for u in range(s + 1):
+            for k, v in outer.apply_order(u, inner.apply_order(s - u, {i: 1})).items():
+                total[k] = total.get(k, 0) + v
+        entries[(i,)] = total
+    return MixedCochain(1, outer.window, entries)
 
 
 def invert(e: Equivalence) -> Equivalence:
-    """The inverse series psi = id - phi_1 t + ...; generators whose inverse
-    layers leak out of the window are dropped (same policy as compose)."""
-    N = e.order
-    window = e.window
-    layers = []
-    for s in range(1, N + 1):
-        entries = {}
-        for i in window.indices():
-            try:
-                val = e.inverse_order(s, Element.basis(i))
-            except OutOfWindowError:
-                continue
-            outs = {k: v for k, v in val.terms.items() if k != CENTRAL}
-            if any(k not in window for k in outs):
-                continue
-            if outs:
-                entries[(i,)] = outs
-        layers.append(MixedCochain(1, window, entries))
-    return Equivalence(N, window, tuple(layers))
+    """The inverse series psi = id - phi_1 t + ..., built once, order by order.
+
+    (psi o phi)_s = 0 for s >= 1 with psi_s entering only as itself, so
+    psi_s = -(psi o phi)_s evaluated while psi_s is still zero.
+    """
+    layers = [MixedCochain(1, e.window) for _ in range(e.order)]
+    for s in range(1, e.order + 1):
+        psi = Equivalence(e.order, e.window, tuple(layers))
+        layers[s - 1] = -_compose_order(psi, e, s)
+    return Equivalence(e.order, e.window, tuple(layers))
 
 
 def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
-    """The equivalence x -> outer(inner(x)), truncated at the common order.
-
-    Generators whose composite leaks out of the window are dropped from the
-    composed layers; conjugation by the composition is only compared on
-    entries both sides carry.
-    """
+    """The equivalence x -> outer(inner(x)), truncated at the common order."""
     if outer.order != inner.order or outer.window != inner.window:
         raise ValueError("equivalence shape mismatch")
-    N = outer.order
-    window = outer.window
-    layers = []
-    for s in range(1, N + 1):
-        entries = {}
-        for i in window.indices():
-            try:
-                total = Element.zero()
-                for u in range(s + 1):
-                    total = total + outer.apply_order(u, inner.apply_order(s - u, Element.basis(i)))
-            except OutOfWindowError:
-                continue
-            outs = {k: v for k, v in total.terms.items() if k != CENTRAL}
-            if any(k not in window for k in outs):
-                continue
-            if outs:
-                entries[(i,)] = outs
-        layers.append(MixedCochain(1, window, entries))
-    return Equivalence(N, window, tuple(layers))
+    return Equivalence(outer.order, outer.window, tuple(
+        _compose_order(outer, inner, s) for s in range(1, outer.order + 1)))
 
 
 # -- Jacobi defects ------------------------------------------------------------
@@ -241,29 +216,27 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
     """
     if window.lo < d.window.lo or window.hi > d.window.hi:
         raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
-    N = d.order
     orders = []
     idx = list(window.indices())
-    for s in range(0, N + 1):
+    for s in range(0, d.order + 1):
         found = None
         skipped = 0
-        for ai in range(len(idx)):
+        for ai, x in enumerate(idx):
             for bi in range(ai + 1, len(idx)):
-                for ci in range(bi + 1, len(idx)):
-                    x, y, z = idx[ai], idx[bi], idx[ci]
-                    ex, ey, ez = Element.basis(x), Element.basis(y), Element.basis(z)
+                y = idx[bi]
+                for z in idx[bi + 1:]:
+                    total = {}
                     try:
-                        total = Element.zero()
                         for p in range(s + 1):
-                            q = s - p
-                            total = total + d.evaluate_order(p, d.evaluate_order(q, ex, ey), ez)
-                            total = total + d.evaluate_order(p, d.evaluate_order(q, ey, ez), ex)
-                            total = total + d.evaluate_order(p, d.evaluate_order(q, ez, ex), ey)
+                            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                                for k, v in d.pair(s - p, a, b).items():
+                                    for out, w in d.pair(p, k, c).items():
+                                        total[out] = total.get(out, 0) + v * w
                     except OutOfWindowError:
                         skipped += 1
                         continue
-                    if not total.is_zero and found is None:
-                        found = ((x, y, z), total)
+                    if found is None and any(total.values()):
+                        found = ((x, y, z), Element(total))
             if found:
                 break
         if found:
@@ -327,55 +300,51 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
 
     Entries whose evaluation would leave the window are omitted from every
     layer and the pair is recorded in omitted_pairs; all stored entries are
-    exact.
+    exact.  A nonzero central target raises ConfigError.
     """
     if e.order != d.order or e.window != d.window:
         raise ValueError("equivalence and bracket must share order and window")
     N = d.order
     window = d.window
+    psi = invert(e)
     # smallest order with a nonzero equivalence layer; psi_u = 0 for 0 < u < m0
     m0 = next((s for s in range(1, N + 1) if not e.layers[s - 1].is_zero), N + 1)
+    images = {i: [e.apply_order(v, {i: 1}) for v in range(N + 1)] for i in window.indices()}
     new_entries: list[dict] = [dict() for _ in range(N)]
     omitted = set(d.omitted_pairs)
     for i in window.indices():
-        for j in window.indices():
-            if i >= j:
-                continue
-            ei, ej = Element.basis(i), Element.basis(j)
+        for j in range(i + 1, window.hi + 1):
+            # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j), computed only
+            # for the orders a nonzero psi_u will consume
+            b_cache: dict[int, dict] = {}
+
+            def b_order(m):
+                if m not in b_cache:
+                    total = {}
+                    for r in range(m + 1):
+                        for v in range(m - r + 1):
+                            image = d.evaluate_order(r, images[i][v], images[j][m - r - v])
+                            for k, c in image.items():
+                                total[k] = total.get(k, 0) + c
+                    b_cache[m] = total
+                return b_cache[m]
+
             try:
-                # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j), computed only
-                # for the orders a nonzero psi_u will consume
-                b_cache: dict[int, Element] = {}
-
-                def b_order(m):
-                    if m not in b_cache:
-                        total = Element.zero()
-                        for r in range(m + 1):
-                            for v in range(m - r + 1):
-                                w = m - r - v
-                                total = total + d.evaluate_order(
-                                    r, e.apply_order(v, ei), e.apply_order(w, ej))
-                        b_cache[m] = total
-                    return b_cache[m]
-
                 values = []
                 for s in range(1, N + 1):
-                    total = b_order(s)
-                    for u in range(m0, s + 1):
-                        total = total + e.inverse_order(u, b_order(s - u))
-                    for key in total.terms:
-                        if key == CENTRAL:
-                            raise ValueError("central targets are not deformed here")
-                        if key not in window:
-                            raise OutOfWindowError(f"target {key} escaped {window}")
-                    values.append(total)
+                    total = {}
+                    for u in (0, *range(m0, s + 1)):
+                        for k, c in psi.apply_order(u, b_order(s - u)).items():
+                            total[k] = total.get(k, 0) + c
+                    outs = {k: c for k, c in total.items() if c}
+                    if CENTRAL in outs:
+                        raise ConfigError("central targets are not deformed here")
+                    values.append(outs)
             except OutOfWindowError:
                 omitted.add((i, j))
                 continue
-            for s, val in enumerate(values):
-                outs = dict(val.terms)
-                if outs:
-                    new_entries[s][(i, j)] = outs
+            for s, outs in enumerate(values):
+                new_entries[s][(i, j)] = outs
     layers = tuple(MixedCochain(2, window, entries) for entries in new_entries)
     return DeformedBracket(N, d.algebra, window, layers, frozenset(omitted))
 

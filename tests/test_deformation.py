@@ -16,9 +16,8 @@ from wittcoh.deformation import (
     parse_deformation,
     render_deformation,
     trivialize,
-    zero_layer,
 )
-from wittcoh.errors import BoundaryError, FormatError, NotACocycleError
+from wittcoh.errors import BoundaryError, ConfigError, FormatError, NotACocycleError
 
 from helpers import random_cochain
 
@@ -120,7 +119,7 @@ def test_infinitesimal_non_cocycle_flagged():
 def test_conjugate_by_identity_is_identity():
     rng = Random(3)
     mu1 = MixedCochain.from_cochain(differential(WITT, random_cochain(rng, 1, 0, W12, fill=0.3)))
-    d = DeformedBracket(2, WITT, W12, (mu1, zero_layer(W12)))
+    d = DeformedBracket(2, WITT, W12, (mu1, MixedCochain(2, W12)))
     same = conjugate(d, Equivalence.identity(W12, 2))
     assert same.layers[0] == d.layers[0]
     assert same.layers[1] == d.layers[1]
@@ -167,6 +166,41 @@ def test_conjugation_is_a_group_action_on_the_core():
             if t in two_step.omitted_pairs or t in one_step.omitted_pairs:
                 continue
             assert lhs.entries.get(t, {}) == rhs.entries.get(t, {}), (s, t)
+
+
+def test_conjugate_rejects_central_targets():
+    # phi = id + t b with b(e_2) = e_2, b(e_-2) = e_-2 sends [e_-2, e_2] to a
+    # first-order layer with a nonzero central coefficient
+    w6 = Window(-6, 6)
+    b = MixedCochain(1, w6, {(2,): {2: 1}, (-2,): {-2: 1}})
+    with pytest.raises(ConfigError, match="central targets"):
+        conjugate(DeformedBracket.trivial(make_virasoro(), w6, 1), Equivalence.single(w6, 1, 1, b))
+
+
+# -- the series group laws ------------------------------------------------------------
+
+
+def test_invert_single_layer_is_the_geometric_series():
+    # phi = id + t b with b(e_i) = beta_i e_{i+1} has inverse layers psi_s = (-b)^s,
+    # which send e_i to (-1)^s beta_i beta_{i+1} ... beta_{i+s-1} e_{i+s}
+    b = random_cochain(Random(10), 1, 1, W12, fill=0.8)
+    psi = invert(Equivalence.single(W12, 6, 1, MixedCochain.from_cochain(b)))
+    for s in range(1, 7):
+        want = {}
+        for i in W12.indices():
+            coeff = Fraction((-1) ** s)
+            for k in range(i, i + s):
+                coeff *= b.entries.get((k,), 0)
+            if coeff:
+                want[(i,)] = {i + s: coeff}
+        assert psi.layers[s - 1].entries == want, s
+    assert not psi.layers[5].is_zero
+
+
+def test_compose_with_inverse_is_identity():
+    e = random_unipotent(Random(11), W12, 4)
+    for series in (compose(e, invert(e)), compose(invert(e), e)):
+        assert all(layer.is_zero for layer in series.layers)
 
 
 # -- trivialization ------------------------------------------------------------------
