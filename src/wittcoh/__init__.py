@@ -11,7 +11,6 @@ order-by-order formal deformations over truncated polynomial bases.
 from .linalg import LinearSolution, SparseMatrix, rank, solve
 from .algebra import (
     CENTRAL,
-    Element,
     GradedLieAlgebra,
     Window,
     check_jacobi,

@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .errors import FormatError
 
-# key used for the central generator inside Element terms and documents
+# key used for the central generator inside bracket values and documents
 CENTRAL = "c"
 
 
@@ -36,75 +36,25 @@ def _key_order(key):
     return (1, 0) if key == CENTRAL else (0, key)
 
 
-class Element:
-    """Sparse linear combination of generators with exact rational coefficients."""
+def _sorted_terms(terms: dict):
+    return sorted(terms.items(), key=lambda kv: _key_order(kv[0]))
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        for k, v in (terms or {}).items():
-            v = Fraction(v)
-            if v != 0:
-                clean[k] = v
-        self.terms = clean
-
-    @classmethod
-    def basis(cls, key, coeff=1) -> "Element":
-        return cls({key: Fraction(coeff)})
-
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls()
-
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: _key_order(kv[0]))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return Element(out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
-
-    def __neg__(self) -> "Element":
-        return Element({k: -v for k, v in self.terms.items()})
-
-    def __rmul__(self, scale) -> "Element":
-        scale = Fraction(scale)
-        return Element({k: scale * v for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
-        for k, v in self.items():
-            name = "c" if k == CENTRAL else f"e_{k}"
-            bits.append(f"{v}*{name}")
-        return " + ".join(bits)
+def format_terms(terms: dict) -> str:
+    """Render {key: coefficient} as '3*e_2 + -1/2*c' (central last), '0' when empty."""
+    if not terms:
+        return "0"
+    return " + ".join(f"{v}*{'c' if k == CENTRAL else f'e_{k}'}" for k, v in _sorted_terms(terms))
 
 
 @dataclass(frozen=True)
 class GradedLieAlgebra:
-    """Bracket rule on generator ids, extended bilinearly to elements.
+    """A Lie bracket given by its rule on generator keys.
 
-    The rule receives two generator keys (int or CENTRAL) and must return an
-    Element; antisymmetry of the rule is a property the test suite checks, not
+    `bracket_rule(a, b)` takes two generator keys (int or CENTRAL) and returns
+    [e_a, e_b] as a {key: coefficient} dict with no zero coefficients; callers
+    must not mutate it.  Coefficients are exact (int or Fraction).
+    Antisymmetry of the rule is a property the test suite checks, not
     something enforced per call.
     """
 
@@ -112,16 +62,6 @@ class GradedLieAlgebra:
     bracket_rule: object
     has_central: bool = False
     graded: bool = True
-
-    def bracket_generators(self, a, b) -> Element:
-        return self.bracket_rule(a, b)
-
-    def bracket(self, x: Element, y: Element) -> Element:
-        out = Element.zero()
-        for ka, va in x.terms.items():
-            for kb, vb in y.terms.items():
-                out = out + (va * vb) * self.bracket_rule(ka, kb)
-        return out
 
     def generator_keys(self, window):
         keys = list(range(window.lo, window.hi + 1))
@@ -157,12 +97,12 @@ class Window:
 
 
 def make_witt() -> GradedLieAlgebra:
-    """The Witt algebra: [e_n, e_m] = (m - n) e_{n+m}."""
+    """The Witt algebra: [e_n, e_m] = (m - n) e_{n+m}, with integer coefficients."""
 
     def rule(a, b):
         if a == CENTRAL or b == CENTRAL:
             raise ValueError("witt has no central generator")
-        return Element({a + b: b - a})
+        return {a + b: b - a} if a != b else {}
 
     return GradedLieAlgebra("witt", rule, has_central=False, graded=True)
 
@@ -171,27 +111,25 @@ def make_virasoro() -> GradedLieAlgebra:
     """The one-dimensional central extension of witt with the 1/12 normalization."""
 
     def rule(a, b):
-        if a == CENTRAL or b == CENTRAL:
-            return Element.zero()
-        out = {a + b: Fraction(b - a)}
+        if a == CENTRAL or b == CENTRAL or a == b:
+            return {}
+        out = {a + b: b - a}
         if a + b == 0:
             central = Fraction(b**3 - b, 12)
             if central:
                 out[CENTRAL] = central
-        return Element(out)
+        return out
 
     return GradedLieAlgebra("virasoro", rule, has_central=True, graded=True)
 
 
-def _parse_target(tok: str, central_ok: bool):
+def _parse_target(tok: str):
     tok = tok.strip()
     if ":" not in tok:
         raise FormatError(f"bad bracket term {tok!r}, expected k:p/q")
     key_s, _, coeff_s = tok.partition(":")
     key_s = key_s.strip()
     if key_s == CENTRAL:
-        if not central_ok:
-            raise FormatError("central target in a document declaring central: no")
         key = CENTRAL
     else:
         try:
@@ -215,13 +153,15 @@ def load_algebra(text: str) -> GradedLieAlgebra:
         central: yes|no
         <i> <j> -> <k>:<p/q>[, <k>:<p/q>]...
 
-    Bracket records list pairs with i < j only; the bracket extends by
-    antisymmetry and unlisted pairs bracket to zero.  In graded mode every
-    target degree must equal i + j (the central generator has degree 0).
-    Anything that does not match the grammar is rejected.
+    Header lines may come in any order, before or after the records.  Bracket
+    records list pairs with i < j only; the bracket extends by antisymmetry
+    and unlisted pairs bracket to zero.  Central targets need `central: yes`,
+    and in graded mode every target degree must equal i + j (the central
+    generator has degree 0).  Anything that does not match the grammar is
+    rejected.
     """
     header = {}
-    table: dict[tuple[int, int], Element] = {}
+    records: dict[tuple[int, int], dict] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -245,17 +185,16 @@ def load_algebra(text: str) -> GradedLieAlgebra:
             raise FormatError(f"line {lineno}: non-integer pair {lhs.strip()!r}") from None
         if i >= j:
             raise FormatError(f"line {lineno}: pair must satisfy i < j, got ({i},{j})")
-        if (i, j) in table:
+        if (i, j) in records:
             raise FormatError(f"line {lineno}: duplicate pair ({i},{j})")
         if not rhs.strip():
             raise FormatError(f"line {lineno}: empty bracket value")
-        terms = {}
+        terms = records[(i, j)] = {}
         for tok in rhs.split(","):
-            k, coeff = _parse_target(tok, header.get("central", "no") == "yes")
+            k, coeff = _parse_target(tok)
             if k in terms:
                 raise FormatError(f"line {lineno}: repeated target {k!r}")
             terms[k] = coeff
-        table[(i, j)] = Element(terms)
 
     for hkey in ("name", "graded", "central"):
         if hkey not in header:
@@ -266,25 +205,28 @@ def load_algebra(text: str) -> GradedLieAlgebra:
     graded = header["graded"] == "yes"
     has_central = header["central"] == "yes"
 
-    if graded:
-        for (i, j), elt in table.items():
-            for k in elt.terms:
-                if degree(k) != i + j:
-                    raise FormatError(
-                        f"grading violation at ({i},{j}): target {k!r} has degree "
-                        f"{degree(k)}, expected {i + j}"
-                    )
+    # both orientations of every pair, zero coefficients dropped
+    table: dict[tuple[int, int], dict] = {}
+    for (i, j), terms in records.items():
+        if CENTRAL in terms and not has_central:
+            raise FormatError(
+                f"central target at ({i},{j}) in a document declaring central: no")
+        terms = {k: v for k, v in terms.items() if v}
+        for k in terms:
+            if graded and degree(k) != i + j:
+                raise FormatError(
+                    f"grading violation at ({i},{j}): target {k!r} has degree "
+                    f"{degree(k)}, expected {i + j}"
+                )
+        table[(i, j)] = terms
+        table[(j, i)] = {k: -v for k, v in terms.items()}
 
     def rule(a, b):
         if a == CENTRAL or b == CENTRAL:
             if not has_central:
                 raise ValueError(f"{header['name']} has no central generator")
-            return Element.zero()
-        if a == b:
-            return Element.zero()
-        if a < b:
-            return table.get((a, b), Element.zero())
-        return -table.get((b, a), Element.zero())
+            return {}
+        return table.get((a, b), {})
 
     return GradedLieAlgebra(header["name"], rule, has_central=has_central, graded=graded)
 
@@ -297,14 +239,11 @@ def dump_algebra(alg: GradedLieAlgebra, window: Window) -> str:
         f"central: {'yes' if alg.has_central else 'no'}",
     ]
     for i in window.indices():
-        for j in window.indices():
-            if i >= j:
-                continue
-            elt = alg.bracket_generators(i, j)
-            if elt.is_zero:
-                continue
-            terms = ", ".join(f"{'c' if k == CENTRAL else k}:{v}" for k, v in elt.items())
-            lines.append(f"{i} {j} -> {terms}")
+        for j in range(i + 1, window.hi + 1):
+            terms = alg.bracket_rule(i, j)
+            if terms:
+                lines.append(f"{i} {j} -> " + ", ".join(
+                    f"{'c' if k == CENTRAL else k}:{v}" for k, v in _sorted_terms(terms)))
     return "\n".join(lines) + "\n"
 
 
@@ -322,8 +261,8 @@ class JacobiReport:
         if self.is_clean:
             return f"jacobi[{self.algebra} on {self.window}]: clean"
         lines = [f"jacobi[{self.algebra} on {self.window}]: {len(self.defects)} defect(s)"]
-        for triple, elt in self.defects[:10]:
-            lines.append(f"  {triple}: {elt}")
+        for triple, terms in self.defects[:10]:
+            lines.append(f"  {triple}: {format_terms(terms)}")
         return "\n".join(lines)
 
 
@@ -333,15 +272,16 @@ def check_jacobi(alg: GradedLieAlgebra, window: Window) -> JacobiReport:
     An empty report certifies that the bracket rule is a Lie bracket on the
     window; central contributions are included when the algebra has one.
     """
+    rule = alg.bracket_rule
     keys = sorted(alg.generator_keys(window), key=_key_order)
     defects = []
     for x, y, z in combinations(keys, 3):
-        ex, ey, ez = Element.basis(x), Element.basis(y), Element.basis(z)
-        defect = (
-            alg.bracket(alg.bracket(ex, ey), ez)
-            + alg.bracket(alg.bracket(ey, ez), ex)
-            + alg.bracket(alg.bracket(ez, ex), ey)
-        )
-        if not defect.is_zero:
+        total = {}
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            for k, v in rule(a, b).items():
+                for out, w in rule(k, c).items():
+                    total[out] = total.get(out, 0) + v * w
+        defect = {k: v for k, v in total.items() if v}
+        if defect:
             defects.append(((x, y, z), defect))
     return JacobiReport(alg.name, window, tuple(defects))

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .algebra import CENTRAL, Element, GradedLieAlgebra, Window
+from .algebra import CENTRAL, GradedLieAlgebra, Window
 from .errors import ConfigError, FormatError, OutOfWindowError
 from .linalg import SparseMatrix
 
@@ -191,12 +191,11 @@ class Cochain:
         return sign * self.entries.get(t, Fraction(0))
 
     def evaluate(self, *args):
-        """Full value: an Element for adjoint coefficients, a scalar otherwise."""
+        """Full value: {output index: coefficient} for adjoint coefficients, a scalar otherwise."""
         v = self.component(*args)
         if self.coeffs == TRIVIAL:
             return v
-        out = sum(args) + self.weight
-        return Element({out: v})
+        return {sum(args) + self.weight: v} if v else {}
 
     def restrict(self, sub: Window) -> "Cochain":
         """Entries whose tuple and output index lie inside the subwindow."""
@@ -253,8 +252,7 @@ def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
         for t in range(s + 1, q + 1):
             sign = -1 if (s + t) % 2 == 0 else 1  # (-1)^{(s+1)+(t+1)-1}
             rest = [xs[u] for u in range(q + 1) if u != s and u != t]
-            bracket = alg.bracket_generators(xs[s], xs[t])
-            for key, coeff in bracket.terms.items():
+            for key, coeff in alg.bracket_rule(xs[s], xs[t]).items():
                 if key == CENTRAL:
                     raise ConfigError(
                         "differential needs bracket values inside the indexed span; "
@@ -271,8 +269,7 @@ def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
             inner = sum(rest) + d
             if inner not in window:
                 raise _Omit
-            bracket = alg.bracket_generators(xs[s], inner)
-            for key, coeff in bracket.terms.items():
+            for key, coeff in alg.bracket_rule(xs[s], inner).items():
                 if key == CENTRAL:
                     raise ConfigError(
                         "differential needs bracket values inside the indexed span; "
@@ -284,7 +281,7 @@ def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
     # merge duplicate references
     merged = {}
     for t, v in terms:
-        merged[t] = merged.get(t, Fraction(0)) + v
+        merged[t] = merged.get(t, 0) + v
     return [(t, v) for t, v in merged.items() if v != 0]
 
 
@@ -369,15 +366,15 @@ class MixedCochain:
                 ws.add(out - sum(t))
         return sorted(ws)
 
-    def evaluate(self, *args) -> Element:
+    def evaluate(self, *args) -> dict:
+        """Full value as {output index: coefficient}."""
         for a in args:
             if a not in self.window:
                 raise OutOfWindowError(f"argument index {a} outside window {self.window}")
         t, sign = _sort_with_sign(args)
         if t is None:
-            return Element.zero()
-        outs = self.entries.get(t, {})
-        return Element({out: sign * v for out, v in outs.items()})
+            return {}
+        return {out: sign * v for out, v in self.entries.get(t, {}).items()}
 
     def __add__(self, other: "MixedCochain") -> "MixedCochain":
         if (self.degree, self.window) != (other.degree, other.window):
@@ -515,9 +512,12 @@ def cochain_from_text(text: str) -> Cochain:
                 raise FormatError(f"line {lineno}: bad rational {rhs.strip()!r}") from None
             continue
         key, sep, value = line.partition(":")
-        if not sep or key.strip() not in ("degree", "weight", "window", "coefficients"):
+        key = key.strip()
+        if not sep or key not in ("degree", "weight", "window", "coefficients"):
             raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-        header[key.strip()] = value.strip()
+        if key in header:
+            raise FormatError(f"line {lineno}: duplicate header {key!r}")
+        header[key] = value.strip()
     for need in ("degree", "weight", "window", "coefficients"):
         if need not in header:
             raise FormatError(f"missing header line {need!r}")

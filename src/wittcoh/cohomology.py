@@ -172,43 +172,28 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     kernel = solve(matrix).kernel_basis
 
     comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
-    comp_col = {t: i for i, t in enumerate(comp)}
-
-    def span_rank(rows):
-        return rank(SparseMatrix(len(rows), len(comp),
-                                 {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}))
-
-    # each cocycle on the comparison set, and delta of each basis (q-1)-cochain
-    # there (a column of coboundary), as sparse {comparison index: value} rows
-    z_rows = [{comp_col[t]: vec[i] for i, t in enumerate(cols) if vec[i] and t in comp_col}
-              for vec in kernel]
-    w_rows = [{} for _ in range(coboundary.n_cols)]
-    for (r, j), v in coboundary.entries.items():
-        w_rows[j][r] = v
-    dim_v = span_rank(z_rows)
-    dim_w = span_rank(w_rows)
-    dim_vw = span_rank(z_rows + w_rows)
-    dim_meet = dim_v + dim_w - dim_vw
-    dim_stable = dim_v - dim_meet
+    comp_row = {t: r for r, t in enumerate(comp)}
+    # each cocycle on the comparison set, as a column
+    z_entries = {(comp_row[t], j): vec[i] for j, vec in enumerate(kernel)
+                 for i, t in enumerate(cols) if vec[i] and t in comp_row}
+    dim_v = rank(SparseMatrix(len(comp), len(kernel), z_entries))
+    # one elimination of [coboundaries | cocycles]: a pivot column is independent
+    # of every column before it, so the cocycle pivots are the surviving classes
+    n_w = coboundary.n_cols
+    joint = {**coboundary.entries, **{(r, n_w + j): v for (r, j), v in z_entries.items()}}
+    pivots = solve(SparseMatrix(len(comp), n_w + len(kernel), joint)).pivot_columns
+    dim_w = sum(1 for c in pivots if c < n_w)
+    dim_stable = len(pivots) - dim_w
 
     representatives = []
-    if dim_stable > 0:
-        chosen_rows = list(w_rows)
-        rank_now = dim_w
-        for vec, row in zip(kernel, z_rows):
-            r2 = span_rank(chosen_rows + [row])
-            if r2 > rank_now:
-                rank_now = r2
-                chosen_rows.append(row)
-                rep = Cochain(q, d, window, coeffs,
-                              {t: vec[i] for i, t in enumerate(cols) if vec[i]})
-                representatives.append(_lex_normalize(rep))
-            if len(representatives) == dim_stable:
-                break
+    for c in pivots[dim_w:]:
+        vec = kernel[c - n_w]
+        rep = Cochain(q, d, window, coeffs, {t: vec[i] for i, t in enumerate(cols) if vec[i]})
+        representatives.append(_lex_normalize(rep))
 
     return CohomologyReport(
         algebra=alg.name, degree=q, weight=d, window=window, margin=margin,
-        coeffs=coeffs, dim_cocycles=dim_v, dim_coboundaries=dim_meet,
+        coeffs=coeffs, dim_cocycles=dim_v, dim_coboundaries=dim_v - dim_stable,
         dim_stable=dim_stable, representatives=tuple(representatives),
         stabilization=((window, dim_stable),), omitted_triples=omitted,
     )

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CENTRAL, Element, GradedLieAlgebra, Window
+from .algebra import CENTRAL, GradedLieAlgebra, Window, format_terms
 from .cochains import (
     ADJOINT,
     Cochain,
@@ -74,7 +74,7 @@ class DeformedBracket:
         The returned dict may be shared with the layer table; do not mutate it.
         """
         if s == 0:
-            out = self.algebra.bracket_rule(i, j).terms
+            out = self.algebra.bracket_rule(i, j)
             for key in out:
                 if key != CENTRAL and key not in self.window:
                     raise OutOfWindowError(f"bracket target {key} outside {self.window}")
@@ -177,7 +177,7 @@ class OrderDefect:
     order: int
     clean: bool
     triple: tuple | None = None
-    defect: Element | None = None
+    defect: dict | None = None
     skipped: int = 0
 
 
@@ -202,7 +202,7 @@ class DefectReport:
             if o.clean:
                 lines.append(f"  order {o.order}: clean ({o.skipped} boundary triples skipped)")
             else:
-                lines.append(f"  order {o.order}: defect at {o.triple}: {o.defect}")
+                lines.append(f"  order {o.order}: defect at {o.triple}: {format_terms(o.defect)}")
         return "\n".join(lines)
 
 
@@ -236,7 +236,7 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
                         skipped += 1
                         continue
                     if found is None and any(total.values()):
-                        found = ((x, y, z), Element(total))
+                        found = ((x, y, z), {k: v for k, v in total.items() if v})
             if found:
                 break
         if found:

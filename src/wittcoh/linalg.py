@@ -85,9 +85,14 @@ class SparseMatrix:
 
 @dataclass(frozen=True)
 class LinearSolution:
-    """Rank, right kernel basis and (optionally) a particular solution."""
+    """Rank, pivot columns, right kernel basis and (optionally) a particular solution.
+
+    The pivot columns, in increasing order, are exactly the columns that are
+    not linear combinations of the columns before them.
+    """
 
     rank: int
+    pivot_columns: tuple
     kernel_basis: tuple
     particular: tuple | None = None
 
@@ -200,7 +205,8 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
             raise AssertionError("particular solution fails m*x = rhs")
         particular = tuple(x.get(j, Fraction(0)) for j in range(m.n_cols))
 
-    return LinearSolution(rank=len(pivots), kernel_basis=tuple(kernel), particular=particular)
+    return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
+                          kernel_basis=tuple(kernel), particular=particular)
 
 
 def rank(m: SparseMatrix) -> int:

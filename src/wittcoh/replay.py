@@ -66,9 +66,6 @@ class SymbolicValue:
     def constant(cls, c) -> "SymbolicValue":
         return cls.make(const=c)
 
-    def coeff_map(self) -> dict:
-        return dict(self.coeffs)
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
@@ -428,32 +425,28 @@ def _eq4_k2_form(t: FactTable, i: int, j: int) -> SymbolicValue:
     )
 
 
-def k2_specializations(t: FactTable, rows=(-2, -3), staged=True) -> RelationSet:
+def k2_specializations(t: FactTable, rows=(-2, -3)) -> RelationSet:
     """Six-term relations at k = 2 for the requested i-families.
 
     The default families are i = -2, which yields the chains
     (j+4)a_j = (j+2)a_{j-2} for j <= 0 and j >= 4 (hence a_0 = 0, the
     vanishing even chains and the proportional odd chains), and i = -3,
-    which closes the endgame.  In staged mode the i = -2 family is
-    restricted to instances with j <= 0 or j >= 4: those are the ones whose
-    left side is already pinned by the filled rows, and they are exactly
-    what the later stages consume.  The skipped j = 3 instance ties the
-    positive odd chain to the negative one early; pass staged=False (or
-    rows="all") to emit every interior instance.
+    which closes the endgame.  The i = -2 family is restricted to instances
+    with j <= 0 or j >= 4: those are the ones whose left side is already
+    pinned by the filled rows, and they are exactly what the later stages
+    consume.  The skipped j = 3 instance would tie the positive odd chain to
+    the negative one early.
     """
     if not t.nonpositive_filled:
         raise ValueError("fill_nonpositive_rows must run first")
     K = t.K
-    if rows == "all":
-        rows = [i for i in range(-K + 2, K - 1) if i != 2]
-        staged = False
     rels = RelationSet()
     for i in rows:
         tag = {-2: "Eq7", -3: "Sec9"}.get(i, "Eq6")
         for j in range(max(-K + 2, -K - i), K - 1):
             if j in (i, 2):
                 continue
-            if staged and i == -2 and 0 < j < 4:
+            if i == -2 and 0 < j < 4:
                 continue
             try:
                 form = _eq4_k2_form(t, i, j)
@@ -571,15 +564,17 @@ class ReplayResult:
         return self.table.log_text()
 
 
-def run_replay(K: int = 12, diag_up_to=None, k2_rows=(-2, -3), buffer: int = 3) -> ReplayResult:
-    """The full staged pipeline: init, fills, relations, final solve."""
+def run_replay(K: int = 12, buffer: int = 3) -> ReplayResult:
+    """The full staged pipeline: init, fills, relations, final solve.
+
+    Diagonal relations run up to i = min(6, (K + 2) // 2), and the k = 2
+    relations use the default families i = -2 and i = -3.
+    """
     t = init_table(K)
     fill_nonpositive_rows(t)
     section5 = emit_table(t)
     fill_positive_rows(t)
-    if diag_up_to is None:
-        diag_up_to = min(6, (K + 2) // 2)
-    rels = diagonal_relations(t, diag_up_to)
-    rels = rels.merged(k2_specializations(t, rows=k2_rows))
+    rels = diagonal_relations(t, min(6, (K + 2) // 2))
+    rels = rels.merged(k2_specializations(t))
     verdict = final_solve(t, rels, buffer=buffer)
     return ReplayResult(table=t, section5_table=section5, relations=rels, verdict=verdict)

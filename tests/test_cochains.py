@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from wittcoh.algebra import Element, Window, make_witt
+from wittcoh.algebra import Window, make_witt
 from wittcoh.cochains import (
     ADJOINT,
     TRIVIAL,
@@ -35,18 +35,18 @@ def diagonal(b_values, window=W8):
 
 def test_evaluate_antisymmetry():
     c = Cochain(2, 1, W8, ADJOINT, {(2, 3): 5})
-    assert c.evaluate(3, 2) == Element({6: -5})
-    assert c.evaluate(2, 3) == Element({6: 5})
+    assert c.evaluate(3, 2) == {6: -5}
+    assert c.evaluate(2, 3) == {6: 5}
 
 
 def test_evaluate_repeated_arguments():
     c = Cochain(2, 0, W8, ADJOINT, {(2, 3): 5})
-    assert c.evaluate(2, 2).is_zero
+    assert c.evaluate(2, 2) == {}
 
 
 def test_evaluate_diagonal_one_cochain():
     b = diagonal({i: Fraction(i) for i in W8.indices()})
-    assert b.evaluate(4) == Element({4: 4})
+    assert b.evaluate(4) == {4: 4}
 
 
 def test_evaluate_out_of_window():
@@ -267,6 +267,14 @@ def test_cochain_text_rejects_garbage():
         cochain_from_text(good.replace("(1,2)", "(1,2") )
     with pytest.raises(FormatError):
         cochain_from_text(good + "(1,2) -> 7\n")  # duplicate tuple
+
+
+def test_cochain_text_rejects_duplicate_header():
+    from wittcoh.errors import FormatError
+
+    good = cochain_to_text(Cochain(2, 0, W8, ADJOINT, {(1, 2): 5}))
+    with pytest.raises(FormatError, match="line 2: duplicate header 'degree'"):
+        cochain_from_text("degree: 1\n" + good)
 
 
 def test_adjoint_differential_rejects_central_targets():

@@ -94,7 +94,7 @@ def test_reduce_recovers_primitive_inside():
     for i in core.indices():
         if i == 0 or i + d not in core:
             continue
-        assert b.evaluate(i).coeff(i + d) == b0.component(i)
+        assert b.evaluate(i).get(i + d, 0) == b0.component(i)
 
 
 def test_reduce_pure_weight_zero_is_identity():

@@ -72,6 +72,16 @@ def test_rational_rows_give_a_primitive_kernel():
     assert sol.particular == (Fraction(7, 3), Fraction(-2), Fraction(0))
 
 
+def test_pivot_columns_are_the_columns_independent_of_earlier_ones():
+    # column 0 is zero, 2 = 2 * column 1, 4 = column 1 + column 3
+    m = mat([[0, 1, 2, 0, 1, 0],
+             [0, 0, 0, 1, 1, 0],
+             [0, 0, 0, 0, 0, 3]])
+    sol = solve(m)
+    assert sol.pivot_columns == (1, 3, 5)
+    assert sol.rank == len(sol.pivot_columns)
+
+
 def _perturb_first_pivot(monkeypatch, col):
     """Make _eliminate return its first pivot row with the entry at `col` raised by 1."""
     real = linalg._eliminate
