@@ -446,22 +446,6 @@ def weight_components(c: MixedCochain) -> dict:
     }
 
 
-def never_leaves_window(indices, weight: int, window: Window) -> bool:
-    """Conservative two-stage interiority: every subset sum (and every subset
-    sum shifted by the weight) that any differential composition could
-    materialize stays inside the window."""
-    idx = list(indices)
-    n = len(idx)
-    for r in range(1, n + 1):
-        for sub in combinations(idx, r):
-            s = sum(sub)
-            if r >= 2 and s not in window:
-                return False
-            if s + weight not in window:
-                return False
-    return True
-
-
 # -- serialization -----------------------------------------------------------
 
 

@@ -263,11 +263,6 @@ def reduce_to_weight_zero(alg: GradedLieAlgebra, c, window: Window):
     return b, residual
 
 
-def residual_weights_on_core(residual: MixedCochain, window: Window, margin: int):
-    """Weights present in the residual once restricted to the core window."""
-    return residual.restrict(window.core(margin)).weights()
-
-
 # -- diagonal normalization (weight zero) --------------------------------------
 
 

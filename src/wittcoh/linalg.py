@@ -9,12 +9,32 @@ rational.
 
 Two entries: `solve(m, rhs=None)` gives the rank, the canonical kernel basis
 and a particular solution (None when rhs is inconsistent), each certified in
-integer arithmetic; `rank(m)` gives the rank alone.  Both scale every row once
-to a primitive integer row and run one fraction-free elimination core
-(Bareiss 1968): rows are combined by cross-multiplication, with a gcd
-reduction after every update to bound coefficient growth.  The pivot rule is
-deterministic (smallest absolute value by bit length, ties broken by row
-order), so identical inputs always produce identical outputs.
+integer arithmetic; `rank(m)` is `solve(m).rank`, so both share one
+certificate.  Every row is scaled once to a primitive integer row, and one
+fraction-free elimination core (Bareiss 1968) combines rows by
+cross-multiplication, with a gcd reduction after every update to bound
+coefficient growth.  Its pivot rule is deterministic (smallest absolute value
+by bit length, ties broken by row order), so identical inputs always produce
+identical outputs.
+
+Every system is solved in two passes:
+
+* Selection: the rows are eliminated modulo the prime _P = 1073741789, with
+  Markowitz pivoting (the column with the fewest active rows, then its
+  sparsest row; the right-hand side column last).  The rows that become
+  pivots are independent mod _P, hence independent over Q.
+* Exact pass: the integer core runs on the selected rows only.
+
+Certificate: every kernel vector of the selected rows, and the particular
+solution, must give an integer dot product of 0 with *every* row.  Then the
+kernel of the subset equals the kernel of m, so the row spaces agree, and the
+reduced echelon form, which depends only on the row space, is the one full
+elimination would give: rank, pivot columns, kernel basis and particular
+solution are identical.  A subset that is inconsistent over Q makes m
+inconsistent too.  If the certificate fails (an unlucky prime, under which
+the selected rows miss part of the row space over Q), every row is
+eliminated instead, and that fallback raises AssertionError on its own
+failure.
 """
 
 from __future__ import annotations
@@ -24,6 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 _AUG = -1  # virtual column index used for the right-hand side
+_P = 1073741789  # prime below 2**30: every residue mod _P is one 30-bit int digit
 
 
 @dataclass(frozen=True)
@@ -156,6 +177,88 @@ def _annihilates(rows, vec):
     return not any(sum(a * vec.get(c, 0) for c, a in row.items()) for row in rows)
 
 
+def _select(rows):
+    """Sorted indices of rows that are linearly independent modulo _P.
+
+    Markowitz-style elimination mod _P on a column -> rows index: each step
+    pivots on the remaining column with the fewest active rows, and in it on
+    the row with the fewest entries (ties by index); the _AUG column comes
+    last.  The rows chosen as pivots are independent mod _P, hence over Q.
+    """
+    active, by_col = {}, {}
+    for i, row in enumerate(rows):
+        r = {c: v % _P for c, v in row.items() if v % _P}
+        if r:
+            active[i] = r
+            for c in r:
+                by_col.setdefault(c, set()).add(i)
+    chosen = []
+    while by_col:
+        col = min(by_col, key=lambda c: (c == _AUG, len(by_col[c]), c))
+        idx = min(by_col[col], key=lambda i: (len(active[i]), i))
+        piv = active.pop(idx)
+        for c in piv:
+            by_col[c].discard(idx)
+        inv = pow(piv[col], -1, _P)
+        for i in list(by_col[col]):
+            r = active[i]
+            f = r[col] * inv % _P
+            for c, v in piv.items():
+                w = (r.get(c, 0) - f * v) % _P
+                if w:
+                    if c not in r:
+                        by_col[c].add(i)
+                    r[c] = w
+                elif c in r:
+                    del r[c]
+                    by_col[c].discard(i)
+            if not r:
+                del active[i]
+        for c in piv:
+            if not by_col[c]:
+                del by_col[c]
+        chosen.append(idx)
+    return sorted(chosen)
+
+
+def _solve_rows(sub, rows, n_cols, augmented):
+    """Exact solution data from the rows `sub`, certified against every row of `rows`.
+
+    Raises AssertionError when a kernel vector or the particular solution
+    fails some row of `rows`.
+    """
+    pivots, leftovers = _eliminate(sub, n_cols)
+    # back-substitute: clear each pivot column from the earlier pivot rows
+    for k in range(len(pivots) - 1, -1, -1):
+        col, piv = pivots[k]
+        for j in range(k):
+            cj, rj = pivots[j]
+            if rj.get(col):
+                pivots[j] = (cj, _combine(rj, piv, col))
+
+    pivot_cols = {c for c, _ in pivots}
+    kernel = []
+    for f in (c for c in range(n_cols) if c not in pivot_cols):
+        vec = _primitive({f: Fraction(1),
+                          **{c: Fraction(-r[f], r[c]) for c, r in pivots if r.get(f)}})
+        if not _annihilates(rows, vec):
+            raise AssertionError("kernel vector fails m*v = 0")
+        if not vec.get(f) or any(c != f and c not in pivot_cols for c in vec):
+            raise AssertionError("kernel basis is not independent on the free columns")
+        sign = 1 if vec[min(vec)] > 0 else -1
+        kernel.append(tuple(Fraction(sign * vec.get(j, 0)) for j in range(n_cols)))
+
+    particular = None
+    if augmented and not leftovers:
+        x = {c: Fraction(-r[_AUG], r[c]) for c, r in pivots if r.get(_AUG)}
+        if not _annihilates(rows, _primitive({**x, _AUG: Fraction(1)})):
+            raise AssertionError("particular solution fails m*x = rhs")
+        particular = tuple(x.get(j, Fraction(0)) for j in range(n_cols))
+
+    return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
+                          kernel_basis=tuple(kernel), particular=particular)
+
+
 def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     """Eliminate m (augmented by rhs if given) and return the full solution data.
 
@@ -167,7 +270,9 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     of [m | rhs] is a nonzero rational multiple of an input row, so an integer
     dot product of 0 with it is the identity m*v = 0 (or m*x = rhs).  The
     kernel vectors are independent because each is nonzero on its own free
-    column and zero on every other one.
+    column and zero on every other one.  The system is solved exactly on the
+    rows `_select` picks and certified against all of them; if that
+    certificate fails, every row is eliminated.
     """
     frac_rows = m.row_dicts()
     if rhs is not None:
@@ -177,39 +282,14 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
             if b:
                 row[_AUG] = -Fraction(b)
     rows = [_primitive(r) for r in frac_rows]
-    pivots, leftovers = _eliminate(rows, m.n_cols)
-    # back-substitute: clear each pivot column from the earlier pivot rows
-    for k in range(len(pivots) - 1, -1, -1):
-        col, piv = pivots[k]
-        for j in range(k):
-            cj, rj = pivots[j]
-            if rj.get(col):
-                pivots[j] = (cj, _combine(rj, piv, col))
-
-    pivot_cols = {c for c, _ in pivots}
-    kernel = []
-    for f in (c for c in range(m.n_cols) if c not in pivot_cols):
-        vec = _primitive({f: Fraction(1),
-                          **{c: Fraction(-r[f], r[c]) for c, r in pivots if r.get(f)}})
-        if not _annihilates(rows, vec):
-            raise AssertionError("kernel vector fails m*v = 0")
-        if not vec.get(f) or any(c != f and c not in pivot_cols for c in vec):
-            raise AssertionError("kernel basis is not independent on the free columns")
-        sign = 1 if vec[min(vec)] > 0 else -1
-        kernel.append(tuple(Fraction(sign * vec.get(j, 0)) for j in range(m.n_cols)))
-
-    particular = None
-    if rhs is not None and not leftovers:
-        x = {c: Fraction(-r[_AUG], r[c]) for c, r in pivots if r.get(_AUG)}
-        if not _annihilates(rows, _primitive({**x, _AUG: Fraction(1)})):
-            raise AssertionError("particular solution fails m*x = rhs")
-        particular = tuple(x.get(j, Fraction(0)) for j in range(m.n_cols))
-
-    return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
-                          kernel_basis=tuple(kernel), particular=particular)
+    augmented = rhs is not None
+    try:
+        return _solve_rows([rows[i] for i in _select(rows)], rows, m.n_cols, augmented)
+    except AssertionError:
+        pass  # the rows independent mod _P miss part of the row space over Q
+    return _solve_rows(rows, rows, m.n_cols, augmented)
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank over Q; deterministic for a given input."""
-    pivots, _ = _eliminate([_primitive(r) for r in m.row_dicts()], m.n_cols)
-    return len(pivots)
+    """Rank over Q, certified like `solve`; deterministic for a given input."""
+    return solve(m).rank

@@ -8,6 +8,7 @@ cocycle for the interior-only differential.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from wittcoh.algebra import Window
@@ -52,6 +53,22 @@ def truncated_coboundary(rng: Random, alg, degree, weight, window, coeffs=ADJOIN
     if any(probe.admissible(t) for t in db.omitted):
         raise AssertionError("primitive window not large enough for exact coboundary")
     return b, restrict_entries(db, window)
+
+
+def never_leaves_window(indices, weight: int, window: Window) -> bool:
+    """Conservative two-stage interiority: every subset sum (and every subset
+    sum shifted by the weight) that any differential composition could
+    materialize stays inside the window."""
+    idx = list(indices)
+    n = len(idx)
+    for r in range(1, n + 1):
+        for sub in combinations(idx, r):
+            s = sum(sub)
+            if r >= 2 and s not in window:
+                return False
+            if s + weight not in window:
+                return False
+    return True
 
 
 def random_mixed_cocycle(rng: Random, alg, degree, weights, window, ext=None, fill=0.3):

@@ -13,12 +13,11 @@ from wittcoh.cochains import (
     cochain_from_text,
     cochain_to_text,
     differential,
-    never_leaves_window,
     weight_components,
 )
 from wittcoh.errors import ConfigError, OutOfWindowError
 
-from helpers import random_cochain, random_mixed_cocycle
+from helpers import never_leaves_window, random_cochain, random_mixed_cocycle
 
 WITT = make_witt()
 W8 = Window(-8, 8)

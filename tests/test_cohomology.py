@@ -14,7 +14,6 @@ from wittcoh.cohomology import (
     comparison_tuples,
     normalize_weight_zero,
     reduce_to_weight_zero,
-    residual_weights_on_core,
     stability_scan,
 )
 from wittcoh.cli import emit_report
@@ -81,7 +80,7 @@ def test_reduce_pure_weight_coboundary_to_zero():
         for _ in range(3):
             b0, c = truncated_coboundary(rng, WITT, 1, d, W12, fill=0.6)
             b, residual = reduce_to_weight_zero(WITT, c, W12)
-            assert residual_weights_on_core(residual, W12, abs(d) + 2) == []
+            assert residual.restrict(W12.core(abs(d) + 2)).weights() == []
 
 
 def test_reduce_recovers_primitive_inside():
@@ -110,7 +109,7 @@ def test_reduce_mixed_cocycle_to_pure_weight_zero():
     for weights in ((0, 1), (0, 1, -3), (2, -2)):
         mixed = random_mixed_cocycle(rng, WITT, 1, weights, W12)
         b, residual = reduce_to_weight_zero(WITT, mixed, W12)
-        assert set(residual_weights_on_core(residual, W12, 6)) <= {0}
+        assert set(residual.restrict(W12.core(6)).weights()) <= {0}
 
 
 def test_reduce_rejects_non_cocycle():

@@ -1,10 +1,16 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittcoh import linalg
+from wittcoh.algebra import Window, make_witt
+from wittcoh.cohomology import cocycle_matrix
 from wittcoh.linalg import SparseMatrix, rank, solve
+
+# rows in the redundant test systems: far more than their rank, so _select drops most
+TALL = 80
 
 
 def mat(rows):
@@ -82,6 +88,19 @@ def test_pivot_columns_are_the_columns_independent_of_earlier_ones():
     assert sol.rank == len(sol.pivot_columns)
 
 
+def _spy_select(monkeypatch):
+    """Record the number of rows of every matrix that `linalg._select` sees."""
+    seen = []
+    real = linalg._select
+
+    def spy(rows):
+        seen.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_select", spy)
+    return seen
+
+
 def _perturb_first_pivot(monkeypatch, col):
     """Make _eliminate return its first pivot row with the entry at `col` raised by 1."""
     real = linalg._eliminate
@@ -96,18 +115,81 @@ def _perturb_first_pivot(monkeypatch, col):
 
 
 def test_kernel_certificate_fires(monkeypatch):
-    m = mat([[1, 2, 3], [0, 1, 1]])
-    assert solve(m).kernel_basis == ((Fraction(1), Fraction(1), Fraction(-1)),)
+    small, tall = (mat([[1, 2, 3], [0, 1, 1]] * copies) for copies in (1, TALL // 2))
+    for m in (small, tall):
+        assert solve(m).kernel_basis == ((Fraction(1), Fraction(1), Fraction(-1)),)
+    seen = _spy_select(monkeypatch)
     _perturb_first_pivot(monkeypatch, 2)  # column 2 is free
-    with pytest.raises(AssertionError, match="kernel vector"):
-        solve(m)
+    for m in (small, tall):
+        with pytest.raises(AssertionError, match="kernel vector"):
+            solve(m)
+    assert seen == [2, TALL]  # each fails on its selected rows, then on all of them
 
 
 def test_particular_certificate_fires(monkeypatch):
-    m = mat([[1, 0], [0, 1]])
+    seen = _spy_select(monkeypatch)
     _perturb_first_pivot(monkeypatch, linalg._AUG)
-    with pytest.raises(AssertionError, match="particular solution"):
-        solve(m, [5, 7])
+    for copies in (1, TALL // 2):
+        with pytest.raises(AssertionError, match="particular solution"):
+            solve(mat([[1, 0], [0, 1]] * copies), [5, 7] * copies)
+    assert seen == [2, TALL]
+
+
+def _weight_zero_cocycle_matrix(h):
+    return cocycle_matrix(make_witt(), 2, 0, Window(-h, h))[0]
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_unlucky_prime_falls_back_to_the_same_solution(monkeypatch, prime):
+    m = _weight_zero_cocycle_matrix(8)
+    expected = solve(m)
+    monkeypatch.setattr(linalg, "_P", prime)
+    rows = [linalg._primitive(r) for r in m.row_dicts()]
+    assert len(linalg._select(rows)) < expected.rank  # so the certificate must fail
+    assert solve(m) == expected
+    assert rank(m) == expected.rank
+
+
+def test_cocycle_matrices_take_the_selection_path(monkeypatch):
+    # test_sympy_oracle's h = 8, 10 matrices must keep exercising the selected rows
+    m = _weight_zero_cocycle_matrix(10)
+    seen = _spy_select(monkeypatch)
+    solve(m)
+    assert seen == [m.n_rows]
+
+
+@st.composite
+def low_rank_systems(draw):
+    """Integer systems of low rank, mostly tall: combinations of a few generator rows.
+
+    The right-hand side is absent, in the column span (consistent) or drawn
+    at random (almost always inconsistent).
+    """
+    n_cols = draw(st.integers(1, 10))
+    n_rows = draw(st.integers(1, TALL))
+    gens = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n_cols, max_size=n_cols),
+                         min_size=1, max_size=n_cols))
+    coefs = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, -1, 2]),
+                                   min_size=len(gens), max_size=len(gens)),
+                          min_size=n_rows, max_size=n_rows))
+    m = mat([[sum(a * g[j] for a, g in zip(cs, gens)) for j in range(n_cols)] for cs in coefs])
+    kind = draw(st.sampled_from(["none", "consistent", "random"]))
+    if kind == "none":
+        return m, None
+    if kind == "consistent":
+        return m, list(m.apply(draw(st.lists(st.integers(-3, 3), min_size=n_cols,
+                                              max_size=n_cols))))
+    return m, draw(st.lists(st.integers(-3, 3), min_size=n_rows, max_size=n_rows))
+
+
+@given(low_rank_systems())
+@settings(max_examples=60, deadline=None)
+def test_selected_rows_give_the_full_elimination_answer(system):
+    m, rhs = system
+    selected = solve(m, rhs)
+    # selecting every row is the full elimination
+    with mock.patch.object(linalg, "_select", lambda rows: list(range(len(rows)))):
+        assert solve(m, rhs) == selected
 
 
 def test_rejects_out_of_bounds_entry():
