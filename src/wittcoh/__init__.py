@@ -36,20 +36,7 @@ from .cohomology import (
     reduce_to_weight_zero,
     stability_scan,
 )
-from .replay import (
-    FactTable,
-    RelationSet,
-    SymbolicValue,
-    Verdict,
-    diagonal_relations,
-    emit_table,
-    fill_nonpositive_rows,
-    fill_positive_rows,
-    final_solve,
-    init_table,
-    k2_specializations,
-    run_replay,
-)
+from .replay import RelationSet, run_replay
 from .deformation import (
     DefectReport,
     DeformedBracket,

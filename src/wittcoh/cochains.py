@@ -44,11 +44,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .algebra import CENTRAL, GradedLieAlgebra, Window
 from .errors import ConfigError, FormatError, OutOfWindowError
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, check_coefficient
 
 ADJOINT = "adjoint"
 TRIVIAL = "trivial"
@@ -114,8 +114,7 @@ class Cochain:
             t = tuple(t)
             if not self.admissible(t):
                 raise OutOfWindowError(f"tuple {t} not admissible for C^{self.degree}_{self.weight} on {self.window}")
-            v = Fraction(v)
-            if v != 0:
+            if check_coefficient(v):
                 clean[t] = v
         object.__setattr__(self, "entries", clean)
 
@@ -146,7 +145,7 @@ class Cochain:
         self._check_compatible(other)
         out = dict(self.entries)
         for t, v in other.entries.items():
-            out[t] = out.get(t, Fraction(0)) + v
+            out[t] = out.get(t, 0) + v
         return self._like(out, omitted=tuple(sorted(set(self.omitted) | set(other.omitted))))
 
     def __sub__(self, other):
@@ -156,9 +155,6 @@ class Cochain:
         return self._like({t: -v for t, v in self.entries.items()})
 
     def __rmul__(self, scale):
-        scale = Fraction(scale)
-        if scale == 0:
-            return self._like({})
         return self._like({t: scale * v for t, v in self.entries.items()})
 
     @property
@@ -177,18 +173,18 @@ class Cochain:
 
     # -- evaluation -------------------------------------------------------
 
-    def component(self, *args) -> Fraction:
+    def component(self, *args) -> int | Fraction:
         """Rational coefficient at possibly unsorted arguments (antisymmetrized)."""
         for a in args:
             if a not in self.window:
                 raise OutOfWindowError(f"argument index {a} outside window {self.window}")
         t, sign = _sort_with_sign(args)
         if t is None:
-            return Fraction(0)
+            return 0
         if not self.admissible(t):
             raise OutOfWindowError(
                 f"tuple {t} has no admissible output in C^{self.degree}_{self.weight} on {self.window}")
-        return sign * self.entries.get(t, Fraction(0))
+        return sign * self.entries.get(t, 0)
 
     def evaluate(self, *args):
         """Full value: {output index: coefficient} for adjoint coefficients, a scalar otherwise."""
@@ -205,23 +201,6 @@ class Cochain:
                 if self.coeffs == TRIVIAL or sum(t) + self.weight in sub:
                     keep[t] = v
         return Cochain(self.degree, self.weight, sub, self.coeffs, keep)
-
-    @classmethod
-    def from_function(cls, fn, degree, weight, window, coeffs=ADJOINT) -> "Cochain":
-        """Canonicalize a tuple function into a cochain; every tuple must alternate."""
-        entries = {}
-        for t in basis_tuples(degree, weight, window, coeffs):
-            entries[t] = Fraction(fn(*t))
-        for t, base in entries.items():
-            for perm in permutations(t):
-                expect = _sort_with_sign(perm)[1] * base
-                if Fraction(fn(*perm)) != expect:
-                    raise ValueError(f"function is not antisymmetric at {perm}")
-            if degree >= 2:
-                rep = (t[0],) * degree
-                if Fraction(fn(*rep)) != 0:
-                    raise ValueError(f"function does not vanish on repeated arguments {rep}")
-        return cls(degree, weight, window, coeffs, entries)
 
 
 # -- the differential ------------------------------------------------------
@@ -318,7 +297,7 @@ def differential(alg: GradedLieAlgebra, c: Cochain) -> Cochain:
     are omitted and listed on the result's `omitted` attribute.
     """
     matrix, rows, omitted = delta_matrix(alg, c.degree, c.weight, c.window, c.coeffs)
-    vec = [c.entries.get(t, Fraction(0))
+    vec = [c.entries.get(t, 0)
            for t in basis_tuples(c.degree, c.weight, c.window, c.coeffs)]
     values = matrix.apply(vec)
     return Cochain(c.degree + 1, c.weight, c.window, c.coeffs,
@@ -348,8 +327,7 @@ class MixedCochain:
             for out, v in outs.items():
                 if out not in self.window:
                     raise OutOfWindowError(f"output index {out} outside window {self.window}")
-                v = Fraction(v)
-                if v != 0:
+                if check_coefficient(v):
                     kept[out] = v
             if kept:
                 clean[t] = kept
@@ -383,7 +361,7 @@ class MixedCochain:
         for t, outs in other.entries.items():
             tgt = out.setdefault(t, {})
             for o, v in outs.items():
-                tgt[o] = tgt.get(o, Fraction(0)) + v
+                tgt[o] = tgt.get(o, 0) + v
         return MixedCochain(self.degree, self.window, out)
 
     def __sub__(self, other):
@@ -395,7 +373,6 @@ class MixedCochain:
                              for t, outs in self.entries.items()})
 
     def __rmul__(self, scale):
-        scale = Fraction(scale)
         return MixedCochain(self.degree, self.window,
                             {t: {o: scale * v for o, v in outs.items()}
                              for t, outs in self.entries.items()})

@@ -142,7 +142,7 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
     comp, matrix = comparison_tuples(alg, q, d, window, margin, coeffs)
     keep = [r for r, t in enumerate(comp) if t not in exclude]
     x = solve(matrix.take_rows(keep),
-              [c.entries.get(comp[r], Fraction(0)) for r in keep]).particular
+              [c.entries.get(comp[r], 0) for r in keep]).particular
     if x is None:
         return None
     cols = basis_tuples(q - 1, d, window, coeffs)
@@ -215,7 +215,7 @@ def stability_scan(alg: GradedLieAlgebra, q: int, d: int, windows, margin: int,
 # -- constructive weight reduction -------------------------------------------
 
 
-def _as_mixed(c, window) -> MixedCochain:
+def _as_mixed(c) -> MixedCochain:
     if isinstance(c, Cochain):
         return MixedCochain.from_cochain(c)
     if isinstance(c, MixedCochain):
@@ -239,7 +239,7 @@ def reduce_to_weight_zero(alg: GradedLieAlgebra, c, window: Window):
     d-component of b(e_0) is c_{0,0;d}/d and c vanishes on repeated
     arguments).
     """
-    mixed = _as_mixed(c, window)
+    mixed = _as_mixed(c)
     _check_cocycle(alg, mixed)
     parts = weight_components(mixed)
     b_parts = []
@@ -285,7 +285,7 @@ def normalize_weight_zero(alg: GradedLieAlgebra, c: Cochain, window: Window):
         if need not in window:
             raise BoundaryError(f"window {window} lacks index {need} needed to determine b_2")
 
-    b_vals = {1: Fraction(0)}
+    b_vals = {1: 0}
     b_vals[0] = -c.component(0, 1)
     for i in range(-1, window.lo - 1, -1):
         b_vals[i] = b_vals[i + 1] - c.component(i, 1) / Fraction(1 - i)

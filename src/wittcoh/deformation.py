@@ -278,7 +278,7 @@ def infinitesimal(d: DeformedBracket) -> InfinitesimalReport:
         for t, row in zip(rows, matrix.row_dicts()):
             if any(cols[j] in d.omitted_pairs for j in row):
                 continue
-            if sum(v * entries.get(cols[j], Fraction(0)) for j, v in row.items()) != 0:
+            if sum(v * entries.get(cols[j], 0) for j, v in row.items()) != 0:
                 violation = t
                 break
         if violation:

@@ -1,11 +1,13 @@
 """Exact rational sparse linear algebra: `solve` and `rank`.
 
-Coefficients are arbitrary-precision rationals (`fractions.Fraction`), so rank,
-kernel and affine solves are exact; every dimension reported downstream is an
-exact integer.  The coefficient field is Q rather than C: every structure
-constant handled by this package is rational, and kernel/image dimensions of a
-rational matrix over Q equal those over C, so nothing is lost by staying
-rational.
+A coefficient is an `int` or a `fractions.Fraction`, never converted: a float
+is refused with TypeError, since it is a binary fraction rather than the
+rational it was meant to be.  Rank, kernel and affine solves are exact, and
+the kernel basis comes back as integer vectors, so every dimension reported
+downstream is an exact integer.  The coefficient field is Q rather than C:
+every structure constant handled by this package is rational, and
+kernel/image dimensions of a rational matrix over Q equal those over C, so
+nothing is lost by staying rational.
 
 Two entries: `solve(m, rhs=None)` gives the rank, the canonical kernel basis
 and a particular solution (None when rhs is inconsistent), each certified in
@@ -47,6 +49,13 @@ _AUG = -1  # virtual column index used for the right-hand side
 _P = 1073741789  # prime below 2**30: every residue mod _P is one 30-bit int digit
 
 
+def check_coefficient(v):
+    """v itself when it is an int or a Fraction; TypeError for anything else."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"coefficient {v!r} is not an int or a Fraction")
+    return v
+
+
 @dataclass(frozen=True)
 class SparseMatrix:
     """Immutable sparse matrix over Q; only nonzero entries are stored."""
@@ -62,27 +71,12 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
                 raise ValueError(f"entry ({r},{c}) outside {self.n_rows}x{self.n_cols}")
-            v = Fraction(v)
-            if v != 0:
+            if check_coefficient(v):
                 clean[(r, c)] = v
         object.__setattr__(self, "entries", clean)
 
-    @classmethod
-    def from_rows(cls, rows) -> "SparseMatrix":
-        rows = [list(r) for r in rows]
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != n_cols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    entries[(i, j)] = Fraction(v)
-        return cls(n_rows, n_cols, entries)
-
     def row_dicts(self):
-        """Rows as {col: Fraction} dicts (zero rows omitted from values, kept as empties)."""
+        """Rows as {col: coefficient} dicts (zero rows omitted from values, kept as empties)."""
         rows = [dict() for _ in range(self.n_rows)]
         for (r, c), v in self.entries.items():
             rows[r][c] = v
@@ -98,7 +92,7 @@ class SparseMatrix:
         """Matrix-vector product, exact."""
         if len(vec) != self.n_cols:
             raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.n_rows
+        out = [0] * self.n_rows
         for (r, c), v in self.entries.items():
             out[r] += v * vec[c]
         return tuple(out)
@@ -239,21 +233,21 @@ def _solve_rows(sub, rows, n_cols, augmented):
     pivot_cols = {c for c, _ in pivots}
     kernel = []
     for f in (c for c in range(n_cols) if c not in pivot_cols):
-        vec = _primitive({f: Fraction(1),
+        vec = _primitive({f: 1,
                           **{c: Fraction(-r[f], r[c]) for c, r in pivots if r.get(f)}})
         if not _annihilates(rows, vec):
             raise AssertionError("kernel vector fails m*v = 0")
         if not vec.get(f) or any(c != f and c not in pivot_cols for c in vec):
             raise AssertionError("kernel basis is not independent on the free columns")
         sign = 1 if vec[min(vec)] > 0 else -1
-        kernel.append(tuple(Fraction(sign * vec.get(j, 0)) for j in range(n_cols)))
+        kernel.append(tuple(sign * vec.get(j, 0) for j in range(n_cols)))
 
     particular = None
     if augmented and not leftovers:
         x = {c: Fraction(-r[_AUG], r[c]) for c, r in pivots if r.get(_AUG)}
-        if not _annihilates(rows, _primitive({**x, _AUG: Fraction(1)})):
+        if not _annihilates(rows, _primitive({**x, _AUG: 1})):
             raise AssertionError("particular solution fails m*x = rhs")
-        particular = tuple(x.get(j, Fraction(0)) for j in range(n_cols))
+        particular = tuple(x.get(j, 0) for j in range(n_cols))
 
     return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
                           kernel_basis=tuple(kernel), particular=particular)
@@ -279,8 +273,8 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
         if len(rhs) != m.n_rows:
             raise ValueError("rhs length mismatch")
         for row, b in zip(frac_rows, rhs):
-            if b:
-                row[_AUG] = -Fraction(b)
+            if check_coefficient(b):
+                row[_AUG] = -b
     rows = [_primitive(r) for r in frac_rows]
     augmented = rhs is not None
     try:

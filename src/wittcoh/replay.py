@@ -15,7 +15,9 @@ in the table becomes a linear form in the a_k.  The replay drives a fact
 table of such forms: rows i <= 0 by induction on -i, rows i >= 3 by the
 recurrence, relations from the recurrence-extended diagonal c_{i,i} = 0 and
 from (*) at k = 2 specialized to i = -2 and i = -3, and finally a linear
-solve that leaves only the zero solution.
+solve that leaves only the zero solution.  The relations are solved by one
+`linalg.solve`, the same certified integer elimination the cohomology
+computations use; the replay has no elimination of its own.
 
 All relations are derived programmatically from (*); printed closed forms
 are asserted as regression checks in the test suite where they are correct.
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundaryError, ContradictionError
-from .linalg import SparseMatrix, rank
+from .linalg import SparseMatrix, check_coefficient, rank, solve
 
 TAGS = ("Eq1", "Eq5", "Eq6", "Eq7", "Diag", "Antisym", "Sec5", "Sec9")
 
@@ -42,17 +44,13 @@ def _render_unknown(k: int) -> str:
 class SymbolicValue:
     """Linear form sum_k coeffs[k] * a_k + const, kept with no zero coefficients."""
 
-    coeffs: tuple = ()  # sorted ((k, Fraction), ...)
-    const: Fraction = Fraction(0)
+    coeffs: tuple = ()  # sorted ((k, int or Fraction), ...)
+    const: int | Fraction = 0
 
     @classmethod
     def make(cls, coeffs=None, const=0) -> "SymbolicValue":
-        clean = []
-        for k, v in sorted((coeffs or {}).items()):
-            v = Fraction(v)
-            if v != 0:
-                clean.append((k, v))
-        return cls(tuple(clean), Fraction(const))
+        clean = tuple((k, v) for k, v in sorted((coeffs or {}).items()) if check_coefficient(v))
+        return cls(clean, check_coefficient(const))
 
     @classmethod
     def unknown(cls, k: int) -> "SymbolicValue":
@@ -70,13 +68,13 @@ class SymbolicValue:
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
 
-    def coeff(self, k: int) -> Fraction:
-        return dict(self.coeffs).get(k, Fraction(0))
+    def coeff(self, k: int):
+        return dict(self.coeffs).get(k, 0)
 
     def __add__(self, other: "SymbolicValue") -> "SymbolicValue":
         out = dict(self.coeffs)
         for k, v in other.coeffs:
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out.get(k, 0) + v
         return SymbolicValue.make(out, self.const + other.const)
 
     def __sub__(self, other):
@@ -86,26 +84,7 @@ class SymbolicValue:
         return SymbolicValue.make({k: -v for k, v in self.coeffs}, -self.const)
 
     def __rmul__(self, scale) -> "SymbolicValue":
-        scale = Fraction(scale)
         return SymbolicValue.make({k: scale * v for k, v in self.coeffs}, scale * self.const)
-
-    def substitute(self, solved: dict) -> "SymbolicValue":
-        """Replace unknowns by forms; unknowns absent from `solved` pass through."""
-        out = SymbolicValue.make(const=self.const)
-        for k, v in self.coeffs:
-            if k in solved:
-                out = out + v * solved[k]
-            else:
-                out = out + SymbolicValue.make({k: v})
-        return out
-
-    def solve_for(self, k: int) -> "SymbolicValue":
-        """Rewrite self = 0 as a_k = <form without a_k>."""
-        c = self.coeff(k)
-        if c == 0:
-            raise ValueError(f"a_{k} does not occur")
-        rest = SymbolicValue.make({kk: v for kk, v in self.coeffs if kk != k}, self.const)
-        return (Fraction(-1) / c) * rest
 
     def render(self) -> str:
         if self.is_zero:
@@ -358,7 +337,7 @@ class Relation:
 
 @dataclass
 class RelationSet:
-    """Ordered homogeneous relations <form> = 0 among the unknowns a_k."""
+    """Ordered relations <form> = 0 among the unknowns a_k; a form may carry a constant."""
 
     relations: list = field(default_factory=list)
 
@@ -369,35 +348,47 @@ class RelationSet:
     def merged(self, other: "RelationSet") -> "RelationSet":
         return RelationSet(self.relations + other.relations)
 
-    def without_tag(self, tag: str) -> "RelationSet":
-        return RelationSet([r for r in self.relations if r.tag != tag])
-
     def __len__(self):
         return len(self.relations)
 
     def solve(self) -> dict:
-        """Sequential elimination, pivoting on the largest index present.
+        """{pivot unknown: form in the free unknowns}, from one `linalg.solve`.
 
-        Returns {pivot unknown: form in the remaining free unknowns}; raises a
-        contradiction when a relation reduces to a nonzero constant.
+        The relations are the rows, the unknowns the columns in decreasing
+        index and the right-hand side is -const, so each pivot is the largest
+        unknown of its row in the reduced echelon form, which is unique.  Each
+        pivot's form is read off the canonical kernel basis and the particular
+        solution.  Inconsistent relations raise a contradiction at the first
+        relation that the ones before it reduce to a nonzero constant.
         """
-        solved: dict[int, SymbolicValue] = {}
-        for rel in self.relations:
-            f = rel.form.substitute(solved)
-            if f.is_zero:
-                continue
-            if not f.coeffs:
-                raise ContradictionError(
-                    f"relation {rel.label} [{rel.tag}] reduces to {f.const} = 0")
-            pivot = max(k for k, _ in f.coeffs)
-            expr = f.solve_for(pivot)
-            solved = {k: v.substitute({pivot: expr}) for k, v in solved.items()}
-            solved[pivot] = expr
-        return solved
+        unknowns = sorted({k for rel in self.relations for k, _ in rel.form.coeffs}, reverse=True)
+        column = {k: c for c, k in enumerate(unknowns)}
 
-    def solved_form(self, k: int, solved=None) -> SymbolicValue:
-        solved = self.solve() if solved is None else solved
-        return solved.get(k, SymbolicValue.unknown(k))
+        def solution(rels):
+            m = SparseMatrix(len(rels), len(unknowns),
+                             {(r, column[k]): v for r, rel in enumerate(rels) for k, v in rel.form.coeffs})
+            return solve(m, [-rel.form.const for rel in rels])
+
+        sol = solution(self.relations)
+        if sol.particular is None:
+            # prefixes of length lo are consistent (x solves one), of length hi not
+            lo, hi, x = 0, len(self.relations), (0,) * len(unknowns)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                got = solution(self.relations[:mid]).particular
+                if got is None:
+                    hi = mid
+                else:
+                    lo, x = mid, got
+            rel = self.relations[lo]
+            c = rel.form.const + sum(v * x[column[k]] for k, v in rel.form.coeffs)
+            raise ContradictionError(f"relation {rel.label} [{rel.tag}] reduces to {c} = 0")
+        pivots = set(sol.pivot_columns)
+        kernel = list(zip((f for f in range(len(unknowns)) if f not in pivots), sol.kernel_basis))
+        return {unknowns[p]: SymbolicValue.make(
+                    {unknowns[f]: Fraction(vec[p], vec[f]) for f, vec in kernel},
+                    sol.particular[p])
+                for p in sol.pivot_columns}
 
 
 def diagonal_relations(t: FactTable, up_to: int) -> RelationSet:
@@ -510,7 +501,7 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
     for u in free:
         vec = {}
         if u in target_pos:
-            vec[target_pos[u]] = Fraction(1)
+            vec[target_pos[u]] = 1
         for k in targets:
             if k in solved:
                 cv = solved[k].coeff(u)
@@ -531,13 +522,13 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
     )
 
 
-def emit_table(t: FactTable, row_range=None, col_range=None) -> str:
-    """Markdown rendering, rows i = 5..-4 by columns j = -4..5 by default.
+def emit_table(t: FactTable) -> str:
+    """Markdown rendering, rows i = 5..-4 by columns j = -4..5.
 
     Diagonal (normalized) zeros render bold; underived cells render empty.
     """
-    rows = list(row_range) if row_range is not None else list(range(5, -5, -1))
-    cols = list(col_range) if col_range is not None else list(range(-4, 6))
+    rows = range(5, -5, -1)
+    cols = range(-4, 6)
     lines = ["| i\\j | " + " | ".join(str(j) for j in cols) + " |",
              "|" + "---|" * (len(cols) + 1)]
     for i in rows:

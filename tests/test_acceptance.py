@@ -47,7 +47,14 @@ from wittcoh.replay import (
 )
 from wittcoh.cli import main as cli_main
 
-from helpers import never_leaves_window, random_cochain, random_mixed_cocycle, truncated_coboundary
+from helpers import (
+    never_leaves_window,
+    random_cochain,
+    random_mixed_cocycle,
+    solved_form,
+    truncated_coboundary,
+    without_tag,
+)
 
 WITT = make_witt()
 VIR = make_virasoro()
@@ -217,7 +224,7 @@ def test_criterion_06c_chains_in_solved_form(replay12):
     t, _ = replay12
     rels = k2_specializations(t, rows=(-2,))
     solved = rels.solve()
-    f = lambda k: rels.solved_form(k, solved)
+    f = lambda k: solved_form(rels, k, solved)
     assert f(0).is_zero
     assert f(-6).is_zero and f(-8).is_zero
     chain = 3 * f(-1)
@@ -240,11 +247,11 @@ def test_criterion_06d_final_verdict(replay12):
 def test_criterion_06e_residual_unknowns_without_endgame(replay12):
     t, _ = replay12
     rels = diagonal_relations(t, 6).merged(k2_specializations(t))
-    reduced = rels.without_tag("Sec9")
+    reduced = without_tag(rels, "Sec9")
     verdict = final_solve(t, reduced, buffer=3)
     assert verdict.dimension == 2
     solved = reduced.solve()
-    f = lambda k: reduced.solved_form(k, solved)
+    f = lambda k: solved_form(reduced, k, solved)
     assert f(-4) == SymbolicValue.unknown(-4)        # a_{-4} survives untouched
     odd_support = set()
     for k in range(-9, 10):

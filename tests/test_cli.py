@@ -81,6 +81,12 @@ def test_contradiction_exits_three(capsys):
     assert "contradiction" in err
 
 
+def test_contradiction_names_the_relation_and_its_constant(capsys):
+    code, out, err = run(capsys, "replay", "--K", "10", "--inject-relation", "3=1")
+    assert (code, out) == (3, "")
+    assert err == "contradiction: relation injected[a_3=1] [Diag] reduces to -1 = 0\n"
+
+
 @pytest.mark.parametrize("relation", ["3=1/0", "x=1", "5"])
 def test_malformed_injected_relation_exits_two(capsys, relation):
     code, _, err = run(capsys, "replay", "--K", "8", "--inject-relation", relation)

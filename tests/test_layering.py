@@ -1,4 +1,4 @@
-"""The package's modules reach each other only through public names."""
+"""The package's modules reach each other only through public names, and stay exact."""
 
 import ast
 from pathlib import Path
@@ -31,3 +31,36 @@ def test_the_guard_sees_a_private_import(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .linalg import SparseMatrix, _eliminate\nfrom fractions import _gcd\n")
     assert private_imports(probe) == [("linalg", "_eliminate")]
+
+
+def _is_fraction_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+
+
+def inexact_arithmetic(path):
+    """(line, what) for each float literal, float() call, and true division
+    with no Fraction(...) operand, which would make a float of two ints."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append((node.lineno, "float call"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right) if isinstance(node, ast.BinOp) else (node.target, node.value)
+            if not any(_is_fraction_call(x) for x in operands):
+                found.append((node.lineno, "division"))
+    return sorted(found)
+
+
+def test_no_float_and_every_division_has_a_fraction_operand():
+    offenders = {p.name: inexact_arithmetic(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: got for name, got in offenders.items() if got} == {}
+
+
+def test_the_exactness_guard_sees_floats_and_int_division(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("x = 0.5\ny = float(n)\nz = a / b\nw = Fraction(1) / b + a // b\n"
+                     "u = (a - b) / Fraction(c)\nv /= 2\nv /= Fraction(2)\n")
+    assert inexact_arithmetic(probe) == [
+        (1, "float literal"), (2, "float call"), (3, "division"), (6, "division")]

@@ -9,12 +9,10 @@ from wittcoh.algebra import Window, make_witt
 from wittcoh.cohomology import cocycle_matrix
 from wittcoh.linalg import SparseMatrix, rank, solve
 
+from helpers import matrix_from_rows as mat
+
 # rows in the redundant test systems: far more than their rank, so _select drops most
 TALL = 80
-
-
-def mat(rows):
-    return SparseMatrix.from_rows(rows)
 
 
 def test_rank_identity():
@@ -44,7 +42,7 @@ def test_kernel_proportional_rows():
 def test_kernel_zero_map():
     vecs = solve(SparseMatrix(1, 3)).kernel_basis
     assert len(vecs) == 3
-    assert rank(SparseMatrix.from_rows(vecs)) == 3
+    assert rank(mat(vecs)) == 3
 
 
 def test_solve_identity():
@@ -195,6 +193,23 @@ def test_selected_rows_give_the_full_elimination_answer(system):
 def test_rejects_out_of_bounds_entry():
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, {(2, 0): Fraction(1)})
+
+
+def test_rejects_a_float_coefficient():
+    # 1 / 3 is the binary fraction 6004799503160661/18014398509481984, not 1/3
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        SparseMatrix(1, 2, {(0, 1): 1 / 3})
+    with pytest.raises(TypeError):
+        solve(mat([[1, 2]]), [0.5])
+
+
+def test_kernel_basis_entries_are_ints():
+    witt_matrix, _, _ = cocycle_matrix(make_witt(), 2, 0, Window(-6, 6))
+    rational = mat([[Fraction(1, 2), Fraction(-3, 4), 0, 5], [0, 1, Fraction(2, 3), 0]])
+    for m in (witt_matrix, rational):
+        kernel = solve(m).kernel_basis
+        assert kernel
+        assert all(type(x) is int for v in kernel for x in v)
 
 
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=6), min_size=2, max_size=6))

@@ -2,11 +2,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittcoh.errors import BoundaryError, ContradictionError
 from wittcoh.linalg import SparseMatrix, solve
 from wittcoh.replay import (
     FactTable,
+    RelationSet,
     SymbolicValue,
     TAGS,
     diagonal_relations,
@@ -19,6 +21,8 @@ from wittcoh.replay import (
     recurrence_value,
     run_replay,
 )
+
+from helpers import sequential_solve, solved_form, without_tag
 
 SV = SymbolicValue
 
@@ -240,7 +244,7 @@ def test_k2_chains(table12):
     rels = k2_specializations(table12, rows=(-2,))
     assert all(r.tag == "Eq7" for r in rels.relations)
     solved = rels.solve()
-    f = lambda k: rels.solved_form(k, solved)
+    f = lambda k: solved_form(rels, k, solved)
     assert f(0).is_zero
     assert f(-6).is_zero and f(-8).is_zero
     chain = 3 * f(-1)
@@ -274,11 +278,11 @@ def test_final_solve_all_zero(table12):
 
 def test_final_solve_without_endgame_family(table12):
     rels = diagonal_relations(table12, 6).merged(k2_specializations(table12))
-    reduced = rels.without_tag("Sec9")
+    reduced = without_tag(rels, "Sec9")
     verdict = final_solve(table12, reduced)
     assert verdict.dimension == 2
     solved = reduced.solve()
-    f = lambda k: reduced.solved_form(k, solved)
+    f = lambda k: solved_form(reduced, k, solved)
     # a_{-4} is untouched, and the odd negative chain survives as one direction
     assert f(-4) == a(-4)
     assert not f(-3).is_zero
@@ -287,7 +291,7 @@ def test_final_solve_without_endgame_family(table12):
 
 def test_diag3_plus_chain_forces_a3(table12):
     rels = k2_specializations(table12, rows=(-2,)).merged(diagonal_relations(table12, 3))
-    f = rels.solved_form(3)
+    f = solved_form(rels, 3)
     assert f.is_zero
 
 
@@ -298,11 +302,66 @@ def test_injected_false_relation_contradicts(table12):
         final_solve(table12, rels)
 
 
+def test_symbolic_values_reject_a_float_coefficient():
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        SV.make({3: 0.5})
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        SV.make({3: 1}, const=-1 / 2)
+    with pytest.raises(TypeError):
+        0.5 * a(3)
+
+
+def test_contradiction_is_reported_at_the_first_inconsistent_relation():
+    rels = RelationSet()
+    rels.add("r0", "Diag", a(3) - a(4))
+    rels.add("r1", "Diag", a(3) + a(4) - SV.constant(1))  # a_3 = a_4 = 1/2
+    rels.add("r2", "Eq7", a(5) + a(6))
+    rels.add("r3", "Eq7", a(4) - SV.constant(2))  # 1/2 - 2 at every solution so far
+    rels.add("r4", "Sec9", SV.constant(7))
+    with pytest.raises(ContradictionError) as got:
+        rels.solve()
+    assert str(got.value) == "relation r3 [Eq7] reduces to -3/2 = 0"
+    with pytest.raises(ContradictionError, match="r3"):
+        sequential_solve(rels)
+
+
+COEFFICIENT = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+FORMS = st.builds(SV.make, st.dictionaries(st.integers(-6, 6), COEFFICIENT, max_size=3),
+                  st.one_of(st.just(0), COEFFICIENT))
+
+
+@st.composite
+def relation_sets(draw):
+    """Up to 8 relations; some combine two earlier ones plus a constant, so
+    dependent, inhomogeneous and inconsistent sets all occur."""
+    rels = RelationSet()
+    for n in range(draw(st.integers(0, 8))):
+        form = draw(FORMS)
+        if rels.relations and draw(st.booleans()):
+            first, second = (draw(st.sampled_from(rels.relations)).form for _ in range(2))
+            shift = draw(st.sampled_from([0, 0, 1, Fraction(-1, 2)]))
+            form = draw(COEFFICIENT) * first + draw(COEFFICIENT) * second + SV.constant(shift)
+        rels.add(f"r{n}", draw(st.sampled_from(TAGS)), form)
+    return rels
+
+
+@given(relation_sets())
+@settings(max_examples=300, deadline=None)
+def test_solve_matches_sequential_elimination(rels):
+    try:
+        expected = sequential_solve(rels)
+    except ContradictionError as exc:
+        with pytest.raises(ContradictionError) as got:
+            rels.solve()
+        assert str(got.value) == str(exc)
+    else:
+        assert rels.solve() == expected
+
+
 def test_table_instantiates_to_zero_at_the_solution(table12):
-    zeros = {k: SV.zero() for k in range(-12, 13)}
-    for (i, j), form in table12.cells.items():
-        assert form.substitute(zeros).coeffs == ()
-        assert form.substitute(zeros).const == 0
+    # every cell is a homogeneous form, so a_k = 0 for all k makes it vanish
+    for form in table12.cells.values():
+        assert form.const == 0
 
 
 # -- rendering and the log -----------------------------------------------------------

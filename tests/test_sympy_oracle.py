@@ -15,7 +15,9 @@ from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from wittcoh.algebra import Window, make_witt  # noqa: E402
 from wittcoh.cochains import ADJOINT, TRIVIAL  # noqa: E402
 from wittcoh.cohomology import cocycle_matrix  # noqa: E402
-from wittcoh.linalg import SparseMatrix, solve  # noqa: E402
+from wittcoh.linalg import solve  # noqa: E402
+
+from helpers import matrix_from_rows  # noqa: E402
 
 WITT = make_witt()
 
@@ -51,7 +53,7 @@ def rational_systems(draw):
     rows = draw(st.lists(st.lists(rationals, min_size=n_cols, max_size=n_cols),
                          min_size=n_rows, max_size=n_rows))
     rhs = draw(st.lists(rationals, min_size=n_rows, max_size=n_rows))
-    return SparseMatrix.from_rows(rows), rhs
+    return matrix_from_rows(rows), rhs
 
 
 @given(rational_systems())
@@ -60,7 +62,7 @@ def test_solve_on_rational_rows_matches_sympy(system):
     m, rhs = system
     sol = solve(m, rhs)
     rank_m, nullity = sympy_rank_nullity(m)
-    augmented = SparseMatrix.from_rows(
+    augmented = matrix_from_rows(
         [[m.entries.get((r, c), 0) for c in range(m.n_cols)] + [b] for r, b in enumerate(rhs)])
     feasible = sympy_matrix(augmented).rank() == rank_m
     got = (sol.rank, len(sol.kernel_basis), sol.particular is not None)
