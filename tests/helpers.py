@@ -8,16 +8,19 @@ cocycle for the interior-only differential.
 
 The builders (`matrix_from_rows`, `cochain_from_function`, `without_tag`,
 `solved_form`) and `sequential_solve`, the reference elimination that
-`RelationSet.solve` is checked against, are used by the tests only.
+`RelationSet.solve` is checked against, are used by the tests only, as are
+`fraction_jacobi_defect` and `fraction_conjugate`, the Fraction references
+for the integer-table `jacobi_defect` and `conjugate`.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 from random import Random
 
-from wittcoh.algebra import Window
+from wittcoh.algebra import CENTRAL, Window
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, differential
-from wittcoh.errors import ContradictionError
+from wittcoh.deformation import DefectReport, DeformedBracket, OrderDefect, invert
+from wittcoh.errors import BoundaryError, ConfigError, ContradictionError, OutOfWindowError
 from wittcoh.linalg import SparseMatrix
 from wittcoh.replay import RelationSet, SymbolicValue
 
@@ -88,6 +91,131 @@ def sequential_solve(rels: RelationSet) -> dict:
         solved = {k: _substitute(v, {pivot: expr}) for k, v in solved.items()}
         solved[pivot] = expr
     return solved
+
+
+def _pair(d: DeformedBracket, s: int, i, j) -> dict:
+    """mu_s(e_i, e_j) as {output: coefficient}; raises OutOfWindowError on leaks."""
+    if s == 0:
+        out = d.algebra.bracket_rule(i, j)
+        for key in out:
+            if key != CENTRAL and key not in d.window:
+                raise OutOfWindowError(f"bracket target {key} outside {d.window}")
+        return out
+    if CENTRAL in (i, j) or i == j:
+        return {}
+    if (min(i, j), max(i, j)) in d.omitted_pairs:
+        raise OutOfWindowError(f"layer value at ({i},{j}) was lost to the window edge")
+    if i < j:
+        return d.layers[s - 1].entries.get((i, j), {})
+    return {k: -v for k, v in d.layers[s - 1].entries.get((j, i), {}).items()}
+
+
+def _evaluate_order(d: DeformedBracket, s: int, x: dict, y: dict) -> dict:
+    """Bilinear extension of `_pair` to {index: coefficient} dicts."""
+    out = {}
+    for kx, vx in x.items():
+        for ky, vy in y.items():
+            for k, v in _pair(d, s, kx, ky).items():
+                out[k] = out.get(k, 0) + vx * vy * v
+    return out
+
+
+def fraction_jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
+    """Reference for jacobi_defect: the order-s Jacobi sum in Fraction arithmetic,
+    pair by pair, skipping (and counting) every triple that meets a leak."""
+    if window.lo < d.window.lo or window.hi > d.window.hi:
+        raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
+    orders = []
+    idx = list(window.indices())
+    for s in range(0, d.order + 1):
+        found = None
+        skipped = 0
+        for ai, x in enumerate(idx):
+            for bi in range(ai + 1, len(idx)):
+                y = idx[bi]
+                for z in idx[bi + 1:]:
+                    total = {}
+                    try:
+                        for p in range(s + 1):
+                            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                                for k, v in _pair(d, s - p, a, b).items():
+                                    for out, w in _pair(d, p, k, c).items():
+                                        total[out] = total.get(out, 0) + v * w
+                    except OutOfWindowError:
+                        skipped += 1
+                        continue
+                    if found is None and any(total.values()):
+                        found = ((x, y, z), {k: v for k, v in total.items() if v})
+            if found:
+                break
+        if found:
+            orders.append(OrderDefect(s, False, found[0], found[1], skipped))
+        else:
+            orders.append(OrderDefect(s, True, skipped=skipped))
+    return DefectReport(window, tuple(orders))
+
+
+def fraction_conjugate(d: DeformedBracket, e) -> DeformedBracket:
+    """Reference for conjugate: psi_u(mu_r(phi_v e_i, phi_w e_j)) summed over
+    u + r + v + w = s in Fraction arithmetic, one pair at a time."""
+    if e.order != d.order or e.window != d.window:
+        raise ValueError("equivalence and bracket must share order and window")
+    N = d.order
+    window = d.window
+    psi = invert(e)
+    m0 = next((s for s in range(1, N + 1) if not e.layers[s - 1].is_zero), N + 1)
+    images = {i: [e.apply_order(v, {i: 1}) for v in range(N + 1)] for i in window.indices()}
+    new_entries = [dict() for _ in range(N)]
+    omitted = set(d.omitted_pairs)
+    for i in window.indices():
+        for j in range(i + 1, window.hi + 1):
+            b_cache = {}
+
+            def b_order(m):
+                if m not in b_cache:
+                    total = {}
+                    for r in range(m + 1):
+                        for v in range(m - r + 1):
+                            image = _evaluate_order(d, r, images[i][v], images[j][m - r - v])
+                            for k, c in image.items():
+                                total[k] = total.get(k, 0) + c
+                    b_cache[m] = total
+                return b_cache[m]
+
+            try:
+                values = []
+                for s in range(1, N + 1):
+                    total = {}
+                    for u in (0, *range(m0, s + 1)):
+                        for k, c in psi.apply_order(u, b_order(s - u)).items():
+                            total[k] = total.get(k, 0) + c
+                    outs = {k: c for k, c in total.items() if c}
+                    if CENTRAL in outs:
+                        raise ConfigError("central targets are not deformed here")
+                    values.append(outs)
+            except OutOfWindowError:
+                omitted.add((i, j))
+                continue
+            for s, outs in enumerate(values):
+                new_entries[s][(i, j)] = outs
+    layers = tuple(MixedCochain(2, window, entries) for entries in new_entries)
+    return DeformedBracket(N, d.algebra, window, layers, frozenset(omitted))
+
+
+def random_mixed_layer(rng: Random, degree: int, window: Window, weights, fill: float,
+                       denominators=(1, 2, 3, 7)) -> MixedCochain:
+    """Entries p/q (|p| <= 9, q drawn from `denominators`) of the given weights
+    on a `fill` share of the degree-1 or degree-2 tuples of the window."""
+    idx = list(window.indices())
+    tuples = [(i,) for i in idx] if degree == 1 else [
+        (i, j) for i in idx for j in idx if i < j]
+    entries = {}
+    for t in tuples:
+        for w in weights:
+            if sum(t) + w in window and rng.random() < fill:
+                num = rng.choice([p for p in range(-9, 10) if p])
+                entries.setdefault(t, {})[sum(t) + w] = Fraction(num, rng.choice(denominators))
+    return MixedCochain(degree, window, entries)
 
 
 def random_scalar(rng: Random) -> Fraction:

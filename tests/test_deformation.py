@@ -19,7 +19,12 @@ from wittcoh.deformation import (
 )
 from wittcoh.errors import BoundaryError, ConfigError, FormatError, NotACocycleError
 
-from helpers import random_cochain
+from helpers import (
+    fraction_conjugate,
+    fraction_jacobi_defect,
+    random_cochain,
+    random_mixed_layer,
+)
 
 WITT = make_witt()
 W12 = Window(-12, 12)
@@ -175,6 +180,99 @@ def test_conjugate_rejects_central_targets():
     b = MixedCochain(1, w6, {(2,): {2: 1}, (-2,): {-2: 1}})
     with pytest.raises(ConfigError, match="central targets"):
         conjugate(DeformedBracket.trivial(make_virasoro(), w6, 1), Equivalence.single(w6, 1, 1, b))
+
+
+# -- the integer tables against the Fraction references ----------------------------------
+
+
+W7 = Window(-7, 7)
+
+
+def random_equivalence(rng, window, order):
+    return Equivalence(order, window, tuple(
+        random_mixed_layer(rng, 1, window, rng.sample((-1, 0, 1), 2), 0.3)
+        for _ in range(order)))
+
+
+def random_bracket(rng, alg, window, order, weights=(-1, 0, 1), fill=0.15):
+    return DeformedBracket(order, alg, window, tuple(
+        random_mixed_layer(rng, 2, window, weights, fill) for _ in range(order)))
+
+
+def assert_matches_references(d, e, check_windows):
+    """jacobi_defect and conjugate equal their Fraction references on d (and d by e)."""
+    for window in check_windows:
+        got, want = jacobi_defect(d, window), fraction_jacobi_defect(d, window)
+        assert [(o.order, o.clean, o.triple, o.defect, o.skipped) for o in got.orders] == \
+            [(o.order, o.clean, o.triple, o.defect, o.skipped) for o in want.orders]
+        assert got == want
+    try:
+        want = fraction_conjugate(d, e)
+    except ConfigError as exc:
+        with pytest.raises(ConfigError, match=str(exc)):
+            conjugate(d, e)
+        return
+    got = conjugate(d, e)
+    assert got.layers == want.layers
+    assert got.omitted_pairs == want.omitted_pairs
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_denominator_layers_match_references(seed):
+    rng = Random(100 + seed)
+    order = 2 + seed
+    d = random_bracket(rng, WITT, W7, order)
+    assert any(v.denominator == 7 for layer in d.layers
+               for outs in layer.entries.values() for v in outs.values())
+    assert_matches_references(d, random_equivalence(rng, W7, order), (W7, W7.core(2)))
+
+
+def test_jacobi_defective_layers_match_references():
+    rng = Random(110)
+    for order in (1, 3):
+        d = random_bracket(rng, WITT, W8, order, weights=(-2, 2), fill=0.1)
+        assert not jacobi_defect(d, W8).clean
+        assert_matches_references(d, random_equivalence(rng, W8, order), (W8,))
+
+
+def test_virasoro_central_term_matches_references():
+    vir = make_virasoro()
+    w6 = Window(-6, 6)
+    rng = Random(120)
+    d = random_bracket(rng, vir, w6, 2, weights=(-2, 0, 2), fill=0.3)
+    # the truncated automorphism e_i -> exp(t i) e_i keeps every central target
+    # at order 0; a random equivalence deforms one (ConfigError on both sides)
+    auto = Equivalence(2, w6, tuple(
+        MixedCochain(1, w6, {(i,): {i: Fraction(i ** v, 1 + v // 2)} for i in w6.indices()})
+        for v in (1, 2)))
+    assert_matches_references(d, auto, (w6, w6.core(1)))
+    assert_matches_references(d, random_equivalence(rng, w6, 2), ())
+
+
+def test_brackets_with_omitted_pairs_match_references():
+    rng = Random(130)
+    once = conjugate(DeformedBracket.trivial(WITT, W7, 3), random_equivalence(rng, W7, 3))
+    assert once.omitted_pairs
+    assert_matches_references(once, random_equivalence(rng, W7, 3), (W7, W7.core(1)))
+    d = random_bracket(rng, WITT, W7, 2)
+    marked = DeformedBracket(2, WITT, W7, d.layers, frozenset({(-3, 1), (0, 2), (2, 5)}))
+    assert_matches_references(marked, random_equivalence(rng, W7, 2), (W7,))
+
+
+def test_custom_rational_algebra_matches_references():
+    # a graded algebra with random rational constants (not a Lie algebra, so
+    # order 0 has its own defect) whose brackets leave [-4,4] at the edges
+    rng = Random(140)
+    lines = ["name: rational", "graded: yes", "central: no"]
+    for i in range(-5, 6):
+        for j in range(i + 1, 6):
+            if rng.random() < 0.6:
+                lines.append(f"{i} {j} -> {i + j}:{rng.randint(1, 9)}/{rng.choice((1, 2, 5, 7))}")
+    alg = load_algebra("\n".join(lines) + "\n")
+    w4 = Window(-4, 4)
+    d = random_bracket(rng, alg, w4, 2, fill=0.3)
+    assert not jacobi_defect(d, w4).orders[0].clean
+    assert_matches_references(d, random_equivalence(rng, w4, 2), (w4, w4.core(1)))
 
 
 # -- the series group laws ------------------------------------------------------------
