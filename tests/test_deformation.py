@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from wittcoh.algebra import Window, load_algebra, make_virasoro, make_witt
+from wittcoh.algebra import CENTRAL, Window, load_algebra, make_virasoro, make_witt
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential, weight_components
 from wittcoh.deformation import (
     DeformedBracket,
@@ -247,6 +247,11 @@ def test_virasoro_central_term_matches_references():
         for v in (1, 2)))
     assert_matches_references(d, auto, (w6, w6.core(1)))
     assert_matches_references(d, random_equivalence(rng, w6, 2), ())
+    # [mu_1(e_1, e_2), e_-3] = 1/7 [e_3, e_-3] has the central term -2/7 c
+    one = DeformedBracket(1, vir, w6, (MixedCochain(2, w6, {(1, 2): {3: Fraction(1, 7)}}),))
+    bad = jacobi_defect(one, Window(-3, 3)).first_unclean()
+    assert bad.triple == (-3, 1, 2) and bad.defect[CENTRAL] == Fraction(-2, 7)
+    assert_matches_references(one, Equivalence(1, w6, auto.layers[:1]), (Window(-3, 3),))
 
 
 def test_brackets_with_omitted_pairs_match_references():
