@@ -3,9 +3,7 @@
 A deformed bracket is mu_0 + t mu_1 + ... + t^N mu_N with mu_0 a graded Lie
 algebra on the window and each layer an antisymmetric 2-cochain of arbitrary
 mixed weight.  Brackets and equivalences carry the truncation order N as a
-plain `order` field, with exactly N layers.  Evaluation reads the layers as
-tables (`DeformedBracket.pair` for mu_s(e_i, e_j), `Equivalence.apply_order`
-for phi_s) on plain {index: coefficient} dicts.  The staple computations:
+plain `order` field, with exactly N layers.  The staple computations:
 
 * jacobi_defect expands the Jacobi identity of the deformed bracket order by
   order; cleanliness at order 1 is exactly delta(mu_1) = 0;
@@ -20,17 +18,31 @@ for phi_s) on plain {index: coefficient} dicts.  The staple computations:
   id + t^s b_s; under the sign convention of `cochains.differential` that
   replaces mu_s by mu_s - delta(b_s) at order s.
 
-Window bookkeeping is strictly honest, and `pair` is the only place it is
-checked: an order-0 bracket whose target lies outside the window, or a layer
-value at a pair lost to the window edge, raises OutOfWindowError.  The
-defect and conjugation routines skip the triple or pair that needed it (and
-record the drop), so every stored value is the exact global one.
+jacobi_defect and conjugate compute on Python ints: with D the lcm of every
+layer denominator (the equivalence's too) and D0 that of the order-0
+brackets, `_layer_tables` stores T_r = D0 D^r mu_r, the substitution
+t -> t/D.  Every term of an order-s sum then carries one scale: D0^2 D^s for
+mu_{s-p}(mu_p(x, y), z) in the Jacobi sum, and D0 D^s for
+psi_u mu_r(phi_v x, phi_w y) in conjugate, where D^v phi_v and D^u psi_u (a
+sum of products of phi layers of total order u) are integral.  So a scaled
+sum is zero exactly when the exact one is, and one exact division by the
+scale gives each stored or reported value.
+
+Window bookkeeping is strictly honest, and `_layer_tables` is the only place
+it is checked: an order-0 bracket whose target lies outside the window, or a
+layer value at a pair lost to the window edge, is a _LOST table value, and
+reading one raises OutOfWindowError.  The defect and conjugation routines
+skip the triple or pair that needed it (and record the drop), so every stored
+value is the exact global one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
+from math import lcm
 
 from .algebra import CENTRAL, GradedLieAlgebra, Window, format_terms
 from .cochains import (
@@ -67,34 +79,6 @@ class DeformedBracket:
     def trivial(cls, algebra: GradedLieAlgebra, window: Window, order: int) -> "DeformedBracket":
         return cls(order, algebra, window,
                    tuple(MixedCochain(2, window) for _ in range(order)))
-
-    def pair(self, s: int, i, j) -> dict:
-        """mu_s(e_i, e_j) as {output: coefficient}; raises OutOfWindowError on leaks.
-
-        The returned dict may be shared with the layer table; do not mutate it.
-        """
-        if s == 0:
-            out = self.algebra.bracket_rule(i, j)
-            for key in out:
-                if key != CENTRAL and key not in self.window:
-                    raise OutOfWindowError(f"bracket target {key} outside {self.window}")
-            return out
-        if CENTRAL in (i, j) or i == j:
-            return {}  # layers act on the indexed span; the center is rigid here
-        if (min(i, j), max(i, j)) in self.omitted_pairs:
-            raise OutOfWindowError(f"layer value at ({i},{j}) was lost to the window edge")
-        if i < j:
-            return self.layers[s - 1].entries.get((i, j), {})
-        return {k: -v for k, v in self.layers[s - 1].entries.get((j, i), {}).items()}
-
-    def evaluate_order(self, s: int, x: dict, y: dict) -> dict:
-        """Bilinear extension of `pair` to {index: coefficient} dicts."""
-        out = {}
-        for kx, vx in x.items():
-            for ky, vy in y.items():
-                for k, v in self.pair(s, kx, ky).items():
-                    out[k] = out.get(k, 0) + vx * vy * v
-        return out
 
 
 @dataclass(frozen=True)
@@ -169,6 +153,49 @@ def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
         _compose_order(outer, inner, s) for s in range(1, outer.order + 1)))
 
 
+# -- integer layer tables ----------------------------------------------------------
+
+
+class _Lost:
+    """Table value of a pair whose bracket would leave the window; reading it raises."""
+
+    def __iter__(self):
+        raise OutOfWindowError("a bracket term leaves the window")
+
+
+_LOST = _Lost()
+
+
+def _scaled(outs: dict, scale: int) -> tuple:
+    """scale * outs as ((key, int), ...); scale is a multiple of every denominator."""
+    return tuple((k, v.numerator * (scale // v.denominator)) for k, v in outs.items())
+
+
+def _layer_tables(d: DeformedBracket, extra=()) -> tuple[list, int, int]:
+    """([T_0, ..., T_N], D0, D) with T_r[a][b] = D0 D^r mu_r(e_a, e_b) as _scaled pairs.
+
+    D covers d's layers and the `extra` mixed cochains.  Both orientations are
+    stored; an order-0 target outside the window and an omitted pair map to
+    _LOST, and a pair missing from a row of T_r (r >= 1) brackets to zero.
+    """
+    den = lcm(*(v.denominator for c in (*d.layers, *extra)
+                for outs in c.entries.values() for v in outs.values()))
+    keys = d.algebra.generator_keys(d.window)
+    rule = {a: {b: d.algebra.bracket_rule(a, b) for b in keys} for a in keys}
+    d0 = lcm(*(v.denominator for row in rule.values() for out in row.values() for v in out.values()))
+    tables = [{a: {b: _LOST if any(k != CENTRAL and k not in d.window for k in out)
+                   else _scaled(out, d0) for b, out in row.items()} for a, row in rule.items()}]
+    for r, mu in enumerate(d.layers, start=1):
+        table = {a: {} for a in keys}
+        for (i, j), outs in mu.entries.items():
+            table[i][j] = _scaled(outs, d0 * den ** r)
+            table[j][i] = tuple((k, -v) for k, v in table[i][j])
+        for i, j in d.omitted_pairs:
+            table[i][j] = table[j][i] = _LOST
+        tables.append(table)
+    return tables, d0, den
+
+
 # -- Jacobi defects ------------------------------------------------------------
 
 
@@ -191,10 +218,7 @@ class DefectReport:
         return all(o.clean for o in self.orders)
 
     def first_unclean(self):
-        for o in self.orders:
-            if not o.clean:
-                return o
-        return None
+        return next((o for o in self.orders if not o.clean), None)
 
     def __str__(self):
         lines = [f"jacobi defects on {self.window}:"]
@@ -216,33 +240,31 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
     """
     if window.lo < d.window.lo or window.hi > d.window.hi:
         raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
+    tables, d0, den = _layer_tables(d)
     orders = []
-    idx = list(window.indices())
     for s in range(0, d.order + 1):
+        # every term mu_{s-p}(mu_p(a, b), c) of the order-s sum carries d0^2 den^s
+        terms = [(tables[s - p], tables[p]) for p in range(s + 1)]
         found = None
         skipped = 0
-        for ai, x in enumerate(idx):
-            for bi in range(ai + 1, len(idx)):
-                y = idx[bi]
-                for z in idx[bi + 1:]:
-                    total = {}
-                    try:
-                        for p in range(s + 1):
-                            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                                for k, v in d.pair(s - p, a, b).items():
-                                    for out, w in d.pair(p, k, c).items():
-                                        total[out] = total.get(out, 0) + v * w
-                    except OutOfWindowError:
-                        skipped += 1
-                        continue
-                    if found is None and any(total.values()):
-                        found = ((x, y, z), {k: v for k, v in total.items() if v})
-            if found:
-                break
-        if found:
-            orders.append(OrderDefect(s, False, found[0], found[1], skipped))
-        else:
-            orders.append(OrderDefect(s, True, skipped=skipped))
+        for x, y, z in combinations(window.indices(), 3):
+            if found and x != found[0][0]:
+                break  # the rest of the first defective row is still counted
+            total = {}
+            try:
+                for outer, inner in terms:
+                    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                        for k, v in outer[a].get(b, ()):
+                            for out, w in inner[k].get(c, ()):
+                                total[out] = total.get(out, 0) + v * w
+            except OutOfWindowError:
+                skipped += 1
+                continue
+            if found is None and any(total.values()):
+                scale = d0 * d0 * den ** s
+                found = ((x, y, z), {k: Fraction(v, scale) for k, v in total.items() if v})
+        orders.append(OrderDefect(s, False, *found, skipped) if found
+                      else OrderDefect(s, True, skipped=skipped))
     return DefectReport(window, tuple(orders))
 
 
@@ -283,13 +305,8 @@ def infinitesimal(d: DeformedBracket) -> InfinitesimalReport:
                 break
         if violation:
             break
-    return InfinitesimalReport(
-        cochain=mu1,
-        is_cocycle=violation is None,
-        first_violation=violation,
-        weights=tuple(sorted(comps)),
-        components=comps,
-    )
+    return InfinitesimalReport(cochain=mu1, is_cocycle=violation is None, first_violation=violation,
+                               weights=tuple(sorted(comps)), components=comps)
 
 
 # -- conjugation -------------------------------------------------------------------
@@ -305,38 +322,44 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
     if e.order != d.order or e.window != d.window:
         raise ValueError("equivalence and bracket must share order and window")
     N = d.order
-    window = d.window
     psi = invert(e)
+    tables, d0, den = _layer_tables(d, e.layers)
+    # den^u phi_u and den^u psi_u are integral; row u - 1 holds them at each e_i
+    phi_rows, psi_rows = ([{i: _scaled(outs, den ** u) for (i,), outs in layer.entries.items()}
+                           for u, layer in enumerate(series.layers, start=1)]
+                          for series in (e, psi))
     # smallest order with a nonzero equivalence layer; psi_u = 0 for 0 < u < m0
     m0 = next((s for s in range(1, N + 1) if not e.layers[s - 1].is_zero), N + 1)
-    images = {i: [e.apply_order(v, {i: 1}) for v in range(N + 1)] for i in window.indices()}
+    images = {i: [((i, 1),)] + [rows.get(i, ()) for rows in phi_rows] for i in d.window.indices()}
     new_entries: list[dict] = [dict() for _ in range(N)]
     omitted = set(d.omitted_pairs)
-    for i in window.indices():
-        for j in range(i + 1, window.hi + 1):
-            # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j), computed only
-            # for the orders a nonzero psi_u will consume
-            b_cache: dict[int, dict] = {}
-
+    for i in d.window.indices():
+        for j in range(i + 1, d.window.hi + 1):
+            # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j) times d0 den^m, computed
+            # only for the orders a nonzero psi_u will consume
+            @cache
             def b_order(m):
-                if m not in b_cache:
-                    total = {}
-                    for r in range(m + 1):
-                        for v in range(m - r + 1):
-                            image = d.evaluate_order(r, images[i][v], images[j][m - r - v])
-                            for k, c in image.items():
-                                total[k] = total.get(k, 0) + c
-                    b_cache[m] = total
-                return b_cache[m]
+                total = {}
+                for r in range(m + 1):
+                    for v in range(m - r + 1):
+                        for kx, vx in images[i][v]:
+                            for ky, vy in images[j][m - r - v]:
+                                for k, c in tables[r][kx].get(ky, ()):
+                                    total[k] = total.get(k, 0) + vx * vy * c
+                return total
 
             try:
                 values = []
                 for s in range(1, N + 1):
-                    total = {}
-                    for u in (0, *range(m0, s + 1)):
-                        for k, c in psi.apply_order(u, b_order(s - u)).items():
-                            total[k] = total.get(k, 0) + c
-                    outs = {k: c for k, c in total.items() if c}
+                    # psi_u(B_{s-u}) carries d0 den^s for every u
+                    total = dict(b_order(s))
+                    for u in range(m0, s + 1):
+                        for k, c in b_order(s - u).items():
+                            for o, w in psi_rows[u - 1].get(k, ()):
+                                total[o] = total.get(o, 0) + c * w
+                    scale = d0 * den ** s
+                    outs = {k: Fraction(c, scale) if c % scale else c // scale
+                            for k, c in total.items() if c}
                     if CENTRAL in outs:
                         raise ConfigError("central targets are not deformed here")
                     values.append(outs)
@@ -345,8 +368,9 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
                 continue
             for s, outs in enumerate(values):
                 new_entries[s][(i, j)] = outs
-    layers = tuple(MixedCochain(2, window, entries) for entries in new_entries)
-    return DeformedBracket(N, d.algebra, window, layers, frozenset(omitted))
+    del tables  # freed before MixedCochain copies the entries
+    layers = tuple(MixedCochain(2, d.window, entries) for entries in new_entries)
+    return DeformedBracket(N, d.algebra, d.window, layers, frozenset(omitted))
 
 
 # -- trivialization -------------------------------------------------------------------
@@ -524,13 +548,9 @@ def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
 
 
 def render_deformation(d: DeformedBracket) -> str:
-    lines = [
-        f"algebra: {d.algebra.name}",
-        f"order: {d.order}",
-        f"window: {d.window.lo}:{d.window.hi}",
-    ]
-    for s in range(1, d.order + 1):
-        mu = d.layers[s - 1]
+    lines = [f"algebra: {d.algebra.name}", f"order: {d.order}",
+             f"window: {d.window.lo}:{d.window.hi}"]
+    for s, mu in enumerate(d.layers, start=1):
         lines.append(f"layer: {s}")
         for t in sorted(mu.entries):
             outs = ", ".join(f"{o}:{v}" for o, v in sorted(mu.entries[t].items()))

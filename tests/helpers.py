@@ -19,7 +19,7 @@ from random import Random
 
 from wittcoh.algebra import CENTRAL, Window
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, differential
-from wittcoh.deformation import DefectReport, DeformedBracket, OrderDefect, invert
+from wittcoh.deformation import DefectReport, DeformedBracket, Equivalence, OrderDefect, invert
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError, OutOfWindowError
 from wittcoh.linalg import SparseMatrix
 from wittcoh.replay import RelationSet, SymbolicValue
@@ -216,6 +216,13 @@ def random_mixed_layer(rng: Random, degree: int, window: Window, weights, fill: 
                 num = rng.choice([p for p in range(-9, 10) if p])
                 entries.setdefault(t, {})[sum(t) + w] = Fraction(num, rng.choice(denominators))
     return MixedCochain(degree, window, entries)
+
+
+def random_equivalence(rng: Random, window: Window, order: int) -> Equivalence:
+    """id + t phi_1 + ... with each phi_s a random_mixed_layer of two weights in -1..1."""
+    return Equivalence(order, window, tuple(
+        random_mixed_layer(rng, 1, window, rng.sample((-1, 0, 1), 2), 0.3)
+        for _ in range(order)))
 
 
 def random_scalar(rng: Random) -> Fraction:

@@ -95,6 +95,14 @@ def test_malformed_injected_relation_exits_two(capsys, relation):
     assert len(err.splitlines()) == 1
 
 
+def test_injected_relation_beyond_the_table_exits_two(capsys):
+    # a_40 appears in no relation at K = 12, so the audit could never fail
+    code, out, err = run(capsys, "replay", "--K", "12", "--inject-relation", "40=1/2")
+    assert (code, out) == (2, "")
+    assert "a_40" in err and "|k| <= K = 12" in err
+    assert run(capsys, "replay", "--K", "12", "--inject-relation=-12=0")[0] == 0
+
+
 def test_virasoro_cohomology_is_rejected_for_its_central_targets(capsys):
     code, _, err = run(capsys, "cohomology", "--algebra", "virasoro", "--window=-6:6",
                        "--margin", "2")

@@ -14,7 +14,7 @@ file holds the sha256 of:
   automorphism e_i -> exp(t i) e_i, and the error of a conjugation that
   deforms a central target.
 
-Every coefficient is p/q with |p| <= 9 and q in {1, 2, 3, 7}.  Regenerate
+Every random coefficient is p/q with |p| <= 9 and q in {1, 2, 3, 7}.  Regenerate
 with `PYTHONPATH=src python tests/test_deform_golden.py` only when an output
 change is intended.
 """
@@ -38,16 +38,10 @@ from wittcoh.deformation import (
 )
 from wittcoh.errors import ConfigError
 
-from helpers import random_mixed_layer
+from helpers import random_equivalence, random_mixed_layer
 
 GOLDEN = Path(__file__).parent / "golden" / "deform_digests.json"
 W9 = Window(-9, 9)
-
-
-def unipotent(rng: Random, window: Window, order: int) -> Equivalence:
-    return Equivalence(order, window, tuple(
-        random_mixed_layer(rng, 1, window, rng.sample((-1, 0, 1), 2), 0.3)
-        for _ in range(order)))
 
 
 def bracket_text(d: DeformedBracket) -> str:
@@ -64,8 +58,8 @@ def golden_text() -> str:
     digests = {}
     for order in range(1, 5):
         start = DeformedBracket.trivial(witt, W9, order)
-        once = conjugate(start, unipotent(rng, W9, order))
-        twice = conjugate(once, unipotent(rng, W9, order))
+        once = conjugate(start, random_equivalence(rng, W9, order))
+        twice = conjugate(once, random_equivalence(rng, W9, order))
         digests[f"conjugate order={order}"] = digest(bracket_text(once))
         digests[f"conjugate twice order={order}"] = digest(bracket_text(twice))
         digests[f"jacobi clean order={order}"] = digest(str(jacobi_defect(twice, W9)))
@@ -88,7 +82,7 @@ def golden_text() -> str:
         for v in (1, 2)))
     digests["virasoro conjugate"] = digest(bracket_text(conjugate(d, auto)))
     try:
-        conjugate(d, unipotent(rng, w6, 2))
+        conjugate(d, random_equivalence(rng, w6, 2))
         digests["virasoro central error"] = "no error"
     except ConfigError as exc:
         digests["virasoro central error"] = str(exc)

@@ -23,6 +23,7 @@ from helpers import (
     fraction_conjugate,
     fraction_jacobi_defect,
     random_cochain,
+    random_equivalence,
     random_mixed_layer,
 )
 
@@ -186,12 +187,6 @@ def test_conjugate_rejects_central_targets():
 
 
 W7 = Window(-7, 7)
-
-
-def random_equivalence(rng, window, order):
-    return Equivalence(order, window, tuple(
-        random_mixed_layer(rng, 1, window, rng.sample((-1, 0, 1), 2), 0.3)
-        for _ in range(order)))
 
 
 def random_bracket(rng, alg, window, order, weights=(-1, 0, 1), fill=0.15):
