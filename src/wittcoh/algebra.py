@@ -123,30 +123,86 @@ def make_virasoro() -> GradedLieAlgebra:
     return GradedLieAlgebra("virasoro", rule, has_central=True, graded=True)
 
 
-def _parse_target(tok: str):
-    tok = tok.strip()
-    if ":" not in tok:
-        raise FormatError(f"bad bracket term {tok!r}, expected k:p/q")
-    key_s, _, coeff_s = tok.partition(":")
-    key_s = key_s.strip()
-    if key_s == CENTRAL:
-        key = CENTRAL
-    else:
-        try:
-            key = int(key_s)
-        except ValueError:
-            raise FormatError(f"bad target index {key_s!r}") from None
+# -- documents ---------------------------------------------------------------
+
+
+def read_document(text: str, headers, section: str | None = None):
+    """Split a text document into (header, records).
+
+    The one line grammar of every document the package reads: blank lines
+    and '#' comments are skipped; a line containing '->' is a record, kept as
+    (lineno, lhs, rhs) in document order with both sides stripped; any other
+    line must be `key: value` where key is one of `headers` (each exactly
+    once, all required, in any order) or the repeatable `section` key, whose
+    lines are kept among the records as (lineno, None, value).
+    """
+    header = {}
+    records = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "->" in line:
+            lhs, _, rhs = line.partition("->")
+            records.append((lineno, lhs.strip(), rhs.strip()))
+            continue
+        key, sep, value = (part.strip() for part in line.partition(":"))
+        if not sep or key not in (*headers, section):
+            raise FormatError(f"line {lineno}: unrecognized line {line!r}")
+        if key == section:
+            records.append((lineno, None, value))
+        elif key in header:
+            raise FormatError(f"line {lineno}: duplicate header {key!r}")
+        else:
+            header[key] = value
+    for key in headers:
+        if key not in header:
+            raise FormatError(f"missing header line {key!r}")
+    return header, records
+
+
+def parse_rational(text: str, lineno: int | None = None) -> Fraction:
+    """An exact coefficient 'p/q' (integers and decimals too), FormatError otherwise."""
     try:
-        coeff = Fraction(coeff_s.strip())
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
-        raise FormatError(f"bad rational coefficient {coeff_s.strip()!r}") from None
-    return key, coeff
+        where = "" if lineno is None else f"line {lineno}: "
+        raise FormatError(f"{where}bad rational {text.strip()!r}") from None
+
+
+def parse_terms(text: str, lineno: int, central: bool = False) -> dict:
+    """'k:p/q, k:p/q, ...' as {k: Fraction} with integer keys k; the central
+    key 'c' is accepted only when `central` is set.  A repeated key is rejected."""
+    terms = {}
+    for tok in text.split(","):
+        key_s, sep, coeff_s = (part.strip() for part in tok.partition(":"))
+        try:
+            key = CENTRAL if central and key_s == CENTRAL else int(key_s)
+        except ValueError:
+            key = None
+        if key is None or not sep:
+            raise FormatError(f"line {lineno}: bad term {tok.strip()!r}, expected k:p/q")
+        if key in terms:
+            raise FormatError(f"line {lineno}: repeated target {key!r}")
+        terms[key] = parse_rational(coeff_s, lineno)
+    return terms
+
+
+def parse_tuple(text: str, lineno: int) -> tuple:
+    """'(i,j,...)' as a tuple of ints; '()' is the empty tuple."""
+    if text.startswith("(") and text.endswith(")"):
+        inner = text[1:-1].strip()
+        try:
+            return tuple(int(x) for x in inner.split(",")) if inner else ()
+        except ValueError:
+            pass
+    raise FormatError(f"line {lineno}: bad tuple {text!r}")
 
 
 def load_algebra(text: str) -> GradedLieAlgebra:
     """Parse a structure-constants document.
 
-    Grammar (one item per line, '#' comments and blank lines ignored):
+    Grammar (`read_document`'s, one item per line):
 
         name: <string>
         graded: yes|no
@@ -160,45 +216,7 @@ def load_algebra(text: str) -> GradedLieAlgebra:
     generator has degree 0).  Anything that does not match the grammar is
     rejected.
     """
-    header = {}
-    records: dict[tuple[int, int], dict] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition(":")
-        if sep and key.strip() in ("name", "graded", "central") and "->" not in line:
-            hkey = key.strip()
-            if hkey in header:
-                raise FormatError(f"line {lineno}: duplicate header {hkey!r}")
-            header[hkey] = value.strip()
-            continue
-        if "->" not in line:
-            raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-        lhs, _, rhs = line.partition("->")
-        parts = lhs.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected 'i j -> ...'")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer pair {lhs.strip()!r}") from None
-        if i >= j:
-            raise FormatError(f"line {lineno}: pair must satisfy i < j, got ({i},{j})")
-        if (i, j) in records:
-            raise FormatError(f"line {lineno}: duplicate pair ({i},{j})")
-        if not rhs.strip():
-            raise FormatError(f"line {lineno}: empty bracket value")
-        terms = records[(i, j)] = {}
-        for tok in rhs.split(","):
-            k, coeff = _parse_target(tok)
-            if k in terms:
-                raise FormatError(f"line {lineno}: repeated target {k!r}")
-            terms[k] = coeff
-
-    for hkey in ("name", "graded", "central"):
-        if hkey not in header:
-            raise FormatError(f"missing header line {hkey!r}")
+    header, records = read_document(text, ("name", "graded", "central"))
     for hkey in ("graded", "central"):
         if header[hkey] not in ("yes", "no"):
             raise FormatError(f"header {hkey!r} must be yes or no")
@@ -207,7 +225,19 @@ def load_algebra(text: str) -> GradedLieAlgebra:
 
     # both orientations of every pair, zero coefficients dropped
     table: dict[tuple[int, int], dict] = {}
-    for (i, j), terms in records.items():
+    for lineno, lhs, rhs in records:
+        parts = lhs.split()
+        if len(parts) != 2:
+            raise FormatError(f"line {lineno}: expected 'i j -> ...'")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer pair {lhs!r}") from None
+        if i >= j:
+            raise FormatError(f"line {lineno}: pair must satisfy i < j, got ({i},{j})")
+        if (i, j) in table:
+            raise FormatError(f"line {lineno}: duplicate pair ({i},{j})")
+        terms = parse_terms(rhs, lineno, central=True)
         if CENTRAL in terms and not has_central:
             raise FormatError(
                 f"central target at ({i},{j}) in a document declaring central: no")

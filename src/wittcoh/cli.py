@@ -20,9 +20,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .algebra import check_jacobi, load_algebra, make_virasoro, make_witt
+from .algebra import check_jacobi, load_algebra, make_virasoro, make_witt, parse_rational
 from .cochains import parse_window
 from .cohomology import (
     CohomologyReport,
@@ -30,8 +29,8 @@ from .cohomology import (
     cohomology_dim,
     stability_scan,
 )
-from .deformation import jacobi_defect, parse_deformation, trivialize
-from .errors import BoundaryError, ConfigError, ContradictionError, FormatError
+from .deformation import parse_deformation, trivialize
+from .errors import BoundaryError, ConfigError, ContradictionError, FormatError, NotACocycleError
 from .replay import SymbolicValue, final_solve, run_replay
 
 OUTPUT_DIR_ENV = "WITTCOH_OUTPUT_DIR"
@@ -178,8 +177,8 @@ def _parse_injection(text: str):
     key, sep, value = (part.strip() for part in text.partition("="))
     try:
         if sep:
-            return f"injected[a_{key}={value}]", int(key), Fraction(value)
-    except (ValueError, ZeroDivisionError):
+            return f"injected[a_{key}={value}]", int(key), parse_rational(value)
+    except (ValueError, FormatError):
         pass
     raise ConfigError("--inject-relation wants K=V with an integer K and a rational V, "
                       f"got {text!r}")
@@ -238,13 +237,13 @@ def _cmd_deform(args) -> int:
             return custom
 
     d = parse_deformation(doc, algebra_loader=loader)
-    report = jacobi_defect(d, d.window)
-    lines = [str(report)]
-    outcome = "defective"
-    if report.clean:  # so trivialize's own Jacobi check passes
+    try:
         result = trivialize(d, d.window, args.margin)
-        lines.append(str(result))
+        lines = [str(result.report), str(result)]
         outcome = "trivial" if result.trivialized else "obstructed"
+    except NotACocycleError as exc:  # trivialize's Jacobi check found a defect
+        lines = [str(exc.report)]
+        outcome = "defective"
     _write("\n".join(lines) + "\n", args.output)
     if args.expect is not None:
         return 0 if outcome == args.expect else 1

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import CENTRAL, GradedLieAlgebra, Window
+from .algebra import CENTRAL, GradedLieAlgebra, Window, parse_rational, parse_tuple, read_document
 from .errors import ConfigError, FormatError, OutOfWindowError
 from .linalg import SparseMatrix, check_coefficient
 
@@ -449,39 +449,14 @@ def parse_window(text: str) -> Window:
 
 
 def cochain_from_text(text: str) -> Cochain:
-    header = {}
-    records = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" in line:
-            lhs, _, rhs = line.partition("->")
-            lhs = lhs.strip()
-            if not (lhs.startswith("(") and lhs.endswith(")")):
-                raise FormatError(f"line {lineno}: bad tuple {lhs!r}")
-            inner = lhs[1:-1].strip()
-            try:
-                t = tuple(int(x) for x in inner.split(",")) if inner else ()
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad tuple {lhs!r}") from None
-            if t in records:
-                raise FormatError(f"line {lineno}: duplicate tuple {t}")
-            try:
-                records[t] = Fraction(rhs.strip())
-            except (ValueError, ZeroDivisionError):
-                raise FormatError(f"line {lineno}: bad rational {rhs.strip()!r}") from None
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        if not sep or key not in ("degree", "weight", "window", "coefficients"):
-            raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-        if key in header:
-            raise FormatError(f"line {lineno}: duplicate header {key!r}")
-        header[key] = value.strip()
-    for need in ("degree", "weight", "window", "coefficients"):
-        if need not in header:
-            raise FormatError(f"missing header line {need!r}")
+    """Parse `cochain_to_text`'s form (`read_document`'s grammar, records '(i,j) -> p/q')."""
+    header, records = read_document(text, ("degree", "weight", "window", "coefficients"))
+    entries = {}
+    for lineno, lhs, rhs in records:
+        t = parse_tuple(lhs, lineno)
+        if t in entries:
+            raise FormatError(f"line {lineno}: duplicate tuple {t}")
+        entries[t] = parse_rational(rhs, lineno)
     try:
         degree = int(header["degree"])
         weight = int(header["weight"])
@@ -490,6 +465,6 @@ def cochain_from_text(text: str) -> Cochain:
     window = parse_window(header["window"])
     coeffs = header["coefficients"]
     try:
-        return Cochain(degree, weight, window, coeffs, records)
+        return Cochain(degree, weight, window, coeffs, entries)
     except (ValueError, OutOfWindowError) as exc:
         raise FormatError(str(exc)) from None

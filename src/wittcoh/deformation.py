@@ -44,13 +44,24 @@ from functools import cache
 from itertools import combinations
 from math import lcm
 
-from .algebra import CENTRAL, GradedLieAlgebra, Window, format_terms
+from .algebra import (
+    CENTRAL,
+    GradedLieAlgebra,
+    Window,
+    format_terms,
+    make_virasoro,
+    make_witt,
+    parse_terms,
+    parse_tuple,
+    read_document,
+)
 from .cochains import (
     ADJOINT,
     Cochain,
     MixedCochain,
     basis_tuples,
     delta_matrix,
+    parse_window,
     weight_components,
 )
 from .cohomology import coboundary_primitive
@@ -382,6 +393,7 @@ class TrivializationResult:
     equivalence: Equivalence | None
     conjugated: DeformedBracket | None
     verification_core: Window | None
+    report: DefectReport  # the Jacobi check that admitted d
     obstruction_order: int | None = None
     obstruction: Cochain | None = None
 
@@ -404,13 +416,20 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
     obstruction representative instead.
 
     The comparison set is all of the core only for weights |w| <= margin, so a
-    component of larger weight raises BoundaryError.
+    component of larger weight raises BoundaryError; a margin that leaves no
+    core raises ConfigError before any work.  The Jacobi defect report on
+    `window` comes back on the result, or on the NotACocycleError that
+    rejects a defective d.
     """
+    if not 0 <= 2 * margin <= d.window.hi - d.window.lo:
+        raise ConfigError(f"margin {margin} leaves no core of the window {d.window}: "
+                          f"need 0 <= margin <= {(d.window.hi - d.window.lo) // 2}")
     report = jacobi_defect(d, window)
     if not report.clean:
         bad = report.first_unclean()
         raise NotACocycleError(bad.triple,
-                               f"jacobi defect at order {bad.order}; not a deformation")
+                               f"jacobi defect at order {bad.order}; not a deformation",
+                               report=report)
     N = d.order
     current = d
     total_eq = Equivalence.identity(d.window, N)
@@ -429,7 +448,7 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
                 if prim is None:
                     return TrivializationResult(
                         trivialized=False, equivalence=None, conjugated=None,
-                        verification_core=None, obstruction_order=s,
+                        verification_core=None, report=report, obstruction_order=s,
                         obstruction=comps[wt])
                 parts.append(prim)
             b_s = MixedCochain.from_components(1, d.window, parts)
@@ -444,7 +463,7 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
                 f"trivialization left a nonzero order-{s} layer on {core}")
     return TrivializationResult(
         trivialized=True, equivalence=total_eq, conjugated=current,
-        verification_core=core)
+        verification_core=core, report=report)
 
 
 # -- deformation documents -------------------------------------------------------------
@@ -453,7 +472,7 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
 def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
     """Parse a deformation document.
 
-    Grammar ('#' comments and blank lines ignored):
+    Grammar (`read_document`'s, with the repeatable section key `layer`):
 
         algebra: witt | virasoro
         order: <N>
@@ -462,69 +481,16 @@ def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
         (i,j) -> <out>:<p/q>[, <out>:<p/q>]...
 
     Records after a `layer: s` line populate mu_s; every layer index must lie
-    in 1..N.  `algebra_loader`, when given, maps the algebra name to a custom
-    algebra instead of the built-ins.
+    in 1..N, and a pair may appear once per layer.  `algebra_loader`, when
+    given, maps the algebra name to a custom algebra instead of the built-ins.
     """
-    from .algebra import make_virasoro, make_witt
-    from .cochains import parse_window
-
-    header = {}
-    layer_entries: dict[int, dict] = {}
-    active = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "->" in line:
-            if active is None:
-                raise FormatError(f"line {lineno}: bracket record before any layer line")
-            lhs, _, rhs = line.partition("->")
-            lhs = lhs.strip()
-            if not (lhs.startswith("(") and lhs.endswith(")")):
-                raise FormatError(f"line {lineno}: bad pair {lhs!r}")
-            try:
-                i_s, j_s = lhs[1:-1].split(",")
-                i, j = int(i_s), int(j_s)
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad pair {lhs!r}") from None
-            if i >= j:
-                raise FormatError(f"line {lineno}: pair must satisfy i < j")
-            outs = layer_entries[active].setdefault((i, j), {})
-            for tok in rhs.split(","):
-                out_s, _, coeff_s = tok.partition(":")
-                try:
-                    out = int(out_s.strip())
-                    coeff = Fraction(coeff_s.strip())
-                except (ValueError, ZeroDivisionError):
-                    raise FormatError(f"line {lineno}: bad term {tok.strip()!r}") from None
-                if out in outs:
-                    raise FormatError(f"line {lineno}: repeated output {out}")
-                outs[out] = coeff
-            continue
-        key, sep, value = line.partition(":")
-        key = key.strip()
-        if not sep or key not in ("algebra", "order", "window", "layer"):
-            raise FormatError(f"line {lineno}: unrecognized line {line!r}")
-        if key == "layer":
-            try:
-                active = int(value.strip())
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad layer index {value.strip()!r}") from None
-            if active in layer_entries:
-                raise FormatError(f"line {lineno}: duplicate layer {active}")
-            layer_entries[active] = {}
-        else:
-            if key in header:
-                raise FormatError(f"line {lineno}: duplicate header {key!r}")
-            header[key] = value.strip()
-
-    for need in ("algebra", "order", "window"):
-        if need not in header:
-            raise FormatError(f"missing header line {need!r}")
+    header, records = read_document(text, ("algebra", "order", "window"), section="layer")
     try:
         order = int(header["order"])
     except ValueError:
         raise FormatError("order must be an integer") from None
+    if order < 0:
+        raise FormatError(f"order must be non-negative, got {order}")
     window = parse_window(header["window"])
     name = header["algebra"]
     if algebra_loader is not None:
@@ -535,9 +501,31 @@ def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
         algebra = make_virasoro()
     else:
         raise FormatError(f"unknown algebra {name!r} (expected witt or virasoro)")
-    bad = [s for s in layer_entries if not 1 <= s <= order]
-    if bad:
-        raise FormatError(f"layer index {bad[0]} outside 1..{order}")
+
+    layer_entries: dict[int, dict] = {}
+    active = None
+    for lineno, lhs, rhs in records:
+        if lhs is None:  # a `layer: s` line
+            try:
+                active = int(rhs)
+            except ValueError:
+                raise FormatError(f"line {lineno}: bad layer index {rhs!r}") from None
+            if active in layer_entries:
+                raise FormatError(f"line {lineno}: duplicate layer {active}")
+            if not 1 <= active <= order:
+                raise FormatError(f"line {lineno}: layer index {active} outside 1..{order}")
+            layer_entries[active] = {}
+            continue
+        if active is None:
+            raise FormatError(f"line {lineno}: bracket record before any layer line")
+        pair = parse_tuple(lhs, lineno)
+        if len(pair) != 2:
+            raise FormatError(f"line {lineno}: bad pair {lhs!r}")
+        if pair[0] >= pair[1]:
+            raise FormatError(f"line {lineno}: pair must satisfy i < j")
+        if pair in layer_entries[active]:
+            raise FormatError(f"line {lineno}: duplicate pair {lhs} in layer {active}")
+        layer_entries[active][pair] = parse_terms(rhs, lineno)
     layers = []
     for s in range(1, order + 1):
         try:

@@ -10,10 +10,12 @@ class BoundaryError(Exception):
 
 
 class NotACocycleError(Exception):
-    """Input fails the cocycle condition; carries the first violated tuple."""
+    """Input fails the cocycle condition; carries the first violated tuple and,
+    when a Jacobi defect report found it, that report."""
 
-    def __init__(self, tuple_, detail=""):
+    def __init__(self, tuple_, detail="", report=None):
         self.tuple = tuple_
+        self.report = report
         super().__init__(f"cocycle condition violated at {tuple_}{': ' + detail if detail else ''}")
 
 

@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 
 from wittcoh.cli import emit_report, main
+from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential
 from wittcoh.cohomology import CohomologyReport, central_extension_dim
-from wittcoh.algebra import Window
+from wittcoh.algebra import Window, make_witt
+from wittcoh.deformation import DeformedBracket, render_deformation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -230,6 +232,51 @@ def test_deform_obstructed_custom_algebra(capsys, tmp_path):
                        "--margin", "2")
     assert code == 2
     assert "weight-3 component" in err
+
+
+W8 = Window(-8, 8)
+DEFORM_DOCS = {
+    # the coboundary of e_1 -> e_1
+    "trivial": render_deformation(DeformedBracket(1, make_witt(), W8, (MixedCochain.from_cochain(
+        differential(make_witt(), Cochain(1, 0, W8, ADJOINT, {(1,): 1}))),))),
+    "obstructed": "algebra: abelian-plane\norder: 1\nwindow: 0:1\nlayer: 1\n(0,1) -> 1:1\n",
+    "defective": "algebra: witt\norder: 1\nwindow: -8:8\nlayer: 1\n(1,2) -> 3:1\n",
+}
+
+
+@pytest.mark.parametrize("outcome", sorted(DEFORM_DOCS))
+def test_deform_runs_the_jacobi_check_once(capsys, tmp_path, monkeypatch, outcome):
+    import wittcoh.cli as cli
+    import wittcoh.deformation as deformation
+
+    calls = []
+    real = deformation.jacobi_defect
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (deformation, cli):
+        monkeypatch.setattr(module, "jacobi_defect", counting, raising=False)
+    alg = tmp_path / "abelian.alg"
+    alg.write_text("name: abelian-plane\ngraded: yes\ncentral: no\n")
+    doc = tmp_path / "doc.txt"
+    doc.write_text(DEFORM_DOCS[outcome])
+    extra = ["--algebra-file", str(alg), "--margin", "0"] if outcome == "obstructed" else []
+    code, out, _ = run(capsys, "deform", "--file", str(doc), *extra)
+    assert len(calls) == 1
+    assert code == (0 if outcome == "trivial" else 1)
+    assert out.startswith("jacobi defects on ")
+    assert {"trivial": "trivialized:", "obstructed": "obstructed at order 1",
+            "defective": "order 1: defect at"}[outcome] in out
+
+
+def test_deform_margin_with_no_core_exits_two(capsys, tmp_path):
+    doc = tmp_path / "doc.txt"
+    doc.write_text(DEFORM_DOCS["trivial"])
+    code, out, err = run(capsys, "deform", "--file", str(doc), "--margin", "9")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: margin 9 leaves no core of the window [-8,8]")
 
 
 def test_deform_algebra_file_name_mismatch(capsys, tmp_path):

@@ -391,6 +391,48 @@ def test_deformation_document_rejects_garbage():
         parse_deformation("algebra: nope\norder: 1\nwindow: -4:4\n")
 
 
+def test_deformation_document_rejects_a_pair_repeated_in_one_layer():
+    head = "algebra: witt\norder: 2\nwindow: -4:4\nlayer: 1\n(0,1) -> 1:2\n"
+    with pytest.raises(FormatError, match=r"^line 6: duplicate pair \(0,1\) in layer 1$"):
+        parse_deformation(head + "(0,1) -> 2:5\n")
+    # the same pair in another layer is a different entry
+    d = parse_deformation(head + "layer: 2\n(0,1) -> 2:5\n")
+    assert [mu.entries for mu in d.layers] == [{(0, 1): {1: 2}}, {(0, 1): {2: 5}}]
+
+
+def test_deformation_document_rejects_a_negative_order():
+    with pytest.raises(FormatError, match="^order must be non-negative, got -1$"):
+        parse_deformation("algebra: witt\norder: -1\nwindow: -4:4\n")
+    assert parse_deformation("algebra: witt\norder: 0\nwindow: -4:4\n").layers == ()
+
+
+def test_trivialize_rejects_a_margin_with_no_core_before_any_work(monkeypatch):
+    import wittcoh.deformation as deformation
+
+    d = DeformedBracket.trivial(WITT, W8, 1)
+    # the widest margin leaves the one-index core [0,0]
+    assert trivialize(d, W8, margin=8).verification_core == Window(0, 0)
+    calls = []
+    monkeypatch.setattr(deformation, "jacobi_defect", lambda *a: calls.append(a))
+    with pytest.raises(ConfigError, match=r"^margin 9 leaves no core of the window \[-8,8\]"):
+        trivialize(d, W8, margin=9)
+    with pytest.raises(ConfigError, match=r"^margin -1 leaves no core"):
+        trivialize(d, W8, margin=-1)
+    assert calls == []
+
+
+def test_trivialize_carries_its_jacobi_report():
+    rng = Random(5)
+    mu1 = MixedCochain.from_cochain(differential(WITT, random_cochain(rng, 1, 0, W8, fill=0.4)))
+    d = DeformedBracket(1, WITT, W8, (mu1,))
+    assert trivialize(d, W8, margin=3).report == jacobi_defect(d, W8)
+    bad = DeformedBracket(1, WITT, W8, (MixedCochain(2, W8, {(1, 2): {3: 1}}),))
+    with pytest.raises(NotACocycleError) as caught:
+        trivialize(bad, W8, margin=3)
+    assert caught.value.report == jacobi_defect(bad, W8)
+    assert not caught.value.report.clean
+
+
 def test_composed_equivalence_trivializes_in_one_step():
     # conjugating the original bracket by the single composed equivalence kills
     # every layer on the core, not just the incremental stage-by-stage chain

@@ -64,3 +64,28 @@ def test_the_exactness_guard_sees_floats_and_int_division(tmp_path):
                      "u = (a - b) / Fraction(c)\nv /= 2\nv /= Fraction(2)\n")
     assert inexact_arithmetic(probe) == [
         (1, "float literal"), (2, "float call"), (3, "division"), (6, "division")]
+
+
+def callers_of(path, method):
+    """Sorted names of the functions that call `.method(...)`; '<module>' for top-level calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}
+    for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((id(sub), node.name) for sub in ast.walk(node))
+    return sorted({owner.get(id(node), "<module>") for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == method})
+
+
+def test_read_document_is_the_only_reader_of_document_lines():
+    offenders = {p.name: callers_of(p, "splitlines") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: got for name, got in offenders.items() if got} == {"algebra.py": ["read_document"]}
+
+
+def test_the_line_reader_guard_sees_every_caller(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("rows = TEXT.splitlines()\n\ndef outer(text):\n"
+                     "    def inner():\n        return text.splitlines()\n    return inner\n\n"
+                     "def other(text):\n    return text.split()\n")
+    assert callers_of(probe, "splitlines") == ["<module>", "inner"]
