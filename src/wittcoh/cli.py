@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_cohomology(args) -> int:
     alg = _resolve_algebra(args.algebra)
-    if args.stabilize:
+    if args.stabilize is not None:
         windows = [parse_window(w) for w in args.stabilize.split(",")]
         report = stability_scan(alg, args.degree, args.weight, windows, args.margin,
                                 coeffs=args.coefficients)

@@ -27,8 +27,9 @@ Every system is solved in two passes:
   pivots are independent mod _P, hence independent over Q.
 * Exact pass: the integer core runs on the selected rows only.
 
-Certificate: every kernel vector of the selected rows, and the particular
-solution, must give an integer dot product of 0 with *every* row.  Then the
+Certificate: every kernel vector of the selected rows, built in integers, and
+the particular solution must give an integer dot product of 0 with *every*
+row; one sweep over the rows checks all of them in full.  Then the
 kernel of the subset equals the kernel of m, so the row spaces agree, and the
 reduced echelon form, which depends only on the row space, is the one full
 elimination would give: rank, pivot columns, kernel basis and particular
@@ -166,9 +167,30 @@ def _eliminate(rows, n_cols):
     return pivots, [r for _, r in active]
 
 
-def _annihilates(rows, vec):
-    """Whether the integer vector {col: int} has dot product 0 with every row."""
-    return not any(sum(a * vec.get(c, 0) for c, a in row.items()) for row in rows)
+def _first_failure(rows, vecs):
+    """Index of the first integer vector {col: int} not orthogonal to every row, or None."""
+    by_col = {}
+    for k, vec in enumerate(vecs):
+        for c, x in vec.items():
+            by_col.setdefault(c, []).append((k, x))
+    failed = []
+    for row in rows:
+        dots = [0] * len(vecs)
+        for c, a in row.items():
+            for k, x in by_col.get(c, ()):
+                dots[k] += a * x
+        if any(dots):
+            failed.append(next(k for k, s in enumerate(dots) if s))
+    return min(failed, default=None)
+
+
+def _null_vector(pivots, f):
+    """The primitive integer vector, positive at column f and zero off f and the pivot
+    columns, that the reduced pivot rows (c, r) annihilate: v_f = L = lcm(r[c]) over the
+    rows with r[f] != 0, and v_c = -r[f] * (L // r[c]) on them."""
+    hits = [(c, r) for c, r in pivots if r.get(f)]
+    scale = lcm(*(r[c] for c, r in hits))
+    return _primitive({f: scale, **{c: -r[f] * (scale // r[c]) for c, r in hits}})
 
 
 def _select(rows):
@@ -216,11 +238,7 @@ def _select(rows):
 
 
 def _solve_rows(sub, rows, n_cols, augmented):
-    """Exact solution data from the rows `sub`, certified against every row of `rows`.
-
-    Raises AssertionError when a kernel vector or the particular solution
-    fails some row of `rows`.
-    """
+    """Exact solution data from the rows `sub`; AssertionError unless it holds on all `rows`."""
     pivots, leftovers = _eliminate(sub, n_cols)
     # back-substitute: clear each pivot column from the earlier pivot rows
     for k in range(len(pivots) - 1, -1, -1):
@@ -230,24 +248,19 @@ def _solve_rows(sub, rows, n_cols, augmented):
             if rj.get(col):
                 pivots[j] = (cj, _combine(rj, piv, col))
 
-    pivot_cols = {c for c, _ in pivots}
+    free = sorted(set(range(n_cols)).difference(c for c, _ in pivots))
+    consistent = augmented and not leftovers
+    vecs = [_null_vector(pivots, f) for f in free + [_AUG] * consistent]  # _AUG: (x, 1)
+    bad = _first_failure(rows, vecs)
+    if bad is not None:
+        raise AssertionError("kernel vector fails m*v = 0" if bad < len(free)
+                             else "particular solution fails m*x = rhs")
     kernel = []
-    for f in (c for c in range(n_cols) if c not in pivot_cols):
-        vec = _primitive({f: 1,
-                          **{c: Fraction(-r[f], r[c]) for c, r in pivots if r.get(f)}})
-        if not _annihilates(rows, vec):
-            raise AssertionError("kernel vector fails m*v = 0")
-        if not vec.get(f) or any(c != f and c not in pivot_cols for c in vec):
-            raise AssertionError("kernel basis is not independent on the free columns")
+    for vec in vecs[:len(free)]:
         sign = 1 if vec[min(vec)] > 0 else -1
         kernel.append(tuple(sign * vec.get(j, 0) for j in range(n_cols)))
-
-    particular = None
-    if augmented and not leftovers:
-        x = {c: Fraction(-r[_AUG], r[c]) for c, r in pivots if r.get(_AUG)}
-        if not _annihilates(rows, _primitive({**x, _AUG: 1})):
-            raise AssertionError("particular solution fails m*x = rhs")
-        particular = tuple(x.get(j, 0) for j in range(n_cols))
+    x = vecs[-1] if consistent else None
+    particular = x and tuple(Fraction(x[j], x[_AUG]) if j in x else 0 for j in range(n_cols))
 
     return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
                           kernel_basis=tuple(kernel), particular=particular)
@@ -263,10 +276,10 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     Every answer is certified exactly before it is returned.  Each integer row
     of [m | rhs] is a nonzero rational multiple of an input row, so an integer
     dot product of 0 with it is the identity m*v = 0 (or m*x = rhs).  The
-    kernel vectors are independent because each is nonzero on its own free
+    integer kernel vectors are independent: each is nonzero on its own free
     column and zero on every other one.  The system is solved exactly on the
-    rows `_select` picks and certified against all of them; if that
-    certificate fails, every row is eliminated.
+    rows `_select` picks and certified against all of them in one sweep; if
+    that certificate fails, every row is eliminated.
     """
     frac_rows = m.row_dicts()
     if rhs is not None:

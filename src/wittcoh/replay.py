@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BoundaryError, ContradictionError
+from .errors import BoundaryError, ConfigError, ContradictionError
 from .linalg import SparseMatrix, check_coefficient, rank, solve
 
 TAGS = ("Eq1", "Eq5", "Eq6", "Eq7", "Diag", "Antisym", "Sec5", "Sec9")
@@ -134,7 +134,7 @@ class FactTable:
 
     def __init__(self, K: int):
         if K < 6:
-            raise ValueError(f"table window must satisfy K >= 6, got {K}")
+            raise ConfigError(f"table window must satisfy K >= 6, got {K}")
         self.K = K
         self.cells: dict[tuple, SymbolicValue] = {}
         self.provenance: dict[tuple, str] = {}
@@ -487,6 +487,8 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
     incomplete.  Dimension 0 means every buffered a_k is forced to zero.
     """
     K = t.K
+    if not 0 <= buffer <= K:
+        raise ConfigError(f"buffer must satisfy 0 <= buffer <= K = {K}, got {buffer}")
     solved = relations.solve()
     targets = [k for k in range(-(K - buffer), K - buffer + 1) if k not in (-2, 1, 2)]
     universe = set(targets) | set(solved)

@@ -10,7 +10,8 @@ The builders (`matrix_from_rows`, `cochain_from_function`, `without_tag`,
 `solved_form`) and `sequential_solve`, the reference elimination that
 `RelationSet.solve` is checked against, are used by the tests only, as are
 `fraction_jacobi_defect` and `fraction_conjugate`, the Fraction references
-for the integer-table `jacobi_defect` and `conjugate`.
+for the integer-table `jacobi_defect` and `conjugate`, and `annihilates`,
+the per-vector reference for the one-sweep certificate of `linalg.solve`.
 """
 
 from fractions import Fraction
@@ -33,6 +34,12 @@ def matrix_from_rows(rows) -> SparseMatrix:
         raise ValueError("ragged rows")
     return SparseMatrix(len(rows), n_cols,
                         {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+
+
+def annihilates(rows, vec) -> bool:
+    """Whether the integer vector {col: int} has dot product 0 with every {col: int}
+    row, one separate dot product per row."""
+    return not any(sum(a * vec.get(c, 0) for c, a in row.items()) for row in rows)
 
 
 def permutation_sign(args) -> int:

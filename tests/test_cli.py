@@ -73,6 +73,28 @@ def test_stabilize_ignores_the_window_option(capsys):
     assert "stabilization: [-8,8] -> 0" in out
 
 
+def test_empty_stabilize_list_exits_two(capsys):
+    # an empty --stabilize= must not fall back to --window
+    code, out, err = run(capsys, "cohomology", "--stabilize=", "--window=-8:8", "--expect", "0")
+    assert (code, out) == (2, "")
+    assert "bad window ''" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--inject-relation", "3=0"]], ids=["plain", "injected"])
+@pytest.mark.parametrize("buffer", ["20", "-3", "13"])
+def test_replay_buffer_outside_the_table_exits_two(capsys, buffer, extra):
+    # K - buffer < 0 certifies nothing, and buffer < 0 reaches past |k| <= K
+    code, out, err = run(capsys, "replay", "--K", "12", f"--buffer={buffer}", "--expect", "0",
+                         *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: buffer must satisfy 0 <= buffer <= K = 12, got {buffer}\n"
+
+
+def test_replay_buffer_bounds_are_inclusive(capsys):
+    for buffer in ("0", "12"):
+        assert run(capsys, "replay", "--K", "12", "--buffer", buffer)[0] == 0
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["cohomology", "--frobnicate"]) == 2
 

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from wittcoh import linalg
 from wittcoh.algebra import Window, make_witt
 from wittcoh.cohomology import cocycle_matrix
-from wittcoh.linalg import SparseMatrix, rank, solve
+from wittcoh.linalg import LinearSolution, SparseMatrix, rank, solve
 
-from helpers import matrix_from_rows as mat
+from helpers import annihilates, matrix_from_rows as mat
 
 # rows in the redundant test systems: far more than their rank, so _select drops most
 TALL = 80
@@ -131,6 +131,64 @@ def test_particular_certificate_fires(monkeypatch):
         with pytest.raises(AssertionError, match="particular solution"):
             solve(mat([[1, 0], [0, 1]] * copies), [5, 7] * copies)
     assert seen == [2, TALL]
+
+
+@st.composite
+def certificate_cases(draw):
+    """(rows, vectors) as {col: int} dicts, orthogonal or not, over columns -1..n-1.
+
+    Each vector k owns a column n + k (entry 1 there) in which every row is
+    set to cancel its dot product with that vector: then all products are 0
+    ("zero"), or a nudge in one row's column n + k makes exactly the one pair
+    (row, k) nonzero ("one pair"); "raw" leaves the drawn entries as they are.
+    """
+    n = draw(st.integers(1, 6))
+    entries = st.dictionaries(st.integers(-1, n - 1), st.integers(-5, 5).filter(bool),
+                              max_size=n + 1)
+    vecs = draw(st.lists(entries, max_size=6))
+    rows = draw(st.lists(entries, min_size=1, max_size=12))
+    kind = draw(st.sampled_from(["zero", "one pair", "raw"]))
+    if kind != "raw":
+        for k, vec in enumerate(vecs):
+            vec[n + k] = 1
+            for row in rows:
+                dot = sum(a * vec.get(c, 0) for c, a in row.items())
+                if dot:
+                    row[n + k] = -dot
+        if kind == "one pair" and vecs:
+            i, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(vecs) - 1))
+            rows[i][n + k] = rows[i].get(n + k, 0) + draw(st.sampled_from([1, -1, 7]))
+    return rows, vecs
+
+
+@given(certificate_cases())
+@settings(max_examples=200, deadline=None)
+def test_one_sweep_certificate_matches_the_per_vector_reference(case):
+    rows, vecs = case
+    expected = next((k for k, vec in enumerate(vecs) if not annihilates(rows, vec)), None)
+    assert linalg._first_failure(rows, vecs) == expected
+
+
+def test_only_the_last_row_fails_only_the_last_kernel_vector(monkeypatch):
+    # row (1, 0, 0, P) is (1, 0, 0, 0) mod P, so _select keeps only the first two
+    # rows; their kernel e_2, e_3 meets that last row only through e_3
+    m = mat([[1, 0, 0, 0], [0, 1, 0, 0]] * (TALL // 2) + [[1, 0, 0, linalg._P]])
+    full = LinearSolution(rank=3, pivot_columns=(0, 1, 3), kernel_basis=((0, 0, 1, 0),))
+    with mock.patch.object(linalg, "_select", lambda rows: list(range(len(rows)))):
+        assert solve(m) == full
+    checks = []
+    real = linalg._first_failure
+
+    def spy(rows, vecs):
+        checks.append({(i, k) for i, row in enumerate(rows) for k, vec in enumerate(vecs)
+                       if not annihilates([row], vec)})
+        return real(rows, vecs)
+
+    seen = _spy_select(monkeypatch)
+    monkeypatch.setattr(linalg, "_first_failure", spy)
+    assert solve(m) == full
+    assert seen == [TALL + 1]
+    assert checks == [{(TALL, 1)}, set()]  # selected rows fail; the full-row fallback holds
 
 
 def _weight_zero_cocycle_matrix(h):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittcoh.errors import BoundaryError, ContradictionError
+from wittcoh.errors import BoundaryError, ConfigError, ContradictionError
 from wittcoh.linalg import SparseMatrix, solve
 from wittcoh.replay import (
     FactTable,
@@ -64,7 +64,7 @@ def test_init_diagonal_not_stored():
 
 
 def test_init_requires_k_at_least_six():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^table window must satisfy K >= 6, got 5$"):
         init_table(5)
 
 
@@ -274,6 +274,14 @@ def test_final_solve_all_zero(table12):
     assert verdict.dimension == 0
     assert verdict.all_zero
     assert all(v.is_zero for v in verdict.solved_targets.values())
+
+
+@pytest.mark.parametrize("buffer", [-1, 13])
+def test_final_solve_rejects_a_buffer_outside_the_table(table12, buffer):
+    rels = diagonal_relations(table12, 6).merged(k2_specializations(table12))
+    with pytest.raises(ConfigError, match=rf"0 <= buffer <= K = 12, got {buffer}$"):
+        final_solve(table12, rels, buffer=buffer)
+    assert final_solve(table12, rels, buffer=12).all_zero  # only a_0 is left to project on
 
 
 def test_final_solve_without_endgame_family(table12):
