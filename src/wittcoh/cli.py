@@ -31,7 +31,7 @@ from .cohomology import (
 )
 from .deformation import parse_deformation, trivialize
 from .errors import BoundaryError, ConfigError, ContradictionError, FormatError, NotACocycleError
-from .replay import SymbolicValue, final_solve, run_replay
+from .replay import SymbolicValue, check_buffer, final_solve, run_replay
 
 OUTPUT_DIR_ENV = "WITTCOH_OUTPUT_DIR"
 
@@ -189,6 +189,7 @@ def _cmd_replay(args) -> int:
     if injected and abs(injected[1]) > args.K:
         raise ConfigError(f"--inject-relation names a_{injected[1]}, but the table's "
                           f"unknowns are a_k with |k| <= K = {args.K}")
+    check_buffer(args.K, args.buffer)
     result = run_replay(K=args.K, buffer=args.buffer)
     verdict = result.verdict
     if injected:

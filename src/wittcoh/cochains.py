@@ -37,11 +37,14 @@ terms.
 
 `delta_matrix` is the single builder of delta: cocycles, comparison sets,
 coboundaries, primitives, the infinitesimal check and `differential` (a
-matrix-vector product) all read the sparse matrix it returns.
+matrix-vector product) all read the sparse matrix it returns.  It expands the
+formula above in one loop over the (q+1)-tuples, summing each row's terms
+into one dict keyed by the referenced q-tuple.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -54,8 +57,12 @@ ADJOINT = "adjoint"
 TRIVIAL = "trivial"
 
 
+_CENTRAL_TARGET = ("differential needs bracket values inside the indexed span; "
+                   "central targets are not supported as cochain arguments")
+
+
 class _Omit(Exception):
-    """Internal: evaluation left the window; omit the output tuple."""
+    """Internal: the expansion left the window; omit the output tuple."""
 
 
 def _sort_with_sign(args):
@@ -167,10 +174,6 @@ class Cochain:
                     (other.degree, other.weight, other.window, other.coeffs)
                 and self.entries == other.entries)
 
-    def __hash__(self):
-        return hash((self.degree, self.weight, self.window, self.coeffs,
-                     frozenset(self.entries.items())))
-
     # -- evaluation -------------------------------------------------------
 
     def component(self, *args) -> int | Fraction:
@@ -206,87 +209,67 @@ class Cochain:
 # -- the differential ------------------------------------------------------
 
 
-def delta_terms(alg: GradedLieAlgebra, degree: int, weight: int, window: Window,
-                coeffs: str, out_tuple):
-    """Symbolic expansion of delta at out_tuple over the entries of a q-cochain.
-
-    Returns a list of (reference tuple, coefficient) pairs such that for any
-    cochain c of the given shape, delta(c) at out_tuple equals the sum of
-    coefficient * c[reference tuple].  Raises _Omit when the expansion would
-    reference an index outside the window; delta_matrix omits that tuple.
-    """
-    q = degree
-    d = weight
-    xs = list(out_tuple)
-    terms = []
-
-    def emit(sign, coeff, args):
-        t, perm_sign = _sort_with_sign(args)
-        if t is None:
-            return
-        terms.append((t, sign * perm_sign * coeff))
-
-    # bracket-composition terms: (-1)^{s+t-1} c([x_s,x_t], rest)
-    for s in range(q + 1):
-        for t in range(s + 1, q + 1):
-            sign = -1 if (s + t) % 2 == 0 else 1  # (-1)^{(s+1)+(t+1)-1}
-            rest = [xs[u] for u in range(q + 1) if u != s and u != t]
-            for key, coeff in alg.bracket_rule(xs[s], xs[t]).items():
-                if key == CENTRAL:
-                    raise ConfigError(
-                        "differential needs bracket values inside the indexed span; "
-                        "central targets are not supported as cochain arguments")
-                if key not in window:
-                    raise _Omit
-                emit(sign, coeff, [key] + rest)
-    if coeffs == ADJOINT:
-        # action terms: (-1)^s [x_s, c(rest)]
-        out_index = sum(xs) + d
-        for s in range(q + 1):
-            sign = -1 if s % 2 == 0 else 1  # (-1)^{s+1} for 1-indexed s
-            rest = [xs[u] for u in range(q + 1) if u != s]
-            inner = sum(rest) + d
-            if inner not in window:
-                raise _Omit
-            for key, coeff in alg.bracket_rule(xs[s], inner).items():
-                if key == CENTRAL:
-                    raise ConfigError(
-                        "differential needs bracket values inside the indexed span; "
-                        "central targets are not supported as cochain arguments")
-                if key != out_index:
-                    raise ValueError(
-                        f"bracket is not graded: [e_{xs[s]}, e_{inner}] hit e_{key}")
-                emit(sign, coeff, rest)
-    # merge duplicate references
-    merged = {}
-    for t, v in terms:
-        merged[t] = merged.get(t, 0) + v
-    return [(t, v) for t, v in merged.items() if v != 0]
-
-
 def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: str = ADJOINT):
     """The matrix of delta from C^q_d to C^{q+1}_d on the window, interior-only.
 
     Columns follow basis_tuples(q, d, window, coeffs); rows are the
     (q+1)-tuples, in basis order, whose expansion stays inside the window.
     Returns (matrix, row tuples, omitted tuples), the omitted tuples being
-    the (q+1)-tuples whose expansion would leave the window.
+    the (q+1)-tuples whose expansion would leave the window.  A central
+    bracket value raises ConfigError, and one off the grading ValueError.
     """
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
     col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
+    rule, lo, hi = alg.bracket_rule, window.lo, window.hi
+    # bracket-composition terms (-1)^{s+t-1} c([x_s,x_t], rest), 1-indexed s < t
+    pairs = [(s, t, 1 if (s + t) % 2 else -1) for s in range(q + 1) for t in range(s + 1, q + 1)]
     entries = {}
     rows = []
     omitted = []
-    for t in basis_tuples(q + 1, d, window, coeffs):
+    for xs in basis_tuples(q + 1, d, window, coeffs):
+        row = {}  # referenced q-tuple -> coefficient of its entry in delta(c)(xs)
         try:
-            terms = delta_terms(alg, q, d, window, coeffs, t)
+            for s, t, sign in pairs:
+                a, b = xs[s], xs[t]
+                rest = xs[:s] + xs[s + 1:t] + xs[t + 1:]
+                for key, coeff in rule(a, b).items():
+                    if key == CENTRAL:
+                        raise ConfigError(_CENTRAL_TARGET)
+                    if key != a + b:
+                        raise ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
+                    if not lo <= key <= hi:
+                        raise _Omit
+                    # sort (key, *rest): key passes k arguments of the sorted rest
+                    k = bisect_left(rest, key)
+                    if k < len(rest) and rest[k] == key:
+                        continue
+                    ref = rest[:k] + (key,) + rest[k:]
+                    row[ref] = row.get(ref, 0) + (-sign if k % 2 else sign) * coeff
+            if coeffs == ADJOINT:
+                # action terms (-1)^s [x_s, c(rest)]; rest is already sorted
+                out_index = sum(xs) + d
+                for s in range(q + 1):
+                    inner = out_index - xs[s]
+                    if not lo <= inner <= hi:
+                        raise _Omit
+                    rest = xs[:s] + xs[s + 1:]
+                    sign = 1 if s % 2 else -1
+                    for key, coeff in rule(xs[s], inner).items():
+                        if key == CENTRAL:
+                            raise ConfigError(_CENTRAL_TARGET)
+                        if key != out_index:
+                            raise ValueError(
+                                f"bracket is not graded: [e_{xs[s]}, e_{inner}] hit e_{key}")
+                        row[rest] = row.get(rest, 0) + sign * coeff
         except _Omit:
-            omitted.append(t)
+            omitted.append(xs)
             continue
-        for ref, coeff in terms:
-            entries[(len(rows), col[ref])] = coeff
-        rows.append(t)
+        r = len(rows)
+        for ref, v in row.items():
+            if v:
+                entries[(r, col[ref])] = v
+        rows.append(xs)
     return SparseMatrix(len(rows), len(col), entries), rows, omitted
 
 
@@ -381,10 +364,6 @@ class MixedCochain:
         return (isinstance(other, MixedCochain)
                 and (self.degree, self.window) == (other.degree, other.window)
                 and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.degree, self.window,
-                     frozenset((t, frozenset(o.items())) for t, o in self.entries.items())))
 
     def restrict(self, sub: Window) -> "MixedCochain":
         keep = {}

@@ -14,8 +14,10 @@ The comparison set is the core-admissible output tuples that are also legal
 for the incoming differential, so no coboundary value is ever fabricated.
 For weights |d| <= margin that is exactly the set of core-admissible tuples.
 Cocycle equations (delta_q) and coboundaries (delta_{q-1} on the comparison
-set) both come from `cochains.delta_matrix`.  Every report validates its
-window through `_check_window`: lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
+set) both come from `cochains.delta_matrix`.  The cocycle equations are
+eliminated generator-first (`cocycle_matrix`), which changes the work but no
+answer.  Every report validates its window through `_check_window`:
+lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
 
 Alongside the dimension counts the module houses the two constructive moves
 that drive everything downstream: reduction of an arbitrary cocycle to weight
@@ -108,9 +110,19 @@ def _check_window(window: Window, margin: int):
 
 def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                    coeffs: str = ADJOINT):
-    """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count)."""
-    matrix, _, omitted = delta_matrix(alg, q, d, window, coeffs)
-    return matrix, basis_tuples(q, d, window, coeffs), len(omitted)
+    """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count).
+
+    Rows come generator-first: ordered lexicographically by the sorted
+    absolute indices of their tuple, ties in basis order, so the equations
+    through e_0, e_{+-1}, e_{+-2} lead.  Those are the equations the paper's
+    recurrences read (e_{+-1} and e_{+-2} generate the algebra), and the pivot
+    ties in `solve`, broken by row index, then favour them, which keeps the
+    elimination's fill low.  No answer depends on the order: `solve` returns
+    data of the reduced echelon form, a function of the row space alone.
+    """
+    matrix, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
+    order = sorted(range(len(rows)), key=lambda r: sorted(map(abs, rows[r])))
+    return matrix.take_rows(order), basis_tuples(q, d, window, coeffs), len(omitted)
 
 
 def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,

@@ -479,6 +479,12 @@ class Verdict:
                 f"{', '.join(_render_unknown(k) for k in self.free_unknowns)}")
 
 
+def check_buffer(K: int, buffer: int):
+    """ConfigError unless 0 <= buffer <= K, the range final_solve can project onto."""
+    if not 0 <= buffer <= K:
+        raise ConfigError(f"buffer must satisfy 0 <= buffer <= K = {K}, got {buffer}")
+
+
 def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdict:
     """Solve the accumulated relations; report the projected solution dimension.
 
@@ -487,8 +493,7 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
     incomplete.  Dimension 0 means every buffered a_k is forced to zero.
     """
     K = t.K
-    if not 0 <= buffer <= K:
-        raise ConfigError(f"buffer must satisfy 0 <= buffer <= K = {K}, got {buffer}")
+    check_buffer(K, buffer)
     solved = relations.solve()
     targets = [k for k in range(-(K - buffer), K - buffer + 1) if k not in (-2, 1, 2)]
     universe = set(targets) | set(solved)

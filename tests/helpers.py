@@ -10,8 +10,9 @@ The builders (`matrix_from_rows`, `cochain_from_function`, `without_tag`,
 `solved_form`) and `sequential_solve`, the reference elimination that
 `RelationSet.solve` is checked against, are used by the tests only, as are
 `fraction_jacobi_defect` and `fraction_conjugate`, the Fraction references
-for the integer-table `jacobi_defect` and `conjugate`, and `annihilates`,
-the per-vector reference for the one-sweep certificate of `linalg.solve`.
+for the integer-table `jacobi_defect` and `conjugate`, `annihilates`,
+the per-vector reference for the one-sweep certificate of `linalg.solve`, and
+`reference_delta_matrix`, the term-by-term reference for `delta_matrix`.
 """
 
 from fractions import Fraction
@@ -45,6 +46,69 @@ def annihilates(rows, vec) -> bool:
 def permutation_sign(args) -> int:
     """Sign of the permutation sorting distinct arguments."""
     return -1 if sum(a > b for a, b in combinations(args, 2)) % 2 else 1
+
+
+class _LeftWindow(Exception):
+    pass
+
+
+def _delta_terms(alg, q, d, window, coeffs, xs):
+    """delta(c)(xs) as (referenced tuple, coefficient) pairs, expanded term by term
+    from the module formula; raises _LeftWindow when a term leaves the window."""
+    terms = []
+
+    def emit(sign, coeff, args):
+        if len(set(args)) == len(args):
+            terms.append((tuple(sorted(args)), sign * permutation_sign(args) * coeff))
+
+    def bracket(a, b):
+        out = alg.bracket_rule(a, b)
+        if CENTRAL in out:
+            raise ConfigError(
+                "differential needs bracket values inside the indexed span; "
+                "central targets are not supported as cochain arguments")
+        return out
+
+    for s in range(q + 1):
+        for t in range(s + 1, q + 1):
+            rest = [xs[u] for u in range(q + 1) if u not in (s, t)]
+            for key, coeff in bracket(xs[s], xs[t]).items():
+                if key != xs[s] + xs[t]:
+                    raise ValueError(f"bracket is not graded: [e_{xs[s]}, e_{xs[t]}] hit e_{key}")
+                if key not in window:
+                    raise _LeftWindow
+                emit((-1) ** (s + t + 1), coeff, [key] + rest)  # (-1)^{s+t-1}, 1-indexed
+    if coeffs == ADJOINT:
+        for s in range(q + 1):
+            rest = [xs[u] for u in range(q + 1) if u != s]
+            inner = sum(rest) + d
+            if inner not in window:
+                raise _LeftWindow
+            for key, coeff in bracket(xs[s], inner).items():
+                if key != sum(xs) + d:
+                    raise ValueError(f"bracket is not graded: [e_{xs[s]}, e_{inner}] hit e_{key}")
+                emit((-1) ** (s + 1), coeff, rest)
+    merged = {}
+    for t, v in terms:
+        merged[t] = merged.get(t, 0) + v
+    return [(t, v) for t, v in merged.items() if v != 0]
+
+
+def reference_delta_matrix(alg, q, d, window, coeffs=ADJOINT):
+    """Reference for delta_matrix: (matrix, row tuples, omitted tuples), one
+    term list per (q+1)-tuple, in basis order."""
+    col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
+    entries, rows, omitted = {}, [], []
+    for xs in basis_tuples(q + 1, d, window, coeffs):
+        try:
+            terms = _delta_terms(alg, q, d, window, coeffs, xs)
+        except _LeftWindow:
+            omitted.append(xs)
+            continue
+        for ref, coeff in terms:
+            entries[(len(rows), col[ref])] = coeff
+        rows.append(xs)
+    return SparseMatrix(len(rows), len(col), entries), rows, omitted
 
 
 def cochain_from_function(fn, degree, weight, window, coeffs=ADJOINT) -> Cochain:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from wittcoh import cli
 from wittcoh.cli import emit_report, main
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential
 from wittcoh.cohomology import CohomologyReport, central_extension_dim
@@ -95,6 +96,14 @@ def test_replay_buffer_bounds_are_inclusive(capsys):
         assert run(capsys, "replay", "--K", "12", "--buffer", buffer)[0] == 0
 
 
+def test_replay_buffer_is_checked_before_the_replay_runs(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_replay", lambda **kwargs: calls.append(kwargs))
+    code, out, err = run(capsys, "replay", "--K", "30", "--buffer", "40")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: buffer must satisfy 0 <= buffer <= K = 30, got 40\n"
+
+
 def test_unknown_flag_exits_two(capsys):
     assert main(["cohomology", "--frobnicate"]) == 2
 
@@ -132,6 +141,17 @@ def test_virasoro_cohomology_is_rejected_for_its_central_targets(capsys):
                        "--margin", "2")
     assert code == 2
     assert "central" in err
+
+
+@pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])
+def test_ungraded_bracket_cohomology_exits_two(capsys, tmp_path, coeffs):
+    alg = tmp_path / "skew.alg"
+    alg.write_text("name: skew\ngraded: no\ncentral: no\n-1 2 -> 2:1\n1 2 -> 3:1\n")
+    code, out, err = run(capsys, "cohomology", "--algebra", str(alg), "--degree", "2",
+                         "--weight", "-1", "--window=-6:6", "--margin", "2",
+                         "--coefficients", coeffs)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bracket is not graded: [e_")
 
 
 def test_jacobi_clean_and_corrupt(capsys, tmp_path):

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from wittcoh.algebra import Window, make_witt
+from wittcoh.algebra import Window, load_algebra, make_virasoro, make_witt
 from wittcoh.cochains import (
     ADJOINT,
     TRIVIAL,
@@ -12,12 +12,19 @@ from wittcoh.cochains import (
     basis_tuples,
     cochain_from_text,
     cochain_to_text,
+    delta_matrix,
     differential,
     weight_components,
 )
 from wittcoh.errors import ConfigError, OutOfWindowError
 
-from helpers import cochain_from_function, never_leaves_window, random_cochain, random_mixed_cocycle
+from helpers import (
+    cochain_from_function,
+    never_leaves_window,
+    random_cochain,
+    random_mixed_cocycle,
+    reference_delta_matrix,
+)
 
 WITT = make_witt()
 W8 = Window(-8, 8)
@@ -284,9 +291,65 @@ def test_cochain_text_rejects_duplicate_header():
 
 
 def test_adjoint_differential_rejects_central_targets():
-    from wittcoh.algebra import make_virasoro
-
     vir = make_virasoro()
     c = Cochain(1, 0, W8, ADJOINT, {(2,): 1, (-2,): 1})
     with pytest.raises(ConfigError, match="central targets"):
         differential(vir, c)
+
+
+# -- the builder against its term-by-term reference ------------------------------
+
+
+def _algebra_document(name, coefficient, span=12, graded="yes"):
+    """A structure-constants document with [e_i, e_j] = coefficient(i, j) on [-span, span]."""
+    lines = [f"name: {name}", f"graded: {graded}", "central: no"]
+    for i in range(-span, span + 1):
+        for j in range(i + 1, span + 1):
+            terms = ", ".join(f"{k}:{v}" for k, v in coefficient(i, j).items())
+            lines.append(f"{i} {j} -> {terms}")
+    return load_algebra("\n".join(lines) + "\n")
+
+
+# rational, antisymmetric, never zero; not a Lie algebra, which delta_matrix never asks for
+RATIONAL = _algebra_document("rational", lambda i, j: {i + j: Fraction((j - i) * (i * i + j * j + 1), 3)})
+# targets off the grading, which delta_matrix must refuse
+UNGRADED = _algebra_document("ungraded", lambda i, j: {i + j + 1: j - i}, graded="no")
+
+
+def _build(builder, *args):
+    """Everything a delta_matrix build gives, in order, or the error it raises."""
+    try:
+        matrix, rows, omitted = builder(*args)
+    except (ConfigError, ValueError, KeyError) as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return matrix.n_rows, matrix.n_cols, list(matrix.entries.items()), rows, omitted
+
+
+@pytest.mark.parametrize("alg", [WITT, RATIONAL], ids=["witt", "rational"])
+@pytest.mark.parametrize("coeffs", [ADJOINT, TRIVIAL])
+@pytest.mark.parametrize("h", [8, 9])
+def test_delta_matrix_matches_the_term_by_term_reference(alg, coeffs, h):
+    window = Window(-h, h)
+    omitted = 0
+    for q in (0, 1, 2):
+        for d in range(-3, 4):
+            got = _build(delta_matrix, alg, q, d, window, coeffs)
+            assert got == _build(reference_delta_matrix, alg, q, d, window, coeffs), (q, d)
+            omitted += len(got[-1])
+    assert omitted  # the window edge is exercised
+
+
+@pytest.mark.parametrize("alg", [make_virasoro(), UNGRADED], ids=["virasoro", "ungraded"])
+def test_delta_matrix_refuses_like_the_reference(alg):
+    errors = set()
+    for coeffs in (ADJOINT, TRIVIAL):
+        for q in (0, 1, 2):
+            for d in (-1, 0, 2):
+                got = _build(delta_matrix, alg, q, d, W8, coeffs)
+                assert got == _build(reference_delta_matrix, alg, q, d, W8, coeffs)
+                if isinstance(got[0], type):
+                    errors.add(got)
+    expected = {"virasoro": (ConfigError, "differential needs bracket values inside the "
+                             "indexed span; central targets are not supported as cochain arguments"),
+                "ungraded": (ValueError, "bracket is not graded")}[alg.name]
+    assert errors and all(t is expected[0] and msg.startswith(expected[1]) for t, msg in errors)

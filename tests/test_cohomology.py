@@ -5,11 +5,12 @@ from random import Random
 import pytest
 
 from wittcoh.algebra import Window, make_witt
-from wittcoh.cochains import ADJOINT, TRIVIAL, Cochain, MixedCochain, differential
+from wittcoh.cochains import ADJOINT, TRIVIAL, Cochain, MixedCochain, delta_matrix, differential
 from wittcoh.cohomology import (
     CohomologyReport,
     central_extension_dim,
     coboundary_primitive,
+    cocycle_matrix,
     cohomology_dim,
     comparison_tuples,
     normalize_weight_zero,
@@ -18,6 +19,7 @@ from wittcoh.cohomology import (
 )
 from wittcoh.cli import emit_report
 from wittcoh.errors import ConfigError, NotACocycleError
+from wittcoh.linalg import solve
 
 from helpers import random_mixed_cocycle, truncated_coboundary
 
@@ -30,6 +32,25 @@ def test_h2_weight0_vanishes():
     r = cohomology_dim(WITT, 2, 0, W12, 4)
     assert r.dim_stable == 0
     assert r.dim_coboundaries <= r.dim_cocycles
+
+
+def test_cocycle_matrix_rows_are_generator_first():
+    window = Window(-8, 8)
+    matrix, _, _ = cocycle_matrix(WITT, 2, 0, window)
+    basis_order, rows, _ = delta_matrix(WITT, 2, 0, window)
+    row_of = dict(zip(rows, basis_order.row_dicts()))
+    # sorted absolute indices, lexicographically; the sort is stable, so ties keep basis order
+    order = sorted(rows, key=lambda t: sorted(abs(a) for a in t))
+    assert order[:5] == [(-1, 0, 1), (-2, -1, 0), (-2, 0, 1), (-1, 0, 2), (0, 1, 2)]
+    assert matrix.row_dicts() == [row_of[t] for t in order]
+
+
+@pytest.mark.parametrize("coeffs", [ADJOINT, TRIVIAL])
+@pytest.mark.parametrize("q", [1, 2])
+def test_generator_first_rows_keep_the_basis_order_solution(q, coeffs):
+    for d in (-3, 0, 2):
+        matrix, _, _ = cocycle_matrix(WITT, q, d, W10, coeffs)
+        assert solve(matrix) == solve(delta_matrix(WITT, q, d, W10, coeffs)[0]), d
 
 
 def test_h2_weight3_vanishes():

@@ -248,6 +248,17 @@ def test_selected_rows_give_the_full_elimination_answer(system):
         assert solve(m, rhs) == selected
 
 
+@given(low_rank_systems(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_row_order_does_not_change_the_solution(system, rng):
+    m, rhs = system
+    order = list(range(m.n_rows))
+    rng.shuffle(order)
+    permuted = m.take_rows(order)
+    permuted_rhs = None if rhs is None else [rhs[r] for r in order]
+    assert solve(permuted, permuted_rhs) == solve(m, rhs)
+
+
 def test_rejects_out_of_bounds_entry():
     with pytest.raises(ValueError):
         SparseMatrix(2, 2, {(2, 0): Fraction(1)})
