@@ -224,7 +224,7 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
     rule, lo, hi = alg.bracket_rule, window.lo, window.hi
     # bracket-composition terms (-1)^{s+t-1} c([x_s,x_t], rest), 1-indexed s < t
     pairs = [(s, t, 1 if (s + t) % 2 else -1) for s in range(q + 1) for t in range(s + 1, q + 1)]
-    entries = {}
+    matrix_rows = []
     rows = []
     omitted = []
     for xs in basis_tuples(q + 1, d, window, coeffs):
@@ -265,12 +265,9 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
         except _Omit:
             omitted.append(xs)
             continue
-        r = len(rows)
-        for ref, v in row.items():
-            if v:
-                entries[(r, col[ref])] = v
+        matrix_rows.append({col[ref]: v for ref, v in row.items() if v})
         rows.append(xs)
-    return SparseMatrix(len(rows), len(col), entries), rows, omitted
+    return SparseMatrix(matrix_rows, len(col)), rows, omitted
 
 
 def differential(alg: GradedLieAlgebra, c: Cochain) -> Cochain:

@@ -134,27 +134,31 @@ def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     """
     comp = basis_tuples(q, d, window.core(margin), coeffs)
     if q == 0:
-        return comp, SparseMatrix(len(comp), 0)
+        return comp, SparseMatrix([{}] * len(comp), 0)
     matrix, rows, _ = delta_matrix(alg, q - 1, d, window, coeffs)
     core = set(comp)
     keep = [r for r, t in enumerate(rows) if t in core]
     return [rows[r] for r in keep], matrix.take_rows(keep)
 
 
-def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude=frozenset()):
+def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude=frozenset(),
+                         *, comparisons=None):
     """Solve delta(b) = c on the core comparison tuples; None when obstructed.
 
     Tuples in `exclude` carry no trustworthy value of c and are dropped from
-    the equation set.
+    the equation set.  A caller solving many c of one algebra, window, margin
+    and degree passes one `comparisons` dict, weight -> comparison_tuples, and
+    each weight's set is built once.
     """
-    q = c.degree
+    q, d, window, coeffs = c.degree, c.weight, c.window, c.coeffs
     if q < 1:
         raise ValueError("0-cochains have no primitives")
-    d, window, coeffs = c.weight, c.window, c.coeffs
-    comp, matrix = comparison_tuples(alg, q, d, window, margin, coeffs)
+    comparisons = {} if comparisons is None else comparisons
+    if d not in comparisons:
+        comparisons[d] = comparison_tuples(alg, q, d, window, margin, coeffs)
+    comp, matrix = comparisons[d]
     keep = [r for r, t in enumerate(comp) if t not in exclude]
-    x = solve(matrix.take_rows(keep),
-              [c.entries.get(comp[r], 0) for r in keep]).particular
+    x = solve(matrix.take_rows(keep), [c.entries.get(comp[r], 0) for r in keep]).particular
     if x is None:
         return None
     cols = basis_tuples(q - 1, d, window, coeffs)
@@ -184,16 +188,15 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     kernel = solve(matrix).kernel_basis
 
     comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
-    comp_row = {t: r for r, t in enumerate(comp)}
-    # each cocycle on the comparison set, as a column
-    z_entries = {(comp_row[t], j): vec[i] for j, vec in enumerate(kernel)
-                 for i, t in enumerate(cols) if vec[i] and t in comp_row}
-    dim_v = rank(SparseMatrix(len(comp), len(kernel), z_entries))
+    # each cocycle on the comparison set (a subset of cols), as a column
+    col_of = {t: i for i, t in enumerate(cols)}
+    z_rows = [{j: vec[i] for j, vec in enumerate(kernel) if vec[i]} for i in map(col_of.get, comp)]
+    dim_v = rank(SparseMatrix(z_rows, len(kernel)))
     # one elimination of [coboundaries | cocycles]: a pivot column is independent
     # of every column before it, so the cocycle pivots are the surviving classes
     n_w = coboundary.n_cols
-    joint = {**coboundary.entries, **{(r, n_w + j): v for (r, j), v in z_entries.items()}}
-    pivots = solve(SparseMatrix(len(comp), n_w + len(kernel), joint)).pivot_columns
+    joint = [{**w, **{n_w + j: v for j, v in z.items()}} for w, z in zip(coboundary, z_rows)]
+    pivots = solve(SparseMatrix(joint, n_w + len(kernel))).pivot_columns
     dim_w = sum(1 for c in pivots if c < n_w)
     dim_stable = len(pivots) - dim_w
 

@@ -308,7 +308,7 @@ def infinitesimal(d: DeformedBracket) -> InfinitesimalReport:
         entries = comps[wt].entries
         matrix, rows, _ = delta_matrix(d.algebra, 2, wt, d.window, ADJOINT)
         cols = basis_tuples(2, wt, d.window, ADJOINT)
-        for t, row in zip(rows, matrix.row_dicts()):
+        for t, row in zip(rows, matrix):
             if any(cols[j] in d.omitted_pairs for j in row):
                 continue
             if sum(v * entries.get(cols[j], 0) for j, v in row.items()) != 0:
@@ -433,6 +433,7 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
     N = d.order
     current = d
     total_eq = Equivalence.identity(d.window, N)
+    comparisons = {}  # weight -> comparison_tuples, built once for every order of this call
     for s in range(1, N + 1):
         mu_s = current.layers[s - 1]
         if not mu_s.is_zero:
@@ -443,7 +444,7 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
                     raise BoundaryError(
                         f"order {s} has a weight-{wt} component; trivializing it "
                         f"needs margin >= {abs(wt)}, got {margin}")
-                prim = coboundary_primitive(d.algebra, comps[wt], margin,
+                prim = coboundary_primitive(d.algebra, comps[wt], margin, comparisons=comparisons,
                                             exclude=current.omitted_pairs)
                 if prim is None:
                     return TrivializationResult(

@@ -2,47 +2,46 @@
 
 A coefficient is an `int` or a `fractions.Fraction`, never converted: a float
 is refused with TypeError, since it is a binary fraction rather than the
-rational it was meant to be.  Rank, kernel and affine solves are exact, and
-the kernel basis comes back as integer vectors, so every dimension reported
-downstream is an exact integer.  The coefficient field is Q rather than C:
-every structure constant handled by this package is rational, and
-kernel/image dimensions of a rational matrix over Q equal those over C, so
-nothing is lost by staying rational.
+rational it was meant to be.  Over Q, kernel and image dimensions equal those
+over C, and every structure constant here is rational.  A `SparseMatrix` is a
+tuple of {col: coefficient} rows, stored as given.
 
-Two entries: `solve(m, rhs=None)` gives the rank, the canonical kernel basis
-and a particular solution (None when rhs is inconsistent), each certified in
-integer arithmetic; `rank(m)` is `solve(m).rank`, so both share one
-certificate.  Every row is scaled once to a primitive integer row, and one
-fraction-free elimination core (Bareiss 1968) combines rows by
-cross-multiplication, with a gcd reduction after every update to bound
-coefficient growth.  Its pivot rule is deterministic (smallest absolute value
-by bit length, ties broken by row order), so identical inputs always produce
-identical outputs.
-
-Every system is solved in two passes:
+`solve(m, rhs=None)` gives the rank, the canonical kernel basis (integer
+vectors) and a particular solution (None when rhs is inconsistent), each
+certified in integer arithmetic; `rank(m)` is `solve(m).rank`.  Every row is
+scaled once to a primitive integer row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
   Markowitz pivoting (the column with the fewest active rows, then its
   sparsest row; the right-hand side column last).  The rows that become
   pivots are independent mod _P, hence independent over Q.
-* Exact pass: the integer core runs on the selected rows only.
+* Exact pass: fraction-free forward elimination (Bareiss 1968) of the
+  selected rows, with a gcd reduction after every update and a deterministic
+  pivot (smallest bit length, ties by row order), gives an echelon form; each
+  kernel vector and the particular solution are back-solved from its rows in
+  integers.  No reduced echelon form is built.
 
-Certificate: every kernel vector of the selected rows, built in integers, and
-the particular solution must give an integer dot product of 0 with *every*
-row; one sweep over the rows checks all of them in full.  Then the
-kernel of the subset equals the kernel of m, so the row spaces agree, and the
-reduced echelon form, which depends only on the row space, is the one full
-elimination would give: rank, pivot columns, kernel basis and particular
-solution are identical.  A subset that is inconsistent over Q makes m
-inconsistent too.  If the certificate fails (an unlucky prime, under which
-the selected rows miss part of the row space over Q), every row is
-eliminated instead, and that fallback raises AssertionError on its own
-failure.
+Why the back-solve is exact: for a free column f, the pivot columns left of f
+are independent and column f depends on them, so the kernel holds exactly one
+primitive vector supported on f and those pivot columns, positive at f.  The
+echelon rows span the row space just as the reduced rows do, so the back-solve
+returns the vector the reduced form would give.  The particular solution is
+that vector for the right-hand side column, which counts as right of every
+column, divided by its entry there.
+
+Certificate: the kernel vectors and the particular solution must give an
+integer dot product of 0 with *every* row, checked in one sweep.  Then the
+kernel of the selected rows is that of m, the row spaces agree, and rank,
+pivot columns, kernel basis and particular solution, functions of the row
+space, are those of m; selected rows that are inconsistent make m
+inconsistent.  If the certificate fails (an unlucky prime, under which the
+selected rows miss part of the row space over Q), every row is eliminated
+instead, and that fallback raises AssertionError on its own failure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -59,44 +58,41 @@ def check_coefficient(v):
 
 @dataclass(frozen=True)
 class SparseMatrix:
-    """Immutable sparse matrix over Q; only nonzero entries are stored."""
+    """Immutable sparse matrix over Q: a tuple of {col: coefficient} rows of nonzero
+    entries, stored as given (a row holding a zero is copied without it)."""
 
-    n_rows: int
+    rows: tuple
     n_cols: int
-    entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.n_rows < 0 or self.n_cols < 0:
+        if self.n_cols < 0:
             raise ValueError("negative matrix dimensions")
-        clean = {}
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
-                raise ValueError(f"entry ({r},{c}) outside {self.n_rows}x{self.n_cols}")
-            if check_coefficient(v):
-                clean[(r, c)] = v
-        object.__setattr__(self, "entries", clean)
+        rows = []
+        for row in self.rows:
+            for c, v in row.items():
+                if not 0 <= c < self.n_cols:
+                    raise ValueError(f"column {c} outside 0..{self.n_cols - 1}")
+                check_coefficient(v)
+            rows.append(row if all(row.values()) else {c: v for c, v in row.items() if v})
+        object.__setattr__(self, "rows", tuple(rows))
 
-    def row_dicts(self):
-        """Rows as {col: coefficient} dicts (zero rows omitted from values, kept as empties)."""
-        rows = [dict() for _ in range(self.n_rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
+    n_rows = property(len)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
 
     def take_rows(self, keep) -> "SparseMatrix":
         """The submatrix of the rows listed in `keep`, in that order."""
-        rows = self.row_dicts()
-        return SparseMatrix(len(keep), self.n_cols,
-                            {(i, c): v for i, r in enumerate(keep) for c, v in rows[r].items()})
+        return SparseMatrix(tuple(self.rows[r] for r in keep), self.n_cols)
 
     def apply(self, vec):
         """Matrix-vector product, exact."""
         if len(vec) != self.n_cols:
             raise ValueError("vector length mismatch")
-        out = [0] * self.n_rows
-        for (r, c), v in self.entries.items():
-            out[r] += v * vec[c]
-        return tuple(out)
+        return tuple(sum(v * vec[c] for c, v in row.items()) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -184,13 +180,26 @@ def _first_failure(rows, vecs):
     return min(failed, default=None)
 
 
-def _null_vector(pivots, f):
-    """The primitive integer vector, positive at column f and zero off f and the pivot
-    columns, that the reduced pivot rows (c, r) annihilate: v_f = L = lcm(r[c]) over the
-    rows with r[f] != 0, and v_c = -r[f] * (L // r[c]) on them."""
-    hits = [(c, r) for c, r in pivots if r.get(f)]
-    scale = lcm(*(r[c] for c, r in hits))
-    return _primitive({f: scale, **{c: -r[f] * (scale // r[c]) for c, r in hits}})
+def _back_solve(pivots, f):
+    """The primitive integer vector, positive at f, on f and the pivot columns left
+    of f, that the echelon pivot rows (c, r) annihilate; f is a free column or _AUG,
+    which stands right of every column.  Rows go in decreasing pivot column, those
+    right of f (zero on that support) skipped; a nonzero partial sum fixes the
+    pivot's entry, the whole vector scaled up first if the pivot does not divide it."""
+    vec = {f: 1}
+    for c, r in reversed(pivots):
+        if f != _AUG and c > f:
+            continue
+        s = sum(r[j] * vec[j] for j in vec.keys() & r.keys())
+        if s:
+            p = r[c]
+            scale = abs(p) // gcd(s, p)
+            if scale > 1:
+                for j in vec:
+                    vec[j] *= scale
+                s *= scale
+            vec[c] = -s // p
+    return _primitive(vec)
 
 
 def _select(rows):
@@ -240,17 +249,9 @@ def _select(rows):
 def _solve_rows(sub, rows, n_cols, augmented):
     """Exact solution data from the rows `sub`; AssertionError unless it holds on all `rows`."""
     pivots, leftovers = _eliminate(sub, n_cols)
-    # back-substitute: clear each pivot column from the earlier pivot rows
-    for k in range(len(pivots) - 1, -1, -1):
-        col, piv = pivots[k]
-        for j in range(k):
-            cj, rj = pivots[j]
-            if rj.get(col):
-                pivots[j] = (cj, _combine(rj, piv, col))
-
     free = sorted(set(range(n_cols)).difference(c for c, _ in pivots))
     consistent = augmented and not leftovers
-    vecs = [_null_vector(pivots, f) for f in free + [_AUG] * consistent]  # _AUG: (x, 1)
+    vecs = [_back_solve(pivots, f) for f in free + [_AUG] * consistent]  # _AUG: (x, 1)
     bad = _first_failure(rows, vecs)
     if bad is not None:
         raise AssertionError("kernel vector fails m*v = 0" if bad < len(free)
@@ -273,22 +274,21 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     column, first nonzero entry positive.  When rhs is inconsistent the
     particular solution is None.
 
-    Every answer is certified exactly before it is returned.  Each integer row
-    of [m | rhs] is a nonzero rational multiple of an input row, so an integer
-    dot product of 0 with it is the identity m*v = 0 (or m*x = rhs).  The
-    integer kernel vectors are independent: each is nonzero on its own free
-    column and zero on every other one.  The system is solved exactly on the
-    rows `_select` picks and certified against all of them in one sweep; if
-    that certificate fails, every row is eliminated.
+    The rows `_select` picks are forward-eliminated and each vector is
+    back-solved from the echelon rows.  Every answer is certified against every
+    row before it is returned: each integer row of [m | rhs] is a nonzero
+    rational multiple of an input row, so an integer dot product of 0 with it
+    is the identity m*v = 0 (or m*x = rhs).  The kernel vectors are independent,
+    each nonzero on its own free column and zero on every other.  If that
+    certificate fails, every row is eliminated.  The rows of m are used as
+    stored; a row is copied only to append its right-hand side.
     """
-    frac_rows = m.row_dicts()
+    rows = m.rows
     if rhs is not None:
-        if len(rhs) != m.n_rows:
+        if len(rhs) != len(rows):
             raise ValueError("rhs length mismatch")
-        for row, b in zip(frac_rows, rhs):
-            if check_coefficient(b):
-                row[_AUG] = -b
-    rows = [_primitive(r) for r in frac_rows]
+        rows = [{**row, _AUG: -b} if check_coefficient(b) else row for row, b in zip(rows, rhs)]
+    rows = [_primitive(r) for r in rows]
     augmented = rhs is not None
     try:
         return _solve_rows([rows[i] for i in _select(rows)], rows, m.n_cols, augmented)

@@ -365,9 +365,8 @@ class RelationSet:
         column = {k: c for c, k in enumerate(unknowns)}
 
         def solution(rels):
-            m = SparseMatrix(len(rels), len(unknowns),
-                             {(r, column[k]): v for r, rel in enumerate(rels) for k, v in rel.form.coeffs})
-            return solve(m, [-rel.form.const for rel in rels])
+            rows = [{column[k]: v for k, v in rel.form.coeffs} for rel in rels]
+            return solve(SparseMatrix(rows, len(unknowns)), [-rel.form.const for rel in rels])
 
         sol = solution(self.relations)
         if sol.particular is None:
@@ -517,8 +516,7 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
         if vec:
             rows.append(vec)
             touching.append(u)
-    dimension = rank(SparseMatrix(len(rows), len(targets),
-                                  {(i, c): v for i, r in enumerate(rows) for c, v in r.items()}))
+    dimension = rank(SparseMatrix(rows, len(targets)))
 
     solved_targets = {k: solved.get(k, SymbolicValue.unknown(k)) for k in targets}
     all_zero = dimension == 0 and all(v.is_zero for v in solved_targets.values())

@@ -11,19 +11,22 @@ The builders (`matrix_from_rows`, `cochain_from_function`, `without_tag`,
 `RelationSet.solve` is checked against, are used by the tests only, as are
 `fraction_jacobi_defect` and `fraction_conjugate`, the Fraction references
 for the integer-table `jacobi_defect` and `conjugate`, `annihilates`,
-the per-vector reference for the one-sweep certificate of `linalg.solve`, and
+the per-vector reference for the one-sweep certificate of `linalg.solve`,
+`reference_solve`, the reduced-echelon-form reference for `linalg.solve`, and
 `reference_delta_matrix`, the term-by-term reference for `delta_matrix`.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from random import Random
 
+from wittcoh import linalg
 from wittcoh.algebra import CENTRAL, Window
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, differential
 from wittcoh.deformation import DefectReport, DeformedBracket, Equivalence, OrderDefect, invert
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError, OutOfWindowError
-from wittcoh.linalg import SparseMatrix
+from wittcoh.linalg import LinearSolution, SparseMatrix
 from wittcoh.replay import RelationSet, SymbolicValue
 
 
@@ -33,14 +36,52 @@ def matrix_from_rows(rows) -> SparseMatrix:
     n_cols = len(rows[0]) if rows else 0
     if any(len(row) != n_cols for row in rows):
         raise ValueError("ragged rows")
-    return SparseMatrix(len(rows), n_cols,
-                        {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v})
+    return SparseMatrix([{j: v for j, v in enumerate(row) if v} for row in rows], n_cols)
 
 
 def annihilates(rows, vec) -> bool:
     """Whether the integer vector {col: int} has dot product 0 with every {col: int}
     row, one separate dot product per row."""
     return not any(sum(a * vec.get(c, 0) for c, a in row.items()) for row in rows)
+
+
+def reduced_null_vector(pivots, f):
+    """The primitive integer vector, positive at column f and zero off f and the pivot
+    columns, that the reduced pivot rows (c, r) annihilate: v_f = L = lcm(r[c]) over the
+    rows with r[f] != 0, and v_c = -r[f] * (L // r[c]) on them."""
+    hits = [(c, r) for c, r in pivots if r.get(f)]
+    scale = lcm(*(r[c] for c, r in hits))
+    return linalg._primitive({f: scale, **{c: -r[f] * (scale // r[c]) for c, r in hits}})
+
+
+def reference_solve(m: SparseMatrix, rhs=None) -> LinearSolution:
+    """Reference for `linalg.solve`: every row eliminated, the reduced echelon form
+    built by back-substitution, and each kernel vector and the particular solution
+    read off its rows; no row selection and no certificate."""
+    aug = linalg._AUG
+    rows = [dict(row) for row in m]
+    for row, b in zip(rows, rhs or ()):
+        if b:
+            row[aug] = -b
+    pivots, leftovers = linalg._eliminate([linalg._primitive(r) for r in rows], m.n_cols)
+    # back-substitute: clear each pivot column from the earlier pivot rows
+    for k in range(len(pivots) - 1, -1, -1):
+        col, piv = pivots[k]
+        for j in range(k):
+            cj, rj = pivots[j]
+            if rj.get(col):
+                pivots[j] = (cj, linalg._combine(rj, piv, col))
+    kernel = []
+    for f in sorted(set(range(m.n_cols)).difference(c for c, _ in pivots)):
+        vec = reduced_null_vector(pivots, f)
+        sign = 1 if vec[min(vec)] > 0 else -1
+        kernel.append(tuple(sign * vec.get(j, 0) for j in range(m.n_cols)))
+    particular = None
+    if rhs is not None and not leftovers:
+        x = reduced_null_vector(pivots, aug)
+        particular = tuple(Fraction(x[j], x[aug]) if j in x else 0 for j in range(m.n_cols))
+    return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
+                          kernel_basis=tuple(kernel), particular=particular)
 
 
 def permutation_sign(args) -> int:
@@ -98,17 +139,16 @@ def reference_delta_matrix(alg, q, d, window, coeffs=ADJOINT):
     """Reference for delta_matrix: (matrix, row tuples, omitted tuples), one
     term list per (q+1)-tuple, in basis order."""
     col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
-    entries, rows, omitted = {}, [], []
+    matrix_rows, rows, omitted = [], [], []
     for xs in basis_tuples(q + 1, d, window, coeffs):
         try:
             terms = _delta_terms(alg, q, d, window, coeffs, xs)
         except _LeftWindow:
             omitted.append(xs)
             continue
-        for ref, coeff in terms:
-            entries[(len(rows), col[ref])] = coeff
+        matrix_rows.append({col[ref]: coeff for ref, coeff in terms})
         rows.append(xs)
-    return SparseMatrix(len(rows), len(col), entries), rows, omitted
+    return SparseMatrix(matrix_rows, len(col)), rows, omitted
 
 
 def cochain_from_function(fn, degree, weight, window, coeffs=ADJOINT) -> Cochain:

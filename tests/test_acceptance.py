@@ -274,13 +274,11 @@ def test_criterion_07_brute_force_normalized_cocycles():
     margin = 4
     matrix, cols, _ = cocycle_matrix(WITT, 2, 0, window, ADJOINT)
     col = {t: i for i, t in enumerate(cols)}
-    rows = dict(matrix.entries)
-    r = matrix.n_rows
+    rows = list(matrix)
     for t in cols:  # normalization: the (i,1) column and (-2,2) vanish
         if 1 in t or t == (-2, 2):
-            rows[(r, col[t])] = Fraction(1)
-            r += 1
-    full = SparseMatrix(r, len(cols), rows)
+            rows.append({col[t]: Fraction(1)})
+    full = SparseMatrix(rows, len(cols))
     kern = solve(full).kernel_basis
     core = window.core(margin)
     for vec in kern:

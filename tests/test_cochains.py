@@ -322,7 +322,7 @@ def _build(builder, *args):
         matrix, rows, omitted = builder(*args)
     except (ConfigError, ValueError, KeyError) as exc:  # compared by type and message
         return type(exc), str(exc)
-    return matrix.n_rows, matrix.n_cols, list(matrix.entries.items()), rows, omitted
+    return matrix.n_cols, [list(row.items()) for row in matrix], rows, omitted
 
 
 @pytest.mark.parametrize("alg", [WITT, RATIONAL], ids=["witt", "rational"])

@@ -38,11 +38,11 @@ def test_cocycle_matrix_rows_are_generator_first():
     window = Window(-8, 8)
     matrix, _, _ = cocycle_matrix(WITT, 2, 0, window)
     basis_order, rows, _ = delta_matrix(WITT, 2, 0, window)
-    row_of = dict(zip(rows, basis_order.row_dicts()))
+    row_of = dict(zip(rows, basis_order))
     # sorted absolute indices, lexicographically; the sort is stable, so ties keep basis order
     order = sorted(rows, key=lambda t: sorted(abs(a) for a in t))
     assert order[:5] == [(-1, 0, 1), (-2, -1, 0), (-2, 0, 1), (-1, 0, 2), (0, 1, 2)]
-    assert matrix.row_dicts() == [row_of[t] for t in order]
+    assert list(matrix) == [row_of[t] for t in order]
 
 
 @pytest.mark.parametrize("coeffs", [ADJOINT, TRIVIAL])

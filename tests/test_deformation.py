@@ -334,6 +334,29 @@ def test_roundtrip_trivialization_order_three():
         assert res.verification_core == Window(-8, 8)
 
 
+def test_trivialize_builds_each_weight_comparison_once(monkeypatch):
+    import wittcoh.cohomology as cohomology
+    import wittcoh.deformation as deformation
+
+    built, solved = [], []
+    real_build, real_solve = cohomology.comparison_tuples, deformation.coboundary_primitive
+
+    def build(alg, q, d, *args):
+        built.append(d)
+        return real_build(alg, q, d, *args)
+
+    def solve(alg, c, *args, **kwargs):
+        solved.append(c.weight)
+        return real_solve(alg, c, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "comparison_tuples", build)
+    monkeypatch.setattr(deformation, "coboundary_primitive", solve)
+    e = random_unipotent(Random(8), W12, 3)
+    res = trivialize(conjugate(DeformedBracket.trivial(WITT, W12, 3), e), W12, margin=4)
+    assert res.trivialized
+    assert sorted(built) == sorted(set(solved)) and len(solved) > len(built)
+
+
 def test_trivialize_rejects_jacobi_unclean():
     mu1 = MixedCochain(2, W12, {(1, 2): {3: 1}})
     d = DeformedBracket(1, WITT, W12, (mu1,))

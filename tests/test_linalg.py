@@ -9,7 +9,7 @@ from wittcoh.algebra import Window, make_witt
 from wittcoh.cohomology import cocycle_matrix
 from wittcoh.linalg import LinearSolution, SparseMatrix, rank, solve
 
-from helpers import annihilates, matrix_from_rows as mat
+from helpers import annihilates, matrix_from_rows as mat, reference_solve
 
 # rows in the redundant test systems: far more than their rank, so _select drops most
 TALL = 80
@@ -20,7 +20,7 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    assert rank(SparseMatrix(4, 7)) == 0
+    assert rank(SparseMatrix([{}] * 4, 7)) == 0
 
 
 def test_rank_proportional_rows():
@@ -40,7 +40,7 @@ def test_kernel_proportional_rows():
 
 
 def test_kernel_zero_map():
-    vecs = solve(SparseMatrix(1, 3)).kernel_basis
+    vecs = solve(SparseMatrix([{}], 3)).kernel_basis
     assert len(vecs) == 3
     assert rank(mat(vecs)) == 3
 
@@ -200,7 +200,7 @@ def test_unlucky_prime_falls_back_to_the_same_solution(monkeypatch, prime):
     m = _weight_zero_cocycle_matrix(8)
     expected = solve(m)
     monkeypatch.setattr(linalg, "_P", prime)
-    rows = [linalg._primitive(r) for r in m.row_dicts()]
+    rows = [linalg._primitive(r) for r in m]
     assert len(linalg._select(rows)) < expected.rank  # so the certificate must fail
     assert solve(m) == expected
     assert rank(m) == expected.rank
@@ -259,15 +259,63 @@ def test_row_order_does_not_change_the_solution(system, rng):
     assert solve(permuted, permuted_rhs) == solve(m, rhs)
 
 
+# 30-40 bit entries: pivots that rarely divide a partial sum, so the back-solve scales
+ENTRIES = {
+    "small": st.integers(-4, 4),
+    "fraction": st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    "big": st.one_of(st.just(0), st.integers(2**30, 2**40), st.integers(-2**40, -2**30)),
+}
+
+
+@st.composite
+def reference_systems(draw):
+    """Tall or wide systems of a drawn rank, entries of one kind; no, a consistent
+    or a random (almost always inconsistent) right-hand side."""
+    n_rows, n_cols = draw(st.sampled_from([(TALL // 4, 6), (3, 9), (6, 6)]))
+    n_rows, n_cols = draw(st.integers(1, n_rows)), draw(st.integers(1, n_cols))
+    entry = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    gens = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                         min_size=1, max_size=min(n_rows, n_cols)))
+    coefs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)),
+                          min_size=n_rows, max_size=n_rows))
+    m = mat([[sum(a * g[j] for a, g in zip(cs, gens)) for j in range(n_cols)] for cs in coefs])
+    kind = draw(st.sampled_from(["none", "consistent", "random"]))
+    if kind == "none":
+        return m, None
+    if kind == "consistent":
+        return m, list(m.apply(draw(st.lists(entry, min_size=n_cols, max_size=n_cols))))
+    return m, draw(st.lists(entry, min_size=n_rows, max_size=n_rows))
+
+
+@given(reference_systems())
+@settings(max_examples=150, deadline=None)
+def test_solve_matches_the_reduced_echelon_reference(system):
+    m, rhs = system
+    assert solve(m, rhs) == reference_solve(m, rhs)
+    # the back-solve for a free column f never reads a pivot row right of f
+    pivots, _ = linalg._eliminate([linalg._primitive(r) for r in m], m.n_cols)
+    for f in sorted(set(range(m.n_cols)).difference(c for c, _ in pivots)):
+        blind = [(c, r if c < f else None) for c, r in pivots]
+        assert linalg._back_solve(blind, f) == linalg._back_solve(pivots, f)
+
+
+def test_back_solve_scales_when_the_pivot_does_not_divide():
+    # f = 1: 2*v_0 + 3 = 0 has no integer root, so the vector is scaled by 2 first
+    assert linalg._back_solve([(0, {0: 2, 1: 3, 2: 1})], 1) == {1: 2, 0: -3}
+    assert solve(mat([[2, 3, 1]])).kernel_basis == ((3, -2, 0), (1, 0, -2))
+    assert solve(mat([[2, 3, 1]]), [1]).particular == (Fraction(1, 2), 0, 0)
+
+
 def test_rejects_out_of_bounds_entry():
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, {(2, 0): Fraction(1)})
+    for col in (2, -1):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            SparseMatrix([{0: 1}, {col: Fraction(1)}], 2)
 
 
 def test_rejects_a_float_coefficient():
     # 1 / 3 is the binary fraction 6004799503160661/18014398509481984, not 1/3
     with pytest.raises(TypeError, match="not an int or a Fraction"):
-        SparseMatrix(1, 2, {(0, 1): 1 / 3})
+        SparseMatrix([{1: 1 / 3}], 2)
     with pytest.raises(TypeError):
         solve(mat([[1, 2]]), [0.5])
 

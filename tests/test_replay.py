@@ -213,8 +213,7 @@ def test_diagonal_relations_against_brute_force_slice():
             rows.append(row)
     rows.append({col[(-2, 2)]: 1})
 
-    m = SparseMatrix(len(rows), len(pairs),
-                     {(r, c): Fraction(v) for r, row in enumerate(rows) for c, v in row.items()})
+    m = SparseMatrix([{c: Fraction(v) for c, v in row.items()} for row in rows], len(pairs))
     kern = solve(m).kernel_basis
     assert kern  # the slice alone leaves many free directions
 

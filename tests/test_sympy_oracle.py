@@ -23,7 +23,8 @@ WITT = make_witt()
 
 
 def sympy_matrix(m):
-    dok = {(r, c): QQ(v.numerator, v.denominator) for (r, c), v in m.entries.items()}
+    dok = {(r, c): QQ(v.numerator, v.denominator)
+           for r, row in enumerate(m) for c, v in row.items()}
     return DomainMatrix.from_dok(dok, (m.n_rows, m.n_cols), QQ)
 
 
@@ -63,7 +64,7 @@ def test_solve_on_rational_rows_matches_sympy(system):
     sol = solve(m, rhs)
     rank_m, nullity = sympy_rank_nullity(m)
     augmented = matrix_from_rows(
-        [[m.entries.get((r, c), 0) for c in range(m.n_cols)] + [b] for r, b in enumerate(rhs)])
+        [[row.get(c, 0) for c in range(m.n_cols)] + [b] for row, b in zip(m, rhs)])
     feasible = sympy_matrix(augmented).rank() == rank_m
     got = (sol.rank, len(sol.kernel_basis), sol.particular is not None)
     assert got == (rank_m, nullity, feasible)
