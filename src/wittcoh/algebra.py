@@ -6,7 +6,7 @@ tabulated, so windows of any size need no precomputation: the built-in
 algebras are infinite dimensional and only lazily evaluated structure
 constants scale.
 
-Built-ins:
+Built-ins, `BUILTIN` by name:
 
     witt:      [e_n, e_m] = (m - n) e_{n+m}
     virasoro:  [e_n, e_m] = (m - n) e_{n+m} + 1/12 (m^3 - m) delta_{n,-m} c,
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 
 # key used for the central generator inside bracket values and documents
 CENTRAL = "c"
@@ -88,8 +88,10 @@ class Window:
         return range(self.lo, self.hi + 1)
 
     def core(self, margin: int) -> "Window":
-        if margin < 0:
-            raise ValueError("negative margin")
+        """The window shrunk by `margin` at both ends; ConfigError if nothing is left."""
+        if not 0 <= 2 * margin <= self.hi - self.lo:
+            raise ConfigError(f"margin {margin} leaves no core of the window {self}: "
+                              f"need 0 <= margin <= {(self.hi - self.lo) // 2}")
         return Window(self.lo + margin, self.hi - margin)
 
     def __str__(self):
@@ -121,6 +123,9 @@ def make_virasoro() -> GradedLieAlgebra:
         return out
 
     return GradedLieAlgebra("virasoro", rule, has_central=True, graded=True)
+
+
+BUILTIN = {"witt": make_witt, "virasoro": make_virasoro}
 
 
 # -- documents ---------------------------------------------------------------

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .algebra import check_jacobi, load_algebra, make_virasoro, make_witt, parse_rational
+from .algebra import BUILTIN, check_jacobi, load_algebra, parse_rational
 from .cochains import parse_window
 from .cohomology import (
     CohomologyReport,
@@ -36,16 +36,18 @@ from .replay import SymbolicValue, check_buffer, final_solve, run_replay
 OUTPUT_DIR_ENV = "WITTCOH_OUTPUT_DIR"
 
 
-def _resolve_algebra(selector: str):
-    if selector == "witt":
-        return make_witt()
-    if selector == "virasoro":
-        return make_virasoro()
+def _read(path: str, what: str) -> str:
     try:
-        with open(selector, "r", encoding="utf-8") as handle:
-            return load_algebra(handle.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read algebra file {selector!r}: {exc}") from None
+        raise ConfigError(f"cannot read {what} file {path!r}: {exc}") from None
+
+
+def _resolve_algebra(selector: str):
+    if selector in BUILTIN:
+        return BUILTIN[selector]()
+    return load_algebra(_read(selector, "algebra"))
 
 
 def emit_report(report: CohomologyReport, fmt: str) -> str:
@@ -85,6 +87,15 @@ def _write(text: str, path: str | None):
         path = os.path.join(outdir, path)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
+
+
+def _expect(what: str, got: int, want: int | None) -> int:
+    """The exit code of an --expect check: 1, with a note on stderr, when `want`
+    is given and differs from `got`; 0 otherwise."""
+    if want is None or got == want:
+        return 0
+    print(f"expectation failed: {what} = {got}, expected {want}", file=sys.stderr)
+    return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -155,21 +166,13 @@ def _cmd_cohomology(args) -> int:
         report = cohomology_dim(alg, args.degree, args.weight, parse_window(args.window),
                                 args.margin, coeffs=args.coefficients)
     _write(emit_report(report, args.format), args.output)
-    if args.expect is not None and report.dim_stable != args.expect:
-        print(f"expectation failed: dim_stable = {report.dim_stable}, "
-              f"expected {args.expect}", file=sys.stderr)
-        return 1
-    return 0
+    return _expect("dim_stable", report.dim_stable, args.expect)
 
 
 def _cmd_central(args) -> int:
     report = central_extension_dim(parse_window(args.window), args.margin)
     _write(emit_report(report, args.format), args.output)
-    if args.expect is not None and report.dim_stable != args.expect:
-        print(f"expectation failed: dim_stable = {report.dim_stable}, "
-              f"expected {args.expect}", file=sys.stderr)
-        return 1
-    return 0
+    return _expect("dim_stable", report.dim_stable, args.expect)
 
 
 def _parse_injection(text: str):
@@ -205,11 +208,7 @@ def _cmd_replay(args) -> int:
     chunks.append(json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n")
     chunks.append(str(verdict) + "\n")
     _write("\n".join(chunks), args.output)
-    if args.expect is not None and verdict.dimension != args.expect:
-        print(f"expectation failed: dimension = {verdict.dimension}, "
-              f"expected {args.expect}", file=sys.stderr)
-        return 1
-    return 0
+    return _expect("dimension", verdict.dimension, args.expect)
 
 
 def _cmd_jacobi(args) -> int:
@@ -221,11 +220,7 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_deform(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            doc = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read deformation file {args.file!r}: {exc}") from None
+    doc = _read(args.file, "deformation")
     loader = None
     if args.algebra_file:
         custom = _resolve_algebra(args.algebra_file)

@@ -36,10 +36,11 @@ result and recorded on it, so no equation is ever fabricated with missing
 terms.
 
 `delta_matrix` is the single builder of delta: cocycles, comparison sets,
-coboundaries, primitives, the infinitesimal check and `differential` (a
-matrix-vector product) all read the sparse matrix it returns.  It expands the
-formula above in one loop over the (q+1)-tuples, summing each row's terms
-into one dict keyed by the referenced q-tuple.
+coboundaries, primitives, `differential` (a matrix-vector product) and
+`cocycle_violation` (where delta c = 0 first fails) all read the sparse
+matrix it returns.  It expands the formula above in one loop over the
+(q+1)-tuples, summing each row's terms into one dict keyed by the referenced
+q-tuple.
 """
 
 from __future__ import annotations
@@ -65,8 +66,12 @@ class _Omit(Exception):
     """Internal: the expansion left the window; omit the output tuple."""
 
 
-def _sort_with_sign(args):
-    """Sort integer arguments, tracking the permutation sign; None on repeats."""
+def _sort_with_sign(args, window: Window):
+    """Sort window indices, tracking the permutation sign; None on repeats, and
+    OutOfWindowError for an index outside the window."""
+    for a in args:
+        if a not in window:
+            raise OutOfWindowError(f"argument index {a} outside window {window}")
     args = list(args)
     sign = 1
     # insertion sort; argument counts are at most 3
@@ -82,24 +87,26 @@ def _sort_with_sign(args):
     return tuple(args), sign
 
 
+def _bad_arguments(t, degree: int, window: Window):
+    """None for a strictly increasing tuple of `degree` window indices; else the
+    exception to raise, OutOfWindowError for an index outside the window."""
+    if len(t) != degree:
+        return ValueError(f"tuple {t} has {len(t)} arguments, expected {degree}")
+    if any(a not in window for a in t):
+        return OutOfWindowError(f"tuple {t} outside window {window}")
+    if any(a >= b for a, b in zip(t, t[1:])):
+        return ValueError(f"tuple {t} is not strictly increasing")
+    return None
+
+
 def basis_tuples(degree: int, weight: int, window: Window, coeffs: str = ADJOINT):
     """Lexicographically ordered admissible tuples for C^q_d on the window."""
     if degree < 0 or degree > 3:
         raise ValueError("cochain degrees run from 0 to 3")
-    if degree == 0:
-        if coeffs == ADJOINT:
-            return [()] if weight in window else []
-        return [()] if weight == 0 else []
-    out = []
-    for t in combinations(window.indices(), degree):
-        s = sum(t)
-        if coeffs == ADJOINT:
-            if s + weight in window:
-                out.append(t)
-        else:
-            if s + weight == 0:
-                out.append(t)
-    return out
+    tuples = combinations(window.indices(), degree)
+    if coeffs == ADJOINT:
+        return [t for t in tuples if sum(t) + weight in window]
+    return [t for t in tuples if sum(t) + weight == 0]
 
 
 @dataclass(frozen=True)
@@ -126,16 +133,9 @@ class Cochain:
         object.__setattr__(self, "entries", clean)
 
     def admissible(self, t) -> bool:
-        if len(t) != self.degree:
-            return False
-        if any(a not in self.window for a in t):
-            return False
-        if any(a >= b for a, b in zip(t, t[1:])):
-            return False
-        s = sum(t)
-        if self.coeffs == ADJOINT:
-            return s + self.weight in self.window
-        return s + self.weight == 0
+        out = sum(t) + self.weight
+        return (_bad_arguments(t, self.degree, self.window) is None
+                and (out in self.window if self.coeffs == ADJOINT else out == 0))
 
     # -- vector space structure ------------------------------------------
 
@@ -178,10 +178,7 @@ class Cochain:
 
     def component(self, *args) -> int | Fraction:
         """Rational coefficient at possibly unsorted arguments (antisymmetrized)."""
-        for a in args:
-            if a not in self.window:
-                raise OutOfWindowError(f"argument index {a} outside window {self.window}")
-        t, sign = _sort_with_sign(args)
+        t, sign = _sort_with_sign(args, self.window)
         if t is None:
             return 0
         if not self.admissible(t):
@@ -195,15 +192,6 @@ class Cochain:
         if self.coeffs == TRIVIAL:
             return v
         return {sum(args) + self.weight: v} if v else {}
-
-    def restrict(self, sub: Window) -> "Cochain":
-        """Entries whose tuple and output index lie inside the subwindow."""
-        keep = {}
-        for t, v in self.entries.items():
-            if all(a in sub for a in t):
-                if self.coeffs == TRIVIAL or sum(t) + self.weight in sub:
-                    keep[t] = v
-        return Cochain(self.degree, self.weight, sub, self.coeffs, keep)
 
 
 # -- the differential ------------------------------------------------------
@@ -299,10 +287,9 @@ class MixedCochain:
         clean = {}
         for t, outs in self.entries.items():
             t = tuple(t)
-            if any(a not in self.window for a in t):
-                raise OutOfWindowError(f"tuple {t} outside window {self.window}")
-            if any(a >= b for a, b in zip(t, t[1:])):
-                raise ValueError(f"tuple {t} is not strictly increasing")
+            bad = _bad_arguments(t, self.degree, self.window)
+            if bad:
+                raise bad
             kept = {}
             for out, v in outs.items():
                 if out not in self.window:
@@ -326,10 +313,7 @@ class MixedCochain:
 
     def evaluate(self, *args) -> dict:
         """Full value as {output index: coefficient}."""
-        for a in args:
-            if a not in self.window:
-                raise OutOfWindowError(f"argument index {a} outside window {self.window}")
-        t, sign = _sort_with_sign(args)
+        t, sign = _sort_with_sign(args, self.window)
         if t is None:
             return {}
         return {out: sign * v for out, v in self.entries.get(t, {}).items()}
@@ -344,17 +328,9 @@ class MixedCochain:
                 tgt[o] = tgt.get(o, 0) + v
         return MixedCochain(self.degree, self.window, out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __neg__(self):
         return MixedCochain(self.degree, self.window,
                             {t: {o: -v for o, v in outs.items()}
-                             for t, outs in self.entries.items()})
-
-    def __rmul__(self, scale):
-        return MixedCochain(self.degree, self.window,
-                            {t: {o: scale * v for o, v in outs.items()}
                              for t, outs in self.entries.items()})
 
     def __eq__(self, other):
@@ -397,6 +373,26 @@ def weight_components(c: MixedCochain) -> dict:
         d: Cochain(c.degree, d, c.window, ADJOINT, entries)
         for d, entries in sorted(buckets.items())
     }
+
+
+def cocycle_violation(alg: GradedLieAlgebra, c, skip=frozenset()):
+    """(weight, tuple) of the first interior tuple where delta(c) != 0, or None.
+
+    `c` is a Cochain or a MixedCochain; weights go in increasing order and,
+    within one, tuples in basis order.  An equation that reads a q-tuple in
+    `skip` (a value lost to the window edge) is passed over.
+    """
+    parts = {c.weight: c} if isinstance(c, Cochain) else weight_components(c)
+    for d, part in sorted(parts.items()):
+        matrix, rows, _ = delta_matrix(alg, part.degree, d, part.window, part.coeffs)
+        cols = basis_tuples(part.degree, d, part.window, part.coeffs)
+        vec = [part.entries.get(t, 0) for t in cols]
+        for t, row in zip(rows, matrix):
+            if skip and any(cols[j] in skip for j in row):
+                continue
+            if sum(v * vec[j] for j, v in row.items()):
+                return d, t
+    return None
 
 
 # -- serialization -----------------------------------------------------------

@@ -31,13 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import GradedLieAlgebra, Window, make_witt
+from .algebra import BUILTIN, GradedLieAlgebra, Window
 from .cochains import (
     ADJOINT,
     TRIVIAL,
     Cochain,
     MixedCochain,
     basis_tuples,
+    cocycle_violation,
     delta_matrix,
     differential,
     weight_components,
@@ -166,8 +167,6 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
 
 
 def _lex_normalize(c: Cochain) -> Cochain:
-    if c.is_zero:
-        return c
     first = min(c.entries)
     return (Fraction(1) / c.entries[first]) * c
 
@@ -238,13 +237,6 @@ def _as_mixed(c) -> MixedCochain:
     raise TypeError(f"expected a cochain, got {type(c).__name__}")
 
 
-def _check_cocycle(alg, mixed: MixedCochain):
-    for d, part in weight_components(mixed).items():
-        dc = differential(alg, part)
-        for t in sorted(dc.entries):
-            raise NotACocycleError(t, f"weight {d} component fails the cocycle condition")
-
-
 def reduce_to_weight_zero(alg: GradedLieAlgebra, c, window: Window):
     """Strip the nonzero-weight part of a cocycle by an explicit coboundary.
 
@@ -255,7 +247,10 @@ def reduce_to_weight_zero(alg: GradedLieAlgebra, c, window: Window):
     arguments).
     """
     mixed = _as_mixed(c)
-    _check_cocycle(alg, mixed)
+    violation = cocycle_violation(alg, mixed)
+    if violation:
+        d, t = violation
+        raise NotACocycleError(t, f"weight {d} component fails the cocycle condition")
     parts = weight_components(mixed)
     b_parts = []
     residual_parts = []
@@ -293,9 +288,9 @@ def normalize_weight_zero(alg: GradedLieAlgebra, c: Cochain, window: Window):
         raise ValueError("normalization applies to weight-0 adjoint 2-cochains")
     if c.window != window:
         raise ValueError("cochain window mismatch")
-    dc = differential(alg, c)
-    for t in sorted(dc.entries):
-        raise NotACocycleError(t)
+    violation = cocycle_violation(alg, c)
+    if violation:
+        raise NotACocycleError(violation[1])
     for need in (-2, -1, 0, 1, 2):
         if need not in window:
             raise BoundaryError(f"window {window} lacks index {need} needed to determine b_2")
@@ -325,21 +320,12 @@ def normalize_weight_zero(alg: GradedLieAlgebra, c: Cochain, window: Window):
 def central_extension_dim(window: Window, margin: int) -> CohomologyReport:
     """H^2 of witt with trivial coefficients in weight 0 on the window.
 
-    The surviving representative is renormalized by the coboundary direction
-    (the one generated by e_0 -> 1, whose value at (e_{-n}, e_n) is 2n) so
-    that it vanishes at (e_{-1}, e_1); what remains is proportional to
-    n^3 - n along the antidiagonal.
+    The surviving representative is proportional to n^3 - n along the
+    antidiagonal (the Gelfand-Fuks cocycle) and vanishes at (e_{-1}, e_1)
+    with no renormalization: (-1,1), the last column of the cocycle matrix,
+    is always a free one, since the cocycle delta(e_0 -> 1) is 2n at
+    (e_{-n}, e_n) and so nonzero there; the representative is the canonical
+    kernel vector of the free column (-2,2); and a canonical kernel vector is
+    zero on every other free column.
     """
-    witt = make_witt()
-    report = cohomology_dim(witt, 2, 0, window, margin, coeffs=TRIVIAL)
-    fixed = []
-    for rep in report.representatives:
-        v = rep.component(-1, 1)
-        if v:
-            direction = Cochain(
-                2, 0, window, TRIVIAL,
-                {(-n, n): 2 * n for n in range(1, window.hi + 1) if -n in window},
-            )
-            rep = rep - (v / Fraction(2)) * direction
-        fixed.append(_lex_normalize(rep))
-    return replace(report, representatives=tuple(fixed))
+    return cohomology_dim(BUILTIN["witt"](), 2, 0, window, margin, coeffs=TRIVIAL)

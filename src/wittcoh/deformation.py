@@ -11,8 +11,7 @@ plain `order` field, with exactly N layers.  The staple computations:
   multiplies two series; both go through one composition helper;
 * conjugate transports a bracket along phi = id + t^1 phi_1 + ... (unipotent,
   hence invertible over the truncated base): mu'(x,y) = phi^{-1} mu(phi x, phi y);
-* infinitesimal checks delta(mu_1) = 0 row by row on the delta_2 matrix of
-  `cochains.delta_matrix`;
+* infinitesimal checks delta(mu_1) = 0 with `cochains.cocycle_violation`;
 * trivialize peels a Jacobi-clean deformation one order at a time, solving
   delta(b_s) = mu_s on the core comparison tuples and conjugating by
   id + t^s b_s; under the sign convention of `cochains.differential` that
@@ -45,27 +44,32 @@ from itertools import combinations
 from math import lcm
 
 from .algebra import (
+    BUILTIN,
     CENTRAL,
     GradedLieAlgebra,
     Window,
     format_terms,
-    make_virasoro,
-    make_witt,
     parse_terms,
     parse_tuple,
     read_document,
 )
 from .cochains import (
-    ADJOINT,
     Cochain,
     MixedCochain,
-    basis_tuples,
-    delta_matrix,
+    cocycle_violation,
     parse_window,
     weight_components,
 )
 from .cohomology import coboundary_primitive
 from .errors import BoundaryError, ConfigError, FormatError, NotACocycleError, OutOfWindowError
+
+
+def _check_layers(series, degree: int, mismatch: str):
+    """ValueError unless `series` holds `order` `degree`-cochains on its window."""
+    if len(series.layers) != series.order:
+        raise ValueError(f"expected {series.order} layers, got {len(series.layers)}")
+    if any(x.degree != degree or x.window != series.window for x in series.layers):
+        raise ValueError(mismatch)
 
 
 @dataclass(frozen=True)
@@ -79,12 +83,7 @@ class DeformedBracket:
     omitted_pairs: frozenset = frozenset()
 
     def __post_init__(self):
-        if len(self.layers) != self.order:
-            raise ValueError(
-                f"expected {self.order} layers, got {len(self.layers)}")
-        for mu in self.layers:
-            if mu.degree != 2 or mu.window != self.window:
-                raise ValueError("layers must be 2-cochains on the bracket window")
+        _check_layers(self, 2, "layers must be 2-cochains on the bracket window")
 
     @classmethod
     def trivial(cls, algebra: GradedLieAlgebra, window: Window, order: int) -> "DeformedBracket":
@@ -101,12 +100,7 @@ class Equivalence:
     layers: tuple = ()
 
     def __post_init__(self):
-        if len(self.layers) != self.order:
-            raise ValueError(
-                f"expected {self.order} layers, got {len(self.layers)}")
-        for phi in self.layers:
-            if phi.degree != 1 or phi.window != self.window:
-                raise ValueError("equivalence layers must be 1-cochains on the window")
+        _check_layers(self, 1, "equivalence layers must be 1-cochains on the window")
 
     @classmethod
     def identity(cls, window: Window, order: int) -> "Equivalence":
@@ -303,20 +297,9 @@ def infinitesimal(d: DeformedBracket) -> InfinitesimalReport:
         raise ValueError("need at least one layer")
     mu1 = d.layers[0]
     comps = weight_components(mu1)
-    violation = None
-    for wt in sorted(comps):
-        entries = comps[wt].entries
-        matrix, rows, _ = delta_matrix(d.algebra, 2, wt, d.window, ADJOINT)
-        cols = basis_tuples(2, wt, d.window, ADJOINT)
-        for t, row in zip(rows, matrix):
-            if any(cols[j] in d.omitted_pairs for j in row):
-                continue
-            if sum(v * entries.get(cols[j], 0) for j, v in row.items()) != 0:
-                violation = t
-                break
-        if violation:
-            break
-    return InfinitesimalReport(cochain=mu1, is_cocycle=violation is None, first_violation=violation,
+    violation = cocycle_violation(d.algebra, mu1, skip=d.omitted_pairs)
+    return InfinitesimalReport(cochain=mu1, is_cocycle=violation is None,
+                               first_violation=violation and violation[1],
                                weights=tuple(sorted(comps)), components=comps)
 
 
@@ -417,13 +400,11 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
 
     The comparison set is all of the core only for weights |w| <= margin, so a
     component of larger weight raises BoundaryError; a margin that leaves no
-    core raises ConfigError before any work.  The Jacobi defect report on
-    `window` comes back on the result, or on the NotACocycleError that
-    rejects a defective d.
+    core raises ConfigError (from `Window.core`) before any work.  The Jacobi
+    defect report on `window` comes back on the result, or on the
+    NotACocycleError that rejects a defective d.
     """
-    if not 0 <= 2 * margin <= d.window.hi - d.window.lo:
-        raise ConfigError(f"margin {margin} leaves no core of the window {d.window}: "
-                          f"need 0 <= margin <= {(d.window.hi - d.window.lo) // 2}")
+    core = d.window.core(margin)
     report = jacobi_defect(d, window)
     if not report.clean:
         bad = report.first_unclean()
@@ -456,7 +437,6 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
             e_s = Equivalence.single(d.window, N, s, b_s)
             current = conjugate(current, e_s)
             total_eq = compose(e_s, total_eq)
-    core = d.window.core(margin)
     for s in range(1, N + 1):
         leftover = current.layers[s - 1].restrict(core)
         if not leftover.is_zero:
@@ -496,12 +476,10 @@ def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
     name = header["algebra"]
     if algebra_loader is not None:
         algebra = algebra_loader(name)
-    elif name == "witt":
-        algebra = make_witt()
-    elif name == "virasoro":
-        algebra = make_virasoro()
+    elif name in BUILTIN:
+        algebra = BUILTIN[name]()
     else:
-        raise FormatError(f"unknown algebra {name!r} (expected witt or virasoro)")
+        raise FormatError(f"unknown algebra {name!r} (expected {' or '.join(BUILTIN)})")
 
     layer_entries: dict[int, dict] = {}
     active = None
@@ -537,6 +515,12 @@ def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
 
 
 def render_deformation(d: DeformedBracket) -> str:
+    """`parse_deformation`'s form of d; ConfigError when d has omitted pairs, which
+    the document cannot record (read back, they would count as zero brackets)."""
+    if d.omitted_pairs:
+        raise ConfigError(f"cannot render a deformation with {len(d.omitted_pairs)} omitted "
+                          f"pairs (first {min(d.omitted_pairs)}): a deformation document "
+                          f"cannot record them")
     lines = [f"algebra: {d.algebra.name}", f"order: {d.order}",
              f"window: {d.window.lo}:{d.window.hi}"]
     for s, mu in enumerate(d.layers, start=1):

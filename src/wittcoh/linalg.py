@@ -15,11 +15,12 @@ scaled once to a primitive integer row.  Two passes:
   Markowitz pivoting (the column with the fewest active rows, then its
   sparsest row; the right-hand side column last).  The rows that become
   pivots are independent mod _P, hence independent over Q.
-* Exact pass: fraction-free forward elimination (Bareiss 1968) of the
-  selected rows, with a gcd reduction after every update and a deterministic
-  pivot (smallest bit length, ties by row order), gives an echelon form; each
-  kernel vector and the particular solution are back-solved from its rows in
-  integers.  No reduced echelon form is built.
+* Exact pass: an online fraction-free echelon of the selected rows.  Each
+  row in turn is reduced at its leading column by the pivot row already
+  there, with a gcd reduction after every update, until it claims a new
+  pivot column (or only the right-hand side is left); each kernel vector and
+  the particular solution are back-solved from the pivot rows in integers.
+  No reduced echelon form is built.
 
 Why the back-solve is exact: for a free column f, the pivot columns left of f
 are independent and column f depends on them, so the kernel holds exactly one
@@ -135,32 +136,28 @@ def _combine(r, piv, col):
     return _primitive(new)
 
 
-def _eliminate(rows, n_cols):
-    """Forward-eliminate primitive integer rows; returns (pivot list, leftover rows).
+def _eliminate(rows):
+    """Echelon form of primitive integer rows; returns (pivot list, leftover rows).
 
-    `rows` is a list of {col: int} dicts (the virtual _AUG column is never
-    chosen as a pivot).  Pivots are (col, row) in increasing column order;
-    leftovers are the nonzero rows no pivot cleared, so they can only hold _AUG.
+    `rows` is a list of {col: int} dicts, taken in order: a row is reduced at
+    its leading column (the virtual _AUG column never leads) by the pivot row
+    there until it claims a free column or only _AUG is left.  Pivots are
+    (col, row) in increasing column order, each row zero left of its column;
+    leftovers are the rows reduced to _AUG alone.
     """
-    active = [(i, r) for i, r in enumerate(rows) if r]
-    pivots = []
-    for col in range(n_cols):
-        cand = [(i, r) for i, r in active if r.get(col)]
-        if not cand:
-            continue
-        idx, piv = min(cand, key=lambda ir: (abs(ir[1][col]).bit_length(), ir[0]))
-        nxt = []
-        for i, r in active:
-            if i == idx:
+    pivots, leftovers = {}, []
+    for r in rows:
+        while r:
+            col = min((c for c in r if c != _AUG), default=_AUG)
+            if col == _AUG:
+                leftovers.append(r)
+            elif col in pivots:
+                r = _combine(r, pivots[col], col)
                 continue
-            if r.get(col):
-                r = _combine(r, piv, col)
-                if not r:
-                    continue
-            nxt.append((i, r))
-        active = nxt
-        pivots.append((col, piv))
-    return pivots, [r for _, r in active]
+            else:
+                pivots[col] = r
+            break
+    return sorted(pivots.items()), leftovers
 
 
 def _first_failure(rows, vecs):
@@ -248,7 +245,7 @@ def _select(rows):
 
 def _solve_rows(sub, rows, n_cols, augmented):
     """Exact solution data from the rows `sub`; AssertionError unless it holds on all `rows`."""
-    pivots, leftovers = _eliminate(sub, n_cols)
+    pivots, leftovers = _eliminate(sub)
     free = sorted(set(range(n_cols)).difference(c for c, _ in pivots))
     consistent = augmented and not leftovers
     vecs = [_back_solve(pivots, f) for f in free + [_AUG] * consistent]  # _AUG: (x, 1)

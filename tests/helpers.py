@@ -63,7 +63,7 @@ def reference_solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     for row, b in zip(rows, rhs or ()):
         if b:
             row[aug] = -b
-    pivots, leftovers = linalg._eliminate([linalg._primitive(r) for r in rows], m.n_cols)
+    pivots, leftovers = linalg._eliminate([linalg._primitive(r) for r in rows])
     # back-substitute: clear each pivot column from the earlier pivot rows
     for k in range(len(pivots) - 1, -1, -1):
         col, piv = pivots[k]

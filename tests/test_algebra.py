@@ -12,12 +12,20 @@ from wittcoh.algebra import (
     make_virasoro,
     make_witt,
 )
-from wittcoh.errors import FormatError
+from wittcoh.errors import ConfigError, FormatError
 
 WITT = make_witt()
 VIR = make_virasoro()
 
 idx = st.integers(-20, 20)
+
+
+@pytest.mark.parametrize("margin", [-1, 9])
+def test_window_core_refuses_a_margin_that_leaves_nothing(margin):
+    assert Window(-8, 8).core(8) == Window(0, 0)
+    with pytest.raises(ConfigError, match=rf"^margin {margin} leaves no core of the window "
+                                          r"\[-8,8\]: need 0 <= margin <= 8$"):
+        Window(-8, 8).core(margin)
 
 
 def test_witt_bracket_basic():

@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittcoh.algebra import Window, load_algebra, make_virasoro, make_witt
 from wittcoh.cochains import (
@@ -12,6 +13,7 @@ from wittcoh.cochains import (
     basis_tuples,
     cochain_from_text,
     cochain_to_text,
+    cocycle_violation,
     delta_matrix,
     differential,
     weight_components,
@@ -19,11 +21,14 @@ from wittcoh.cochains import (
 from wittcoh.errors import ConfigError, OutOfWindowError
 
 from helpers import (
+    _delta_terms,
     cochain_from_function,
     never_leaves_window,
     random_cochain,
     random_mixed_cocycle,
+    random_scalar,
     reference_delta_matrix,
+    truncated_coboundary,
 )
 
 WITT = make_witt()
@@ -160,6 +165,17 @@ def test_differential_preserves_weight_and_reports_omissions():
     assert dc.weight == 3 and dc.degree == 2
     # near the upper edge some pairs must have been dropped, and they are listed
     assert all(isinstance(t, tuple) and len(t) == 2 for t in dc.omitted)
+
+
+def test_mixed_cochain_checks_the_tuple_length():
+    with pytest.raises(ValueError, match=r"tuple \(3,\) has 1 arguments, expected 2"):
+        MixedCochain(2, W8, {(3,): {4: 1}})
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        MixedCochain(2, W8, {(3, 1): {4: 1}})
+    with pytest.raises(OutOfWindowError):
+        MixedCochain(2, W8, {(3, 9): {4: 1}})
+    with pytest.raises(OutOfWindowError, match="not admissible"):
+        Cochain(2, 0, W8, ADJOINT, {(3,): 1})
 
 
 # -- weight decomposition -----------------------------------------------------
@@ -353,3 +369,58 @@ def test_delta_matrix_refuses_like_the_reference(alg):
                              "indexed span; central targets are not supported as cochain arguments"),
                 "ungraded": (ValueError, "bracket is not graded")}[alg.name]
     assert errors and all(t is expected[0] and msg.startswith(expected[1]) for t, msg in errors)
+
+
+# -- the first failure of the cocycle condition -----------------------------------
+
+W6 = Window(-6, 6)
+
+
+def reference_violation(parts, skip):
+    """Per weight in increasing order, the lexicographically first nonzero tuple of
+    `differential` whose equation reads no tuple in `skip`; `parts` maps weights
+    to single-weight cochains."""
+    for d in sorted(parts):
+        part = parts[d]
+        for t in sorted(differential(WITT, part).entries):
+            reads = _delta_terms(WITT, part.degree, d, part.window, part.coeffs, t)
+            if not any(ref in skip for ref, _ in reads):
+                return d, t
+    return None
+
+
+@st.composite
+def violation_cases(draw):
+    """(cochain, weight -> single-weight parts, skip, is a cocycle) on [-6,6]."""
+    rng = Random(draw(st.integers(0, 2**32)))
+    q = draw(st.sampled_from([1, 2]))
+    mixed = draw(st.booleans())
+    coeffs = ADJOINT if mixed else draw(st.sampled_from([ADJOINT, TRIVIAL]))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3 if mixed else 1,
+                            unique=True))
+    parts = {d: truncated_coboundary(rng, WITT, q - 1, d, W6, coeffs)[1] for d in weights}
+    perturbed = draw(st.booleans())
+    if perturbed:
+        for d in weights:
+            tuples = basis_tuples(q, d, W6, coeffs)
+            extra = {t: random_scalar(rng) for t in rng.sample(tuples, min(2, len(tuples)))}
+            parts[d] = parts[d] + Cochain(q, d, W6, coeffs, extra)
+    if mixed:
+        c = MixedCochain.from_components(q, W6, parts.values())
+        parts = weight_components(c)
+    else:
+        c = parts[weights[0]]
+    tuples = sorted({t for d in weights for t in basis_tuples(q, d, W6, coeffs)})
+    skip = frozenset(rng.sample(tuples, draw(st.integers(0, min(6, len(tuples))))))
+    return c, parts, skip, not perturbed
+
+
+@given(violation_cases())
+@settings(max_examples=80, deadline=None)
+def test_cocycle_violation_matches_the_differential(case):
+    c, parts, skip, cocycle = case
+    got = cocycle_violation(WITT, c, skip)
+    assert got == reference_violation(parts, skip)
+    assert got == cocycle_violation(WITT, c, skip | {()})  # a tuple no equation reads
+    if cocycle:
+        assert got is None

@@ -80,6 +80,15 @@ def test_margin_must_be_at_least_two():
         cohomology_dim(WITT, 2, 0, W10, 1)
 
 
+def test_a_margin_with_no_core_is_a_config_error():
+    w8 = Window(-8, 8)
+    c = Cochain(2, 0, w8, ADJOINT, {(1, 2): 1})
+    with pytest.raises(ConfigError, match=r"^margin -1 leaves no core of the window \[-8,8\]"):
+        coboundary_primitive(WITT, c, margin=-1)
+    with pytest.raises(ConfigError, match=r"need 0 <= margin <= 8$"):
+        comparison_tuples(WITT, 2, 0, w8, 9)
+
+
 def test_stability_scan_series():
     r = stability_scan(WITT, 2, 0, [Window(-8, 8), W10, W12], 4)
     assert [n for _, n in r.stabilization] == [0, 0, 0]
@@ -214,14 +223,18 @@ def test_central_extension_weight_one_vanishes():
 
 
 def test_central_representative_is_cubic():
-    r = central_extension_dim(W10, 3)
-    rep = r.representatives[0]
-    assert rep.component(-1, 1) == 0
-    # 12 * rep(e_{-n}, e_n) = lambda (n^3 - n) for one scalar across the core
-    lam = 12 * rep.component(-2, 2) / Fraction(2**3 - 2)
-    assert lam != 0
-    for n in range(2, 8):
-        assert 12 * rep.component(-n, n) == lam * (n**3 - n)
+    # with no renormalization: (-1,1) is a free column of the cocycle matrix, and
+    # the representative, the kernel vector of the free column (-2,2), is zero there
+    for h in range(6, 15):
+        for margin in range(2, 6):
+            reps = central_extension_dim(Window(-h, h), margin).representatives
+            # a core [-1,1] compares the single tuple (-1,1), where no class shows
+            assert len(reps) == (h - margin >= 2)
+            for rep in reps:
+                # rep(e_{-n}, e_n) = lambda (n^3 - n) for one scalar across the window
+                lam = rep.component(-2, 2) / Fraction(2**3 - 2)
+                assert lam != 0
+                assert all(rep.component(-n, n) == lam * (n**3 - n) for n in range(1, h + 1))
 
 
 def test_central_extension_stable_across_windows():

@@ -21,6 +21,7 @@ change is intended.
 
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -45,7 +46,9 @@ W9 = Window(-9, 9)
 
 
 def bracket_text(d: DeformedBracket) -> str:
-    return render_deformation(d) + f"omitted: {sorted(d.omitted_pairs)}\n"
+    # a deformation document cannot record omitted pairs, so they get a line of their own
+    layers = render_deformation(replace(d, omitted_pairs=frozenset()))
+    return layers + f"omitted: {sorted(d.omitted_pairs)}\n"
 
 
 def digest(text: str) -> str:

@@ -397,12 +397,31 @@ def test_deformation_document_round_trip():
     rng = Random(9)
     mu1 = MixedCochain.from_cochain(differential(WITT, random_cochain(rng, 1, 1, W8, fill=0.4)))
     mu2 = MixedCochain.from_cochain(differential(WITT, random_cochain(rng, 1, 0, W8, fill=0.4)))
-    d = DeformedBracket(2, WITT, W8, (mu1, mu2))
-    text = render_deformation(d)
-    again = parse_deformation(text)
-    assert again.order == d.order
-    assert again.window == d.window
-    assert again.layers == d.layers
+    brackets = [DeformedBracket(2, WITT, W8, (mu1, mu2))]
+    for alg in (WITT, make_virasoro()) * 3:  # random layers, not necessarily Jacobi-clean
+        order = rng.randint(0, 3)
+        brackets.append(DeformedBracket(order, alg, W8, tuple(
+            random_mixed_layer(rng, 2, W8, rng.sample(range(-2, 3), 2), 0.2) for _ in range(order))))
+    for d in brackets:
+        again = parse_deformation(render_deformation(d))
+        assert (again.order, again.window, again.algebra.name, again.layers, again.omitted_pairs) == (
+            d.order, d.window, d.algebra.name, d.layers, frozenset())
+
+
+def test_deformation_document_refuses_omitted_pairs():
+    # conjugating by b(e_2) = 1/2 e_3, b(e_-3) = 3 e_-2 loses pairs at the window
+    # edge; read back from a document they would count as zero brackets
+    b = MixedCochain(1, W8, {(2,): {3: Fraction(1, 2)}, (-3,): {-2: 3}})
+    d = conjugate(DeformedBracket.trivial(WITT, W8, 3), Equivalence.single(W8, 3, 1, b))
+    assert len(d.omitted_pairs) == 33 and jacobi_defect(d, W8).clean
+    with pytest.raises(ConfigError, match=r"^cannot render a deformation with 33 omitted "
+                                          r"pairs \(first \(-8, -7\)\)"):
+        render_deformation(d)
+
+
+def test_deformation_document_rejects_a_short_tuple():
+    with pytest.raises(FormatError, match=r"^line 5: bad pair '\(3\)'$"):
+        parse_deformation("algebra: witt\norder: 1\nwindow: -8:8\nlayer: 1\n(3) -> 4:1\n")
 
 
 def test_deformation_document_rejects_garbage():

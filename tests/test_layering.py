@@ -66,16 +66,21 @@ def test_the_exactness_guard_sees_floats_and_int_division(tmp_path):
         (1, "float literal"), (2, "float call"), (3, "division"), (6, "division")]
 
 
-def callers_of(path, method):
-    """Sorted names of the functions that call `.method(...)`; '<module>' for top-level calls."""
+def _called_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def callers_of(path, name):
+    """Sorted names of the functions that call `name(...)` or `.name(...)`; '<module>'
+    for top-level calls."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     owner = {}
     for node in ast.walk(tree):  # breadth first, so an inner function overwrites its outer one
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((id(sub), node.name) for sub in ast.walk(node))
     return sorted({owner.get(id(node), "<module>") for node in ast.walk(tree)
-                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                   and node.func.attr == method})
+                   if isinstance(node, ast.Call) and _called_name(node) == name})
 
 
 def test_read_document_is_the_only_reader_of_document_lines():
@@ -89,3 +94,41 @@ def test_the_line_reader_guard_sees_every_caller(tmp_path):
                      "    def inner():\n        return text.splitlines()\n    return inner\n\n"
                      "def other(text):\n    return text.split()\n")
     assert callers_of(probe, "splitlines") == ["<module>", "inner"]
+
+
+def test_delta_matrix_is_built_only_by_its_four_readers():
+    offenders = {p.name: callers_of(p, "delta_matrix") for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: got for name, got in offenders.items() if got} == {
+        "cochains.py": ["cocycle_violation", "differential"],
+        "cohomology.py": ["cocycle_matrix", "comparison_tuples"]}
+
+
+def test_the_caller_guard_sees_plain_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(m):\n    return delta_matrix(m)\n\n"
+                     "def g(m):\n    return cochains.delta_matrix(m)\n\n"
+                     "def h(m):\n    return delta_matrix\n")
+    assert callers_of(probe, "delta_matrix") == ["f", "g"]
+
+
+def builtin_makers(path):
+    """Lines that name make_witt or make_virasoro, in code or in an import."""
+    makers = {"make_witt", "make_virasoro"}
+    return sorted({node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if (isinstance(node, ast.Name) and node.id in makers)
+                   or (isinstance(node, ast.Attribute) and node.attr in makers)
+                   or (isinstance(node, ast.alias) and node.name in makers)})
+
+
+def test_builtin_algebras_are_reached_through_builtin():
+    # algebra.py defines them, and the package's public names re-export them
+    offenders = {p.name: builtin_makers(p) for p in sorted(PACKAGE.glob("*.py"))
+                 if p.name not in ("algebra.py", "__init__.py")}
+    assert {name: got for name, got in offenders.items() if got} == {}
+
+
+def test_the_builtin_guard_sees_every_reference(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .algebra import BUILTIN, make_witt\nw = algebra.make_virasoro()\n"
+                     "v = BUILTIN['witt']()\nmake_witt_like = 1\n")
+    assert builtin_makers(probe) == [1, 2]

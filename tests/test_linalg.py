@@ -103,8 +103,8 @@ def _perturb_first_pivot(monkeypatch, col):
     """Make _eliminate return its first pivot row with the entry at `col` raised by 1."""
     real = linalg._eliminate
 
-    def perturbed(rows, n_cols):
-        pivots, leftovers = real(rows, n_cols)
+    def perturbed(rows):
+        pivots, leftovers = real(rows)
         pcol, row = pivots[0]
         pivots[0] = (pcol, {**row, col: row.get(col, 0) + 1})
         return pivots, leftovers
@@ -293,7 +293,7 @@ def test_solve_matches_the_reduced_echelon_reference(system):
     m, rhs = system
     assert solve(m, rhs) == reference_solve(m, rhs)
     # the back-solve for a free column f never reads a pivot row right of f
-    pivots, _ = linalg._eliminate([linalg._primitive(r) for r in m], m.n_cols)
+    pivots, _ = linalg._eliminate([linalg._primitive(r) for r in m])
     for f in sorted(set(range(m.n_cols)).difference(c for c, _ in pivots)):
         blind = [(c, r if c < f else None) for c, r in pivots]
         assert linalg._back_solve(blind, f) == linalg._back_solve(pivots, f)
