@@ -98,6 +98,15 @@ class Window:
         return f"[{self.lo},{self.hi}]"
 
 
+def parse_window(text: str) -> Window:
+    """'lo:hi' as a Window; FormatError otherwise."""
+    try:
+        lo_s, _, hi_s = text.strip().partition(":")
+        return Window(int(lo_s), int(hi_s))
+    except ValueError as exc:
+        raise FormatError(f"bad window {text!r}: {exc}") from None
+
+
 def make_witt() -> GradedLieAlgebra:
     """The Witt algebra: [e_n, e_m] = (m - n) e_{n+m}, with integer coefficients."""
 

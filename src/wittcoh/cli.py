@@ -8,6 +8,9 @@ Subcommands:
     jacobi             Jacobi certification of a bracket on a window
     deform             defect report / trivialization of a deformation document
 
+Each handler imports the layers it uses when it runs, so a short run does not
+pay for loading the others.
+
 Exit codes: 0 success (and expectation met when --expect is given),
 1 verification mismatch, 2 usage or configuration error, 3 internal
 contradiction.  Every number in the output is an exact rational rendered as
@@ -21,17 +24,8 @@ import json
 import os
 import sys
 
-from .algebra import BUILTIN, check_jacobi, load_algebra, parse_rational
-from .cochains import parse_window
-from .cohomology import (
-    CohomologyReport,
-    central_extension_dim,
-    cohomology_dim,
-    stability_scan,
-)
-from .deformation import parse_deformation, trivialize
+from .algebra import BUILTIN, check_jacobi, load_algebra, parse_rational, parse_window
 from .errors import BoundaryError, ConfigError, ContradictionError, FormatError, NotACocycleError
-from .replay import SymbolicValue, check_buffer, final_solve, run_replay
 
 OUTPUT_DIR_ENV = "WITTCOH_OUTPUT_DIR"
 
@@ -50,8 +44,8 @@ def _resolve_algebra(selector: str):
     return load_algebra(_read(selector, "algebra"))
 
 
-def emit_report(report: CohomologyReport, fmt: str) -> str:
-    """Deterministic serialization of a cohomology report."""
+def emit_report(report, fmt: str) -> str:
+    """Deterministic serialization of a `cohomology.CohomologyReport`."""
     if fmt == "json":
         return json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
     if fmt == "csv":
@@ -157,6 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_cohomology(args) -> int:
+    from .cohomology import cohomology_dim, stability_scan
+
     alg = _resolve_algebra(args.algebra)
     if args.stabilize is not None:
         windows = [parse_window(w) for w in args.stabilize.split(",")]
@@ -170,6 +166,8 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_central(args) -> int:
+    from .cohomology import central_extension_dim
+
     report = central_extension_dim(parse_window(args.window), args.margin)
     _write(emit_report(report, args.format), args.output)
     return _expect("dim_stable", report.dim_stable, args.expect)
@@ -188,6 +186,8 @@ def _parse_injection(text: str):
 
 
 def _cmd_replay(args) -> int:
+    from .replay import SymbolicValue, check_buffer, final_solve, run_replay
+
     injected = _parse_injection(args.inject_relation) if args.inject_relation else None
     if injected and abs(injected[1]) > args.K:
         raise ConfigError(f"--inject-relation names a_{injected[1]}, but the table's "
@@ -220,6 +220,8 @@ def _cmd_jacobi(args) -> int:
 
 
 def _cmd_deform(args) -> int:
+    from .deformation import parse_deformation, trivialize
+
     doc = _read(args.file, "deformation")
     loader = None
     if args.algebra_file:

@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import CENTRAL, GradedLieAlgebra, Window, parse_rational, parse_tuple, read_document
+from .algebra import (CENTRAL, GradedLieAlgebra, Window, parse_rational, parse_tuple,
+                      parse_window, read_document)
 from .errors import ConfigError, FormatError, OutOfWindowError
 from .linalg import SparseMatrix, check_coefficient
 
@@ -410,14 +411,6 @@ def cochain_to_text(c: Cochain) -> str:
         key = "(" + ",".join(str(a) for a in t) + ")"
         lines.append(f"{key} -> {c.entries[t]}")
     return "\n".join(lines) + "\n"
-
-
-def parse_window(text: str) -> Window:
-    try:
-        lo_s, _, hi_s = text.strip().partition(":")
-        return Window(int(lo_s), int(hi_s))
-    except ValueError as exc:
-        raise FormatError(f"bad window {text!r}: {exc}") from None
 
 
 def cochain_from_text(text: str) -> Cochain:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import BUILTIN, GradedLieAlgebra, Window
+from .algebra import BUILTIN, GradedLieAlgebra, Window, parse_window
 from .cochains import (
     ADJOINT,
     TRIVIAL,
@@ -82,7 +82,7 @@ class CohomologyReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CohomologyReport":
-        from .cochains import cochain_from_text, parse_window
+        from .cochains import cochain_from_text
 
         return cls(
             algebra=data["algebra"],

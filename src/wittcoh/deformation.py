@@ -51,13 +51,13 @@ from .algebra import (
     format_terms,
     parse_terms,
     parse_tuple,
+    parse_window,
     read_document,
 )
 from .cochains import (
     Cochain,
     MixedCochain,
     cocycle_violation,
-    parse_window,
     weight_components,
 )
 from .cohomology import coboundary_primitive

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from wittcoh import cli
+from wittcoh import replay
 from wittcoh.cli import emit_report, main
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential
 from wittcoh.cohomology import CohomologyReport, central_extension_dim
@@ -98,7 +98,7 @@ def test_replay_buffer_bounds_are_inclusive(capsys):
 
 def test_replay_buffer_is_checked_before_the_replay_runs(capsys, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli, "run_replay", lambda **kwargs: calls.append(kwargs))
+    monkeypatch.setattr(replay, "run_replay", lambda **kwargs: calls.append(kwargs))
     code, out, err = run(capsys, "replay", "--K", "30", "--buffer", "40")
     assert (code, out, calls) == (2, "", [])
     assert err == "error: buffer must satisfy 0 <= buffer <= K = 30, got 40\n"

@@ -242,6 +242,20 @@ def test_central_extension_stable_across_windows():
         assert central_extension_dim(Window(-h, h), m).dim_stable == 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="_check_window accepts the core [-1,1], whose one comparison tuple (-1,1) "
+    "cannot tell the Gelfand-Fuks class from the coboundary of e_0 -> 1, so it reads 0",
+)
+def test_a_core_too_small_to_show_the_central_class_is_refused():
+    # margins 2..4 on [-6,6] report the class; margin 5 must refuse or report it too
+    try:
+        r = central_extension_dim(Window(-6, 6), 5)
+    except ConfigError:
+        return
+    assert r.dim_stable == 1
+
+
 def test_central_extension_unique_across_weights():
     # weight 0 carries the single class; every other weight carries none
     for d in (-3, -2, -1, 1, 2, 3):
