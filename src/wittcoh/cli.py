@@ -161,6 +161,10 @@ def _cmd_cohomology(args) -> int:
     else:
         report = cohomology_dim(alg, args.degree, args.weight, parse_window(args.window),
                                 args.margin, coeffs=args.coefficients)
+    if args.algebra not in BUILTIN:  # dim_cocycles at d != 0 holds only for a Lie bracket
+        for window, _ in report.stabilization:
+            if defects := check_jacobi(alg, window, interior=True).defects:
+                raise ConfigError(f"{alg.name} fails the Jacobi identity at {defects[0][0]}")
     _write(emit_report(report, args.format), args.output)
     return _expect("dim_stable", report.dim_stable, args.expect)
 

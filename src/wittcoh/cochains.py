@@ -88,7 +88,7 @@ def _sort_with_sign(args, window: Window):
     return tuple(args), sign
 
 
-def _bad_arguments(t, degree: int, window: Window):
+def bad_arguments(t, degree: int, window: Window):
     """None for a strictly increasing tuple of `degree` window indices; else the
     exception to raise, OutOfWindowError for an index outside the window."""
     if len(t) != degree:
@@ -135,7 +135,7 @@ class Cochain:
 
     def admissible(self, t) -> bool:
         out = sum(t) + self.weight
-        return (_bad_arguments(t, self.degree, self.window) is None
+        return (bad_arguments(t, self.degree, self.window) is None
                 and (out in self.window if self.coeffs == ADJOINT else out == 0))
 
     # -- vector space structure ------------------------------------------
@@ -288,7 +288,7 @@ class MixedCochain:
         clean = {}
         for t, outs in self.entries.items():
             t = tuple(t)
-            bad = _bad_arguments(t, self.degree, self.window)
+            bad = bad_arguments(t, self.degree, self.window)
             if bad:
                 raise bad
             kept = {}

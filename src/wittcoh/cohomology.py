@@ -19,6 +19,18 @@ eliminated generator-first (`cocycle_matrix`), which changes the work but no
 answer.  Every report validates its window through `_check_window`:
 lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
 
+A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
+(`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
+delta_{q-1} iota + iota delta_q = -d I here; `cohomology_dim` checks it
+exactly on each comparison row t, reading the row (0, t) of delta_q (never
+omitted: it needs the indices that row t of delta_{q-1} needs).  With
+h = -iota/d, a cocycle z has delta z = 0 at the rows (0, t), so z = delta(h z)
+on the comparison set and dim_stable = 0.  Given the Jacobi identity, delta of
+a (q-1)-cochain extended by zero to W is a cocycle, equal to the comparison
+matrix's image on its rows (interior for delta_{q-1}), so dim_cocycles is
+that matrix's rank.  Where the identity fails (e_0 is not a grading element,
+as for an abelian bracket), `cohomology_by_elimination` decides.
+
 Alongside the dimension counts the module houses the two constructive moves
 that drive everything downstream: reduction of an arbitrary cocycle to weight
 zero via b(e_i) = sum_{d != 0} c_{i,0;d}/d e_{i+d}, and the unique diagonal
@@ -166,9 +178,10 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
     return Cochain(q - 1, d, window, coeffs, {t: x[i] for i, t in enumerate(cols) if x[i]})
 
 
-def _lex_normalize(c: Cochain) -> Cochain:
-    first = min(c.entries)
-    return (Fraction(1) / c.entries[first]) * c
+def _iota(tuples):
+    """For each u, c(e_0, *u) = sign * c_t as (t, sign); None where u holds 0."""
+    return [None if 0 in u else (tuple(sorted(u + (0,))), (-1) ** sum(a < 0 for a in u))
+            for u in tuples]
 
 
 def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
@@ -177,12 +190,36 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
 
     dim_cocycles and dim_coboundaries are both measured on the core comparison
     set; dim_stable is their difference, so it counts cocycle classes whose
-    core restriction no coboundary can reproduce.
+    core restriction no coboundary can reproduce.  Its dim_cocycles at d != 0 needs
+    a Lie bracket on the window (the built-ins are; the CLI checks a loaded one).
     """
     if q not in (0, 1, 2):
         raise ConfigError(f"degree must be 0, 1 or 2, got {q}")
     _check_window(window, margin)
+    if d:
+        delta, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
+        comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
+        cols = basis_tuples(q, d, window, coeffs)
+        lower = _iota(basis_tuples(q - 1, d, window, coeffs)) if q else []
+        row_of = dict(zip(rows, delta))
+        for t, hit, row in zip(comp, _iota(comp), coboundary):
+            up = row_of.get(hit[0]) if hit else {}  # the row (0, t) of delta_q; None if omitted
+            acc = {t: d}  # row t of delta_{q-1} iota + iota delta_q + d I
+            terms = [(*lower[j], v) for j, v in row.items() if lower[j]]
+            for u, sign, v in terms + [(cols[k], hit[1], v) for k, v in (up or {}).items()]:
+                acc[u] = acc.get(u, 0) + sign * v
+            if up is None or any(acc.values()):
+                break
+        else:
+            n = rank(coboundary)
+            return CohomologyReport(alg.name, q, d, window, margin, coeffs, n, n, 0,
+                                    stabilization=((window, 0),), omitted_triples=len(omitted))
+    return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
 
+
+def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Window,
+                              margin: int, coeffs: str = ADJOINT) -> CohomologyReport:
+    """`cohomology_dim`'s report from the kernel of delta_q: weight 0, the fallback, the oracle."""
     matrix, cols, omitted = cocycle_matrix(alg, q, d, window, coeffs)
     kernel = solve(matrix).kernel_basis
 
@@ -203,7 +240,7 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     for c in pivots[dim_w:]:
         vec = kernel[c - n_w]
         rep = Cochain(q, d, window, coeffs, {t: vec[i] for i, t in enumerate(cols) if vec[i]})
-        representatives.append(_lex_normalize(rep))
+        representatives.append((Fraction(1) / rep.entries[min(rep.entries)]) * rep)
 
     return CohomologyReport(
         algebra=alg.name, degree=q, weight=d, window=window, margin=margin,
@@ -240,7 +277,7 @@ def _as_mixed(c) -> MixedCochain:
 def reduce_to_weight_zero(alg: GradedLieAlgebra, c, window: Window):
     """Strip the nonzero-weight part of a cocycle by an explicit coboundary.
 
-    Returns (b, residual) with b(e_i) = sum_{d != 0} c_{i,0;d}/d e_{i+d} and
+    Returns (b, residual) with b(e_i) = sum_{d != 0} c_{i,0;d}/d e_{i+d} (h above) and
     residual = c - delta(b); on the core of the window the residual is pure
     weight zero (in particular b(e_0) = 0 holds componentwise, since the
     d-component of b(e_0) is c_{0,0;d}/d and c vanishes on repeated
@@ -258,14 +295,10 @@ def reduce_to_weight_zero(alg: GradedLieAlgebra, c, window: Window):
         if d == 0:
             residual_parts.append(part)
             continue
-        entries = {}
-        for i in window.indices():
-            if i == 0 or i + d not in window:
-                continue
-            v = part.component(i, 0)
-            if v:
-                entries[(i,)] = v / Fraction(d)
-        b_d = Cochain(1, d, window, ADJOINT, entries)
+        cols = basis_tuples(1, d, window, ADJOINT)
+        b_d = Cochain(1, d, window, ADJOINT, {  # h = -iota/d
+            u: -hit[1] * part.entries[hit[0]] / Fraction(d)
+            for u, hit in zip(cols, _iota(cols)) if hit and hit[0] in part.entries})
         b_parts.append(b_d)
         residual_parts.append(part - differential(alg, b_d))
     b = MixedCochain.from_components(1, window, b_parts)

@@ -57,6 +57,7 @@ from .algebra import (
 from .cochains import (
     Cochain,
     MixedCochain,
+    bad_arguments,
     cocycle_violation,
     weight_components,
 )
@@ -498,10 +499,8 @@ def parse_deformation(text: str, algebra_loader=None) -> DeformedBracket:
         if active is None:
             raise FormatError(f"line {lineno}: bracket record before any layer line")
         pair = parse_tuple(lhs, lineno)
-        if len(pair) != 2:
-            raise FormatError(f"line {lineno}: bad pair {lhs!r}")
-        if pair[0] >= pair[1]:
-            raise FormatError(f"line {lineno}: pair must satisfy i < j")
+        if bad := bad_arguments(pair, 2, window):
+            raise FormatError(f"line {lineno}: {bad}")
         if pair in layer_entries[active]:
             raise FormatError(f"line {lineno}: duplicate pair {lhs} in layer {active}")
         layer_entries[active][pair] = parse_terms(rhs, lineno)

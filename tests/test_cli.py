@@ -7,7 +7,7 @@ from wittcoh import replay
 from wittcoh.cli import emit_report, main
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential
 from wittcoh.cohomology import CohomologyReport, central_extension_dim
-from wittcoh.algebra import Window, make_witt
+from wittcoh.algebra import Window, dump_algebra, make_witt
 from wittcoh.deformation import DeformedBracket, render_deformation
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,6 +152,20 @@ def test_ungraded_bracket_cohomology_exits_two(capsys, tmp_path, coeffs):
                          "--coefficients", coeffs)
     assert (code, out) == (2, "")
     assert err.startswith("error: bracket is not graded: [e_")
+
+
+def test_cohomology_refuses_a_loaded_bracket_that_is_not_a_lie_bracket(capsys, tmp_path):
+    # a Witt table cut off at the window passes; one changed constant does not
+    text = dump_algebra(make_witt(), Window(-8, 8))
+    good, bad = tmp_path / "witt.alg", tmp_path / "perturbed.alg"
+    good.write_text(text)
+    bad.write_text(text.replace("\n1 2 -> 3:1\n", "\n1 2 -> 3:2\n"))
+    args = ("cohomology", "--degree", "2", "--weight", "1", "--window=-8:8", "--margin", "2",
+            "--format", "json", "--algebra")
+    assert run(capsys, *args, str(good)) == run(capsys, *args, "witt")
+    code, out, err = run(capsys, *args, str(bad))
+    assert (code, out) == (2, "")
+    assert err == "error: witt fails the Jacobi identity at (-8, 1, 2)\n"
 
 
 def test_jacobi_clean_and_corrupt(capsys, tmp_path):

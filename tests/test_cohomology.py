@@ -4,13 +4,15 @@ from random import Random
 
 import pytest
 
-from wittcoh.algebra import Window, make_witt
+from wittcoh import cohomology
+from wittcoh.algebra import Window, load_algebra, make_witt
 from wittcoh.cochains import ADJOINT, TRIVIAL, Cochain, MixedCochain, delta_matrix, differential
 from wittcoh.cohomology import (
     CohomologyReport,
     central_extension_dim,
     coboundary_primitive,
     cocycle_matrix,
+    cohomology_by_elimination,
     cohomology_dim,
     comparison_tuples,
     normalize_weight_zero,
@@ -258,9 +260,36 @@ def test_a_core_too_small_to_show_the_central_class_is_refused():
 
 def test_central_extension_unique_across_weights():
     # weight 0 carries the single class; every other weight carries none
-    for d in (-3, -2, -1, 1, 2, 3):
-        r = cohomology_dim(WITT, 2, d, W10, 3, coeffs=TRIVIAL)
-        assert r.dim_stable == 0, d
+    for window in (W10, W12):
+        for d in (-6, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, 6):
+            r = cohomology_dim(WITT, 2, d, window, 3, coeffs=TRIVIAL)
+            assert r.dim_stable == 0, (window, d)
+
+
+def test_the_homotopy_decides_every_nonzero_weight_as_the_elimination_does(monkeypatch):
+    # the rigidity grid's nonzero verdicts, the small benchmark windows, and every
+    # nonzero weight of [-10,10] at q = 0, 1, 2, both coefficients, margins 2 and 4
+    cases = [(2, d, Window(-h, h), 4, ADJOINT) for d in range(-6, 7) if d for h in (8, 10, 12)]
+    cases += [(2, d, Window(-h, h), 4, ADJOINT) for d in (-1, 1) for h in (5, 6)]
+    cases += [(q, d, W10, m, coeffs) for q in (0, 1, 2) for coeffs in (ADJOINT, TRIVIAL)
+              for m in (2, 4) for d in range(-20, 21) if d]
+    expected = [cohomology_by_elimination(WITT, *case).to_json_dict() for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("a Witt report at d != 0 fell back to the elimination")
+
+    monkeypatch.setattr(cohomology, "cohomology_by_elimination", refuse)
+    assert [cohomology_dim(WITT, *case).to_json_dict() for case in cases] == expected
+
+
+def test_an_abelian_bracket_falls_back_to_the_elimination():
+    # e_0 acts by 0, not by the weight, so the homotopy identity fails on every row
+    abelian = load_algebra("name: abelian\ngraded: yes\ncentral: no\n")
+    window = Window(-6, 6)
+    for d, stable in ((1, 28), (-2, 26)):
+        r = cohomology_dim(abelian, 2, d, window, 2).to_json_dict()
+        assert r == cohomology_by_elimination(abelian, 2, d, window, 2).to_json_dict()
+        assert r["dim_stable"] == stable
 
 
 def test_h1_vanishes_across_weights():

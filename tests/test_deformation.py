@@ -420,8 +420,16 @@ def test_deformation_document_refuses_omitted_pairs():
 
 
 def test_deformation_document_rejects_a_short_tuple():
-    with pytest.raises(FormatError, match=r"^line 5: bad pair '\(3\)'$"):
+    with pytest.raises(FormatError, match=r"^line 5: tuple \(3,\) has 1 arguments, expected 2$"):
         parse_deformation("algebra: witt\norder: 1\nwindow: -8:8\nlayer: 1\n(3) -> 4:1\n")
+
+
+def test_deformation_document_names_the_line_of_a_pair_off_the_rule():
+    head = "algebra: witt\norder: 1\nwindow: -8:8\nlayer: 1\n"
+    with pytest.raises(FormatError, match=r"^line 5: tuple \(4, 3\) is not strictly increasing$"):
+        parse_deformation(head + "(4,3) -> 7:1\n")
+    with pytest.raises(FormatError, match=r"^line 5: tuple \(3, 9\) outside window \[-8,8\]$"):
+        parse_deformation(head + "(3,9) -> 8:1\n")
 
 
 def test_deformation_document_rejects_garbage():

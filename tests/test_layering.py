@@ -100,7 +100,7 @@ def test_delta_matrix_is_built_only_by_its_four_readers():
     offenders = {p.name: callers_of(p, "delta_matrix") for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: got for name, got in offenders.items() if got} == {
         "cochains.py": ["cocycle_violation", "differential"],
-        "cohomology.py": ["cocycle_matrix", "comparison_tuples"]}
+        "cohomology.py": ["cocycle_matrix", "cohomology_dim", "comparison_tuples"]}
 
 
 def test_the_caller_guard_sees_plain_calls(tmp_path):
