@@ -79,8 +79,11 @@ def _write(text: str, path: str | None):
     outdir = os.environ.get(OUTPUT_DIR_ENV)
     if outdir and not os.path.isabs(path):
         path = os.path.join(outdir, path)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
 
 
 def _expect(what: str, got: int, want: int | None) -> int:
@@ -208,7 +211,7 @@ def _cmd_replay(args) -> int:
     if args.emit_table:
         chunks.append(result.section5_table)
     if args.emit_log:
-        chunks.append(result.log_text)
+        chunks.append(result.table.log_text())
     chunks.append(json.dumps(verdict.to_json_dict(), sort_keys=True, indent=2) + "\n")
     chunks.append(str(verdict) + "\n")
     _write("\n".join(chunks), args.output)

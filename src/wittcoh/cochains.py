@@ -59,8 +59,8 @@ ADJOINT = "adjoint"
 TRIVIAL = "trivial"
 
 
-_CENTRAL_TARGET = ("differential needs bracket values inside the indexed span; "
-                   "central targets are not supported as cochain arguments")
+CENTRAL_TARGET = ("differential needs bracket values inside the indexed span; "
+                  "central targets are not supported as cochain arguments")
 
 
 class _Omit(Exception):
@@ -224,7 +224,7 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
                 rest = xs[:s] + xs[s + 1:t] + xs[t + 1:]
                 for key, coeff in rule(a, b).items():
                     if key == CENTRAL:
-                        raise ConfigError(_CENTRAL_TARGET)
+                        raise ConfigError(CENTRAL_TARGET)
                     if key != a + b:
                         raise ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
                     if not lo <= key <= hi:
@@ -246,7 +246,7 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
                     sign = 1 if s % 2 else -1
                     for key, coeff in rule(xs[s], inner).items():
                         if key == CENTRAL:
-                            raise ConfigError(_CENTRAL_TARGET)
+                            raise ConfigError(CENTRAL_TARGET)
                         if key != out_index:
                             raise ValueError(
                                 f"bracket is not graded: [e_{xs[s]}, e_{inner}] hit e_{key}")
@@ -333,11 +333,6 @@ class MixedCochain:
         return MixedCochain(self.degree, self.window,
                             {t: {o: -v for o, v in outs.items()}
                              for t, outs in self.entries.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, MixedCochain)
-                and (self.degree, self.window) == (other.degree, other.window)
-                and self.entries == other.entries)
 
     def restrict(self, sub: Window) -> "MixedCochain":
         keep = {}

@@ -46,6 +46,7 @@ from fractions import Fraction
 from .algebra import BUILTIN, GradedLieAlgebra, Window, parse_window
 from .cochains import (
     ADJOINT,
+    CENTRAL_TARGET,
     TRIVIAL,
     Cochain,
     MixedCochain,
@@ -192,10 +193,14 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     set; dim_stable is their difference, so it counts cocycle classes whose
     core restriction no coboundary can reproduce.  Its dim_cocycles at d != 0 needs
     a Lie bracket on the window (the built-ins are; the CLI checks a loaded one).
+    Adjoint coefficients with a central element are refused: cochains neither
+    take nor give the central element, so even H^0_0, the center, would read 0.
     """
     if q not in (0, 1, 2):
         raise ConfigError(f"degree must be 0, 1 or 2, got {q}")
     _check_window(window, margin)
+    if coeffs == ADJOINT and alg.has_central:
+        raise ConfigError(CENTRAL_TARGET)
     if d:
         delta, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
         comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)

@@ -8,16 +8,17 @@ satisfies, for every triple (i,j,k), the six-term equation
 
 Setting k = 1 collapses (*) to the three-term recurrence
 
-    (j-1)c_{i,j+1} + (i-1)c_{i+1,j} - (i+j-1)c_{i,j} = 0,
+    (j-1)c_{i,j+1} + (i-1)c_{i+1,j} - (i+j-1)c_{i,j} = 0,        (**)
 
 and with the abbreviations a_j = c_{2,j} (a_{-2} = a_1 = a_2 = 0) everything
 in the table becomes a linear form in the a_k.  The replay drives a fact
 table of such forms: rows i <= 0 by induction on -i, rows i >= 3 by the
 recurrence, relations from the recurrence-extended diagonal c_{i,i} = 0 and
 from (*) at k = 2 specialized to i = -2 and i = -3, and finally a linear
-solve that leaves only the zero solution.  The relations are solved by one
-`linalg.solve`, the same certified integer elimination the cohomology
-computations use; the replay has no elimination of its own.
+solve that leaves only the zero solution.  (*) and (**) are the paper's
+eq. (4) and (5), written out once each as `_eq4` and `_eq5`; every derived
+cell is (**) solved for it.  The relations are solved by one `linalg.solve`,
+the same certified integer elimination the cohomology computations use.
 
 All relations are derived programmatically from (*); printed closed forms
 are asserted as regression checks in the test suite where they are correct.
@@ -241,49 +242,44 @@ def init_table(K: int) -> FactTable:
     return t
 
 
+def _eq5(value, i, j, cell) -> SymbolicValue:
+    """Eq. (5) at (i, j), (j-1)c_{i,j+1} + (i-1)c_{i+1,j} - (i+j-1)c_{i,j} = 0,
+    solved for `cell`, one of its three cells.  `value(a, b)` reads c_{a,b};
+    a term whose coefficient is 0 is not read."""
+    terms = {(i, j + 1): j - 1, (i + 1, j): i - 1, (i, j): 1 - i - j}
+    lead = terms.pop(cell)
+    parts = [Fraction(-v, lead) * value(*ab) for ab, v in terms.items() if v]
+    return sum(parts[1:], parts[0]) if parts else SymbolicValue.zero()
+
+
 def fill_nonpositive_rows(t: FactTable) -> FactTable:
     """Rows i <= 0 by induction on -i, plus the gap cells the recurrence forces.
 
-    Downward along each row, (i+j-1)c_{i,j} = (j-1)c_{i,j+1} - (i-1)c_{i+1,j}
-    zeroes out j <= 0; upward from j = -i+1 the same recurrence walks the
-    (i-1)a_0 ladder.  Afterwards a sweep closes the gap cells (2 < j <= -i+1)
-    whose value is forced by an instance with both other cells known, e.g.
-    c_{-2,3} = -3a_{-1}.
+    Every cell is eq. (5) solved for it: downward along each row for c_{i,j},
+    which zeroes out j <= 0; upward from j = -i+1, where the c_{i,j} term drops
+    out, for c_{i,j+1}, which walks the (i-1)a_0 ladder; and in a final sweep
+    for the gap cells (2 < j <= -i+1) that an instance with both other cells
+    known forces, e.g. c_{-2,3} = -3a_{-1}.
     """
     K = t.K
     for i in range(0, -K - 1, -1):
         # downward: j = 0, -1, ..., starting from c_{i,1} = 0
         for j in range(0, -K - 1, -1):
-            if i == j:
-                continue
-            upper = t.value(i, j + 1)
-            middle = t.value(i + 1, j)
-            form = Fraction(1, i + j - 1) * ((j - 1) * upper - (i - 1) * middle)
-            t.set_cell(i, j, form, "Sec5")
-        # upward ladder: starts at j0 = -i+1 where the c_{i,j0} term drops out
-        j0 = -i + 1
-        for j in range(j0, K):
+            if i != j:
+                t.set_cell(i, j, _eq5(t.value, i, j, (i, j)), "Sec5")
+        for j in range(-i + 1, K):  # upward ladder
             if j == 1:
                 continue  # the (j-1) coefficient kills this instance
-            middle = t.value(i + 1, j)
-            current = t.cell(i, j)
-            if i + j - 1 == 0:
-                lead = SymbolicValue.zero()
-            else:
-                if current is None:
-                    continue  # gap cell with nonzero coefficient: not forced here
-                lead = (i + j - 1) * current
-            form = Fraction(1, j - 1) * (lead - (i - 1) * middle)
+            try:
+                form = _eq5(t.value, i, j, (i, j + 1))
+            except BoundaryError:
+                continue  # gap cell with nonzero coefficient: not forced here
             t.set_cell(i, j + 1, form, "Sec5")
-    # gap sweep: c_{i,j} = [(i+j-2)c_{i,j-1} - (i-1)c_{i+1,j-1}] / (j-2)
+    # gap sweep: eq. (5) at (i, j-1) solved for c_{i,j}
     for i in range(-2, -K - 1, -1):
         for j in range(3, min(-i + 1, K) + 1):
-            if t.known(i, j):
-                continue
-            form = Fraction(1, j - 2) * (
-                (i + j - 2) * t.value(i, j - 1) - (i - 1) * t.value(i + 1, j - 1)
-            )
-            t.set_cell(i, j, form, "Eq5")
+            if not t.known(i, j):
+                t.set_cell(i, j, _eq5(t.value, i, j - 1, (i, j)), "Eq5")
     t.nonpositive_filled = True
     return t
 
@@ -291,8 +287,8 @@ def fill_nonpositive_rows(t: FactTable) -> FactTable:
 def fill_positive_rows(t: FactTable) -> FactTable:
     """Rows i >= 3 as pure recurrence extensions of row 2.
 
-    R_2(j) = a_j and R_r(j) = [(r+j-2) R_{r-1}(j) - (j-1) R_{r-1}(j+1)]/(r-2);
-    for r in {3,4,5} these agree with the classical closed forms, e.g.
+    R_2(j) = a_j, and R_r(j) is eq. (5) at (r-1, j) solved for c_{r,j} on row
+    r-1; for r in {3,4,5} these agree with the classical closed forms, e.g.
     R_3(j) = (j+1)a_j - (j-1)a_{j+1}.  Upper cells (r, j > r) are stored in
     the table; the rest of each row is kept for relation extraction, where
     R_r(r) = 0 is new information precisely because the stored diagonal is 0
@@ -304,13 +300,9 @@ def fill_positive_rows(t: FactTable) -> FactTable:
     rows = {2: {j: _seed(j) if j != 2 else SymbolicValue.zero() for j in range(-K, K + 1)}}
     for r in range(3, K + 1):
         top = K - (r - 2)
-        prev = rows[r - 1]
-        row = {}
-        for j in range(-K, top + 1):
-            row[j] = Fraction(1, r - 2) * ((r + j - 2) * prev[j] - (j - 1) * prev[j + 1])
-        rows[r] = row
+        rows[r] = {j: _eq5(lambda a, b: rows[a][b], r - 1, j, (r, j)) for j in range(-K, top + 1)}
         for j in range(r + 1, top + 1):
-            t.set_cell(r, j, row[j], "Eq5")
+            t.set_cell(r, j, rows[r][j], "Eq5")
     t.recurrence_rows = rows
     t.positive_filled = True
     return t
@@ -400,19 +392,10 @@ def diagonal_relations(t: FactTable, up_to: int) -> RelationSet:
     return rels
 
 
-def _eq4_k2_form(t: FactTable, i: int, j: int) -> SymbolicValue:
-    k = 2
-    for a, b in ((i + j, k), (j + k, i), (k + i, j), (k, j), (k, i), (i, j)):
-        if abs(a) > t.K or abs(b) > t.K:
-            raise BoundaryError(f"cell ({a},{b}) outside window K={t.K}")
-    return (
-        (j - i) * t.value(i + j, k)
-        + (k - j) * t.value(j + k, i)
-        + (i - k) * t.value(k + i, j)
-        + (j - i + k) * t.value(k, j)
-        + (j - i - k) * t.value(k, i)
-        - (i + j - k) * t.value(i, j)
-    )
+def _eq4(value, i, j, k) -> SymbolicValue:
+    """The left side of eq. (4) at (i, j, k); `value(a, b)` reads c_{a,b}."""
+    return ((j - i) * value(i + j, k) + (k - j) * value(j + k, i) + (i - k) * value(k + i, j)
+            + (j - i + k) * value(k, j) + (j - i - k) * value(k, i) - (i + j - k) * value(i, j))
 
 
 def k2_specializations(t: FactTable, rows=(-2, -3)) -> RelationSet:
@@ -439,7 +422,7 @@ def k2_specializations(t: FactTable, rows=(-2, -3)) -> RelationSet:
             if i == -2 and 0 < j < 4:
                 continue
             try:
-                form = _eq4_k2_form(t, i, j)
+                form = _eq4(t.value, i, j, 2)
             except BoundaryError:
                 continue
             if not form.is_zero:
@@ -554,10 +537,6 @@ class ReplayResult:
     section5_table: str
     relations: RelationSet
     verdict: Verdict
-
-    @property
-    def log_text(self) -> str:
-        return self.table.log_text()
 
 
 def run_replay(K: int = 12, buffer: int = 3) -> ReplayResult:

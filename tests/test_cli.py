@@ -136,11 +136,31 @@ def test_injected_relation_beyond_the_table_exits_two(capsys):
     assert run(capsys, "replay", "--K", "12", "--inject-relation=-12=0")[0] == 0
 
 
+CENTRAL_REFUSAL = ("error: differential needs bracket values inside the indexed span; "
+                   "central targets are not supported as cochain arguments\n")
+
+
 def test_virasoro_cohomology_is_rejected_for_its_central_targets(capsys):
-    code, _, err = run(capsys, "cohomology", "--algebra", "virasoro", "--window=-6:6",
-                       "--margin", "2")
-    assert code == 2
-    assert "central" in err
+    assert run(capsys, "cohomology", "--algebra", "virasoro", "--window=-6:6",
+               "--margin", "2") == (2, "", CENTRAL_REFUSAL)
+
+
+def test_virasoro_adjoint_degree_zero_is_refused(capsys):
+    # H^0_0(Vir; Vir) is the center, spanned by c, which adjoint cochains cannot see
+    args = ("cohomology", "--algebra", "virasoro", "--degree", "0", "--weight", "0",
+            "--margin", "2", "--expect", "0")
+    assert run(capsys, *args, "--window=-8:8") == (2, "", CENTRAL_REFUSAL)
+    # the window is checked first, so a bad window keeps its own message
+    assert run(capsys, *args, "--window=1:8") == (
+        2, "", "error: window [1,8] must straddle zero (lo < 0 < hi)\n")
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_unwritable_output_exits_two(capsys, tmp_path, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "jacobi", "--window=-4:4", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output file {str(path)!r}: ")
 
 
 @pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from wittcoh import cohomology
-from wittcoh.algebra import Window, load_algebra, make_witt
+from wittcoh.algebra import Window, load_algebra, make_virasoro, make_witt
 from wittcoh.cochains import ADJOINT, TRIVIAL, Cochain, MixedCochain, delta_matrix, differential
 from wittcoh.cohomology import (
     CohomologyReport,
@@ -208,6 +208,17 @@ def test_interior_cocycle_has_core_matching_primitive():
         comp, _ = comparison_tuples(WITT, 2, d, W12, 4)
         for t in comp:
             assert db.entries.get(t, Fraction(0)) == c.entries.get(t, Fraction(0))
+
+
+def test_virasoro_adjoint_cohomology_is_refused():
+    # H^0_0(Vir; Vir) is the center; adjoint cochains can neither take nor give c
+    vir = make_virasoro()
+    for q in (0, 1, 2):
+        with pytest.raises(ConfigError) as err:
+            cohomology_dim(vir, q, 0, Window(-8, 8), 2)
+        assert str(err.value) == ("differential needs bracket values inside the indexed "
+                                  "span; central targets are not supported as cochain arguments")
+    assert cohomology_dim(vir, 0, 0, Window(-8, 8), 2, coeffs=TRIVIAL).dim_stable == 1
 
 
 # -- central extension -------------------------------------------------------------

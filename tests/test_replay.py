@@ -1,9 +1,12 @@
 from fractions import Fraction
 from itertools import combinations
+from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from wittcoh.algebra import Window, make_witt
+from wittcoh.cochains import basis_tuples, differential
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError
 from wittcoh.linalg import SparseMatrix, solve
 from wittcoh.replay import (
@@ -11,6 +14,8 @@ from wittcoh.replay import (
     RelationSet,
     SymbolicValue,
     TAGS,
+    _eq4,
+    _eq5,
     diagonal_relations,
     emit_table,
     fill_nonpositive_rows,
@@ -22,7 +27,7 @@ from wittcoh.replay import (
     run_replay,
 )
 
-from helpers import sequential_solve, solved_form, without_tag
+from helpers import random_cochain, random_scalar, sequential_solve, solved_form, without_tag
 
 SV = SymbolicValue
 
@@ -262,6 +267,69 @@ def test_k2_j_minus_two_instance_relates_a0(table12):
     labels = {r.label: r.form for r in rels.relations}
     # the j = 0 instance reads 4a_0 = 2a_{-2} = 0
     assert labels["eq6[i=-2,j=0]"] == SV.make({0: 4})
+
+
+# -- eq. (4) and eq. (5) as transcribed ------------------------------------------
+
+
+def eq5_cells(i, j):
+    """The cells of eq. (5) at (i, j) with their coefficients, from PAPER.md."""
+    return {(i, j + 1): j - 1, (i + 1, j): i - 1, (i, j): -(i + j - 1)}
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+
+
+@given(st.integers(-15, 15), st.integers(-15, 15), st.integers(0, 2),
+       st.lists(rationals, min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_eq5_solved_for_a_cell_satisfies_eq5(i, j, which, values):
+    cells = eq5_cells(i, j)
+    cell = list(cells)[which]
+    assume(cells[cell] != 0)
+    # only cells with a nonzero coefficient, other than the unknown, may be read
+    known = {ab: SV.constant(v) for (ab, coeff), v in zip(cells.items(), values)
+             if coeff and ab != cell}
+    solved = _eq5(lambda a, b: known[a, b], i, j, cell)
+    assert not solved.coeffs
+    full = {ab: v.const for ab, v in known.items()}
+    full[cell] = solved.const
+    assert sum(coeff * full.get(ab, 0) for ab, coeff in cells.items()) == 0
+
+
+@given(st.integers(-12, 12), st.integers(-12, 12), st.integers(0, 2), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_eq5_is_eq4_at_k_one_when_column_one_vanishes(i, j, which, seed):
+    """The paper's "three of the six terms vanish": with c_{x,1} = 0, the value
+    eq. (5) solves for makes eq. (4) at k = 1 vanish."""
+    cell = list(eq5_cells(i, j))[which]
+    assume(i != j and cell[0] != cell[1] and 1 not in cell and eq5_cells(i, j)[cell])
+    rng, store = Random(seed), {}
+
+    def c(a, b):  # an antisymmetric rational c with c_{x,1} = 0, drawn as read
+        if a == b or 1 in (a, b):
+            return SV.zero()
+        key = (min(a, b), max(a, b))
+        if key not in store:
+            store[key] = random_scalar(rng)
+        return SV.constant(store[key] if a < b else -store[key])
+
+    solved = _eq5(c, i, j, cell).const
+    store[min(cell), max(cell)] = solved if cell[0] < cell[1] else -solved
+    assert _eq4(c, i, j, 1).is_zero
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eq4_is_the_differential_at_interior_triples(seed):
+    window = Window(-7, 7)
+    c = random_cochain(Random(seed), 2, 0, window, fill=0.6)
+    dc = differential(make_witt(), c)
+    omitted = set(dc.omitted)
+    interior = [t for t in basis_tuples(3, 0, window) if t not in omitted]
+    assert len(interior) > 50 and dc.entries
+    for i, j, k in interior:
+        for args in ((i, j, k), (j, k, i), (k, j, i)):
+            assert _eq4(c.component, *args) == dc.component(*args)
 
 
 # -- final solve -------------------------------------------------------------------
