@@ -72,18 +72,37 @@ def emit_report(report, fmt: str) -> str:
     raise ConfigError(f"unsupported format {fmt!r}")
 
 
-def _write(text: str, path: str | None):
+def _output_file(path: str | None) -> str | None:
+    """The file an --output value names, under $WITTCOH_OUTPUT_DIR when that is set and
+    the value is relative; None for standard output."""
     if path is None or path == "-":
+        return None
+    outdir = os.environ.get(OUTPUT_DIR_ENV)
+    return os.path.join(outdir, path) if outdir and not os.path.isabs(path) else path
+
+
+def _write(text: str, path: str | None, mode: str = "w"):
+    target = _output_file(path)
+    if target is None:
         sys.stdout.write(text)
         return
-    outdir = os.environ.get(OUTPUT_DIR_ENV)
-    if outdir and not os.path.isabs(path):
-        path = os.path.join(outdir, path)
     try:
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(target, mode, encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write output file {path!r}: {exc}") from None
+        raise ConfigError(f"cannot write output file {target!r}: {exc}") from None
+
+
+def _check_output(path: str | None):
+    """Refuse an --output file that cannot be written before any work is done.  The file
+    is opened for appending, which truncates nothing, and removed again if that made it,
+    so a run that fails later leaves no file behind."""
+    target = _output_file(path)
+    if target is not None:
+        made = not os.path.lexists(target)
+        _write("", path, mode="a")
+        if made:
+            os.remove(target)
 
 
 def _expect(what: str, got: int, want: int | None) -> int:
@@ -269,6 +288,7 @@ def main(argv=None) -> int:
         "deform": _cmd_deform,
     }
     try:
+        _check_output(args.output)
         return handlers[args.command](args)
     except (ConfigError, FormatError, BoundaryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

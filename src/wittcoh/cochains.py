@@ -39,8 +39,10 @@ terms.
 coboundaries, primitives, `differential` (a matrix-vector product) and
 `cocycle_violation` (where delta c = 0 first fails) all read the sparse
 matrix it returns.  It expands the formula above in one loop over the
-(q+1)-tuples, summing each row's terms into one dict keyed by the referenced
-q-tuple.
+(q+1)-tuples (or over the rows asked for), summing each row's terms into one
+dict keyed by the referenced q-tuple.  Each bracket it reads goes through
+`_bracket_check`, and `omitted_count` counts the omitted tuples from the
+same checks alone, building no row.
 """
 
 from __future__ import annotations
@@ -198,7 +200,35 @@ class Cochain:
 # -- the differential ------------------------------------------------------
 
 
-def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: str = ADJOINT):
+def _bracket_check(alg: GradedLieAlgebra, window: Window):
+    """check(a, b): what the expansion of delta finds at [e_a, e_b].
+
+    That is the rule's {key: coefficient} dict; None when b or a key lies
+    outside the window, so the row reading it is omitted; or the error the
+    expansion raises, ConfigError for a central key and ValueError for one off
+    the grading.  The rule's terms are read in order and the first such event
+    decides.
+    """
+    rule, lo, hi = alg.bracket_rule, window.lo, window.hi
+
+    def check(a, b):
+        if not lo <= b <= hi:
+            return None
+        terms = rule(a, b)
+        for key in terms:
+            if key == CENTRAL:
+                return ConfigError(CENTRAL_TARGET)
+            if key != a + b:
+                return ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
+            if not lo <= key <= hi:
+                return None
+        return terms
+
+    return check
+
+
+def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: str = ADJOINT,
+                 *, rows=None):
     """The matrix of delta from C^q_d to C^{q+1}_d on the window, interior-only.
 
     Columns follow basis_tuples(q, d, window, coeffs); rows are the
@@ -206,29 +236,30 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
     Returns (matrix, row tuples, omitted tuples), the omitted tuples being
     the (q+1)-tuples whose expansion would leave the window.  A central
     bracket value raises ConfigError, and one off the grading ValueError.
+    Given `rows`, a list of (q+1)-tuples of the basis, only those are
+    expanded, in that order.
     """
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
     col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
-    rule, lo, hi = alg.bracket_rule, window.lo, window.hi
+    check = _bracket_check(alg, window)
+
+    def bracket(a, b):
+        """The terms of [e_a, e_b]; raises _Omit, or the error `check` found."""
+        got = check(a, b)
+        if not isinstance(got, dict):
+            raise _Omit if got is None else got
+        return got
+
     # bracket-composition terms (-1)^{s+t-1} c([x_s,x_t], rest), 1-indexed s < t
     pairs = [(s, t, 1 if (s + t) % 2 else -1) for s in range(q + 1) for t in range(s + 1, q + 1)]
-    matrix_rows = []
-    rows = []
-    omitted = []
-    for xs in basis_tuples(q + 1, d, window, coeffs):
+    matrix_rows, kept, omitted = [], [], []
+    for xs in basis_tuples(q + 1, d, window, coeffs) if rows is None else rows:
         row = {}  # referenced q-tuple -> coefficient of its entry in delta(c)(xs)
         try:
             for s, t, sign in pairs:
-                a, b = xs[s], xs[t]
                 rest = xs[:s] + xs[s + 1:t] + xs[t + 1:]
-                for key, coeff in rule(a, b).items():
-                    if key == CENTRAL:
-                        raise ConfigError(CENTRAL_TARGET)
-                    if key != a + b:
-                        raise ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
-                    if not lo <= key <= hi:
-                        raise _Omit
+                for key, coeff in bracket(xs[s], xs[t]).items():
                     # sort (key, *rest): key passes k arguments of the sorted rest
                     k = bisect_left(rest, key)
                     if k < len(rest) and rest[k] == key:
@@ -239,24 +270,86 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
                 # action terms (-1)^s [x_s, c(rest)]; rest is already sorted
                 out_index = sum(xs) + d
                 for s in range(q + 1):
-                    inner = out_index - xs[s]
-                    if not lo <= inner <= hi:
-                        raise _Omit
                     rest = xs[:s] + xs[s + 1:]
                     sign = 1 if s % 2 else -1
-                    for key, coeff in rule(xs[s], inner).items():
-                        if key == CENTRAL:
-                            raise ConfigError(CENTRAL_TARGET)
-                        if key != out_index:
-                            raise ValueError(
-                                f"bracket is not graded: [e_{xs[s]}, e_{inner}] hit e_{key}")
+                    for coeff in bracket(xs[s], out_index - xs[s]).values():
                         row[rest] = row.get(rest, 0) + sign * coeff
         except _Omit:
             omitted.append(xs)
             continue
         matrix_rows.append({col[ref]: v for ref, v in row.items() if v})
-        rows.append(xs)
-    return SparseMatrix(matrix_rows, len(col)), rows, omitted
+        kept.append(xs)
+    return SparseMatrix(matrix_rows, len(col)), kept, omitted
+
+
+def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
+                  coeffs: str = ADJOINT) -> int:
+    """len(delta_matrix(alg, q, d, window, coeffs)[2]), building no row.
+
+    Each bracket the expansion of a (q+1)-tuple reads (`_bracket_check`)
+    holds terms, None or an error.  The tuple is omitted when the first one
+    without terms is None, and the build raises at the first tuple, in basis
+    order, where it is an error; so does this count.  Every bracket on the
+    window is read once into bit masks (None, error) over the tuple's last
+    index k, bit k - lo, and one pass over the q-tuple prefixes counts all
+    tuples: [e_x, e_k] is a row of that table, the action [e_x, e_{out - x}]
+    a row shifted by k, and the action [e_k, e_{out - k}] a column, since
+    out - k does not depend on k.
+    """
+    if not 0 <= q <= 2:
+        raise ValueError("differential supports cochain degrees 0..2")
+    lo, hi = window.lo, window.hi
+    full = (1 << (hi - lo + 1)) - 1
+    check = _bracket_check(alg, window)
+    # rows[a] / cols[b]: (None, error) masks of check(a, b) over b / over a, both in the window
+    rows = {a: [0, 0] for a in window.indices()}
+    cols = {b: [0, 0] for b in window.indices()}
+    for a in window.indices():
+        for b in window.indices():
+            got = check(a, b)
+            if not isinstance(got, dict):
+                kind = 0 if got is None else 1
+                rows[a][kind] |= 1 << (b - lo)
+                cols[b][kind] |= 1 << (a - lo)
+
+    def shifted(a, c):
+        """The masks of check(a, k + c) over k; None where k + c leaves the window."""
+        none, error = rows[a]
+        if c >= 0:
+            return (none | ~full) >> c & full, error >> c
+        return (none << -c | (1 << -c) - 1) & full, error << -c & full
+
+    count = 0
+    for prefix in combinations(window.indices(), q):
+        total = sum(prefix) + d
+        first = prefix[-1] + 1 if prefix else lo
+        last = hi
+        if coeffs == ADJOINT:  # the output index total + k lies in the window
+            first, last = max(first, lo - total), min(last, hi - total)
+        else:  # trivial values need total + k = 0
+            first, last = max(first, -total), min(last, -total)
+        if first > last:
+            continue
+        valid = full >> (hi - last) & ~((1 << (first - lo)) - 1)
+        reads = []
+        for s in range(q):
+            for t in range(s + 1, q):
+                got = check(prefix[s], prefix[t])
+                reads.append((valid * (got is None), valid * isinstance(got, Exception)))
+            reads.append(rows[prefix[s]])
+        if coeffs == ADJOINT:
+            reads += [shifted(x, total - x) for x in prefix]
+            reads.append(cols[total] if lo <= total <= hi else (full, 0))
+        nones = raising = 0  # a tuple raises when an error comes before every None
+        for none, error in reads:
+            raising |= error & ~nones
+            nones |= none
+        if raising & valid:
+            lowest = raising & valid & -(raising & valid)
+            first_error = prefix + (lowest.bit_length() - 1 + lo,)
+            delta_matrix(alg, q, d, window, coeffs, rows=[first_error])  # raises that error
+        count += (nones & valid).bit_count()
+    return count
 
 
 def differential(alg: GradedLieAlgebra, c: Cochain) -> Cochain:

@@ -14,22 +14,35 @@ The comparison set is the core-admissible output tuples that are also legal
 for the incoming differential, so no coboundary value is ever fabricated.
 For weights |d| <= margin that is exactly the set of core-admissible tuples.
 Cocycle equations (delta_q) and coboundaries (delta_{q-1} on the comparison
-set) both come from `cochains.delta_matrix`.  The cocycle equations are
-eliminated generator-first (`cocycle_matrix`), which changes the work but no
-answer.  Every report validates its window through `_check_window`:
-lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
+set) both come from `cochains.delta_matrix`.  Every report validates its
+window through `_check_window`: lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
+
+Weight 0 is the paper's argument: eq. (4), the six-term equation, at k = 1 is
+eq. (5), and the replay adds k = 2, so the equations through e_1 and e_2
+should determine a cocycle (e_{+-1} and e_{+-2} generate the algebra).
+`cocycle_matrix` lists the rows whose tuple holds 1 or 2 first, and
+`cohomology_by_elimination` offers that prefix to `linalg.solve` for row
+selection: at weight 0 it has the full rank of delta_q on every window
+measured, so the selection works on a fraction of the rows.  The certificate
+still checks every row, and where the prefix loses rank (most nonzero
+weights) it fails and the selection runs on all rows; no answer depends on it.
 
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
 delta_{q-1} iota + iota delta_q = -d I here; `cohomology_dim` checks it
 exactly on each comparison row t, reading the row (0, t) of delta_q (never
-omitted: it needs the indices that row t of delta_{q-1} needs).  With
-h = -iota/d, a cocycle z has delta z = 0 at the rows (0, t), so z = delta(h z)
-on the comparison set and dim_stable = 0.  Given the Jacobi identity, delta of
-a (q-1)-cochain extended by zero to W is a cocycle, equal to the comparison
-matrix's image on its rows (interior for delta_{q-1}), so dim_cocycles is
-that matrix's rank.  Where the identity fails (e_0 is not a grading element,
-as for an abelian bracket), `cohomology_by_elimination` decides.
+omitted: it needs the indices that row t of delta_{q-1} needs).  Those rows
+alone are expanded, by the expansion that builds all of delta_q
+(`delta_matrix(..., rows=...)`), and `omitted_triples` comes from
+`cochains.omitted_count`, which reads the bracket at each index pair once,
+builds no row, and raises the errors a full build of delta_q raises (a
+central bracket value, one off the grading).  With h = -iota/d, a cocycle z
+has delta z = 0 at the rows (0, t), so z = delta(h z) on the comparison set
+and dim_stable = 0.  Given the Jacobi identity, delta of a (q-1)-cochain
+extended by zero to W is a cocycle, equal to the comparison matrix's image on
+its rows (interior for delta_{q-1}), so dim_cocycles is that matrix's rank.
+Where the identity fails (e_0 is not a grading element, as for an abelian
+bracket), `cohomology_by_elimination` decides.
 
 Alongside the dimension counts the module houses the two constructive moves
 that drive everything downstream: reduction of an arbitrary cocycle to weight
@@ -54,6 +67,7 @@ from .cochains import (
     cocycle_violation,
     delta_matrix,
     differential,
+    omitted_count,
     weight_components,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
@@ -124,19 +138,22 @@ def _check_window(window: Window, margin: int):
 
 def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                    coeffs: str = ADJOINT):
-    """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count).
+    """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count,
+    the number of leading rows whose tuple holds 1 or 2).
 
-    Rows come generator-first: ordered lexicographically by the sorted
-    absolute indices of their tuple, ties in basis order, so the equations
-    through e_0, e_{+-1}, e_{+-2} lead.  Those are the equations the paper's
-    recurrences read (e_{+-1} and e_{+-2} generate the algebra), and the pivot
-    ties in `solve`, broken by row index, then favour them, which keeps the
-    elimination's fill low.  No answer depends on the order: `solve` returns
-    data of the reduced echelon form, a function of the row space alone.
+    Rows come generator-first: those whose tuple holds 1 or 2 (eq. (5) and its
+    k = 2 companion) lead, and within each part they are ordered
+    lexicographically by the sorted absolute indices of their tuple, ties in
+    basis order, so the equations through e_0, e_{+-1}, e_{+-2} come early.
+    The pivot ties in `solve`, broken by row index, then favour them, which
+    keeps the elimination's fill low.  No answer depends on the order: `solve`
+    returns data of the reduced echelon form, a function of the row space alone.
     """
     matrix, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
-    order = sorted(range(len(rows)), key=lambda r: sorted(map(abs, rows[r])))
-    return matrix.take_rows(order), basis_tuples(q, d, window, coeffs), len(omitted)
+    through = [1 in t or 2 in t for t in rows]
+    order = sorted(range(len(rows)), key=lambda r: (not through[r], sorted(map(abs, rows[r]))))
+    return (matrix.take_rows(order), basis_tuples(q, d, window, coeffs), len(omitted),
+            sum(through))
 
 
 def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
@@ -202,12 +219,15 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     if coeffs == ADJOINT and alg.has_central:
         raise ConfigError(CENTRAL_TARGET)
     if d:
-        delta, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
+        omitted = omitted_count(alg, q, d, window, coeffs)
         comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
         cols = basis_tuples(q, d, window, coeffs)
         lower = _iota(basis_tuples(q - 1, d, window, coeffs)) if q else []
+        hits = _iota(comp)
+        delta, rows, _ = delta_matrix(alg, q, d, window, coeffs,
+                                      rows=[hit[0] for hit in hits if hit])
         row_of = dict(zip(rows, delta))
-        for t, hit, row in zip(comp, _iota(comp), coboundary):
+        for t, hit, row in zip(comp, hits, coboundary):
             up = row_of.get(hit[0]) if hit else {}  # the row (0, t) of delta_q; None if omitted
             acc = {t: d}  # row t of delta_{q-1} iota + iota delta_q + d I
             terms = [(*lower[j], v) for j, v in row.items() if lower[j]]
@@ -218,15 +238,15 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         else:
             n = rank(coboundary)
             return CohomologyReport(alg.name, q, d, window, margin, coeffs, n, n, 0,
-                                    stabilization=((window, 0),), omitted_triples=len(omitted))
+                                    stabilization=((window, 0),), omitted_triples=omitted)
     return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
 
 
 def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                               margin: int, coeffs: str = ADJOINT) -> CohomologyReport:
     """`cohomology_dim`'s report from the kernel of delta_q: weight 0, the fallback, the oracle."""
-    matrix, cols, omitted = cocycle_matrix(alg, q, d, window, coeffs)
-    kernel = solve(matrix).kernel_basis
+    matrix, cols, omitted, spanning = cocycle_matrix(alg, q, d, window, coeffs)
+    kernel = solve(matrix, prefix=spanning).kernel_basis
 
     comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
     # each cocycle on the comparison set (a subset of cols), as a column

@@ -9,6 +9,7 @@ from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential
 from wittcoh.cohomology import CohomologyReport, central_extension_dim
 from wittcoh.algebra import Window, dump_algebra, make_witt
 from wittcoh.deformation import DeformedBracket, render_deformation
+from wittcoh.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,6 +144,10 @@ CENTRAL_REFUSAL = ("error: differential needs bracket values inside the indexed 
 def test_virasoro_cohomology_is_rejected_for_its_central_targets(capsys):
     assert run(capsys, "cohomology", "--algebra", "virasoro", "--window=-6:6",
                "--margin", "2") == (2, "", CENTRAL_REFUSAL)
+    # trivial coefficients at d != 0: delta_2 reads [e_{-n}, e_n], whose value holds c
+    assert run(capsys, "cohomology", "--algebra", "virasoro", "--degree", "2", "--weight", "3",
+               "--coefficients", "trivial", "--window=-8:8", "--margin", "3") == (
+        2, "", CENTRAL_REFUSAL)
 
 
 def test_virasoro_adjoint_degree_zero_is_refused(capsys):
@@ -161,6 +166,31 @@ def test_unwritable_output_exits_two(capsys, tmp_path, where):
     code, out, err = run(capsys, "jacobi", "--window=-4:4", "--output", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write output file {str(path)!r}: ")
+
+
+def _unreachable(**kwargs):
+    raise AssertionError("the replay ran")
+
+
+def test_unwritable_output_is_refused_before_the_replay_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(replay, "run_replay", _unreachable)
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "replay", "--K", "30", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write output file {str(path)!r}: ")
+
+
+def test_a_run_that_fails_after_the_output_check_leaves_no_file(capsys, tmp_path, monkeypatch):
+    def refuse(**kwargs):
+        raise ConfigError("refused")
+
+    monkeypatch.setattr(replay, "run_replay", refuse)
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    old.write_text("kept\n")
+    for path in (new, old):
+        assert run(capsys, "replay", "--output", str(path)) == (2, "", "error: refused\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert old.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("coeffs", ["adjoint", "trivial"])

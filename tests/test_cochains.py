@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittcoh.algebra import Window, load_algebra, make_virasoro, make_witt
+from wittcoh.algebra import Window, dump_algebra, load_algebra, make_virasoro, make_witt
 from wittcoh.cochains import (
     ADJOINT,
     TRIVIAL,
@@ -16,6 +16,7 @@ from wittcoh.cochains import (
     cocycle_violation,
     delta_matrix,
     differential,
+    omitted_count,
     weight_components,
 )
 from wittcoh.errors import ConfigError, OutOfWindowError
@@ -369,6 +370,47 @@ def test_delta_matrix_refuses_like_the_reference(alg):
                              "indexed span; central targets are not supported as cochain arguments"),
                 "ungraded": (ValueError, "bracket is not graded")}[alg.name]
     assert errors and all(t is expected[0] and msg.startswith(expected[1]) for t, msg in errors)
+
+
+ABELIAN = load_algebra("name: abelian\ngraded: yes\ncentral: no\n")
+
+
+def _count(builder, *args):
+    """The number of omitted tuples a build or count gives, or the error it raises."""
+    try:
+        got = builder(*args)
+    except (ConfigError, ValueError) as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return got if isinstance(got, int) else len(got[2])
+
+
+@pytest.mark.parametrize("alg", [WITT, RATIONAL, ABELIAN, make_virasoro(), UNGRADED],
+                         ids=["witt", "rational", "abelian", "virasoro", "ungraded"])
+def test_omitted_count_is_the_builders_count_and_raises_its_errors(alg):
+    outcomes = set()
+    for window in (W8, Window(-9, 5), Window(-12, 12)):
+        for q in (0, 1, 2):
+            for coeffs in (ADJOINT, TRIVIAL):
+                for d in range(-6, 7):
+                    got = _count(omitted_count, alg, q, d, window, coeffs)
+                    assert got == _count(delta_matrix, alg, q, d, window, coeffs), (window, q, d)
+                    outcomes.add(got if isinstance(got, int) else got[0])
+    # every algebra reaches the window edge; only the last two refuse
+    assert any(isinstance(n, int) and n > 0 for n in outcomes)
+    assert (alg.name in ("virasoro", "ungraded")) == bool(outcomes & {ConfigError, ValueError})
+
+
+def test_a_central_value_read_after_the_window_edge_is_not_an_error():
+    # only [e_-8, e_8] holds c; the one trivial 3-tuple of weight 3 that reads it,
+    # (-8, -3, 8), first reads [e_-8, e_-3] = 5 e_-11, outside [-8,8], so it is omitted;
+    # at weight -3, (-8, 3, 8) reads [e_-8, e_3] = 11 e_-5 first and raises
+    text = dump_algebra(WITT, W8).replace("central: no", "central: yes")
+    alg = load_algebra(text.replace("\n-8 8 -> 0:16\n", "\n-8 8 -> 0:16, c:42\n"))
+    for d in (3, -3):
+        assert _count(omitted_count, alg, 2, d, W8, TRIVIAL) == _count(delta_matrix, alg, 2, d, W8,
+                                                                        TRIVIAL)
+    assert isinstance(_count(omitted_count, alg, 2, 3, W8, TRIVIAL), int)
+    assert _count(omitted_count, alg, 2, -3, W8, TRIVIAL)[0] is ConfigError
 
 
 # -- the first failure of the cocycle condition -----------------------------------

@@ -5,8 +5,9 @@ from random import Random
 import pytest
 
 from wittcoh import cohomology
-from wittcoh.algebra import Window, load_algebra, make_virasoro, make_witt
-from wittcoh.cochains import ADJOINT, TRIVIAL, Cochain, MixedCochain, delta_matrix, differential
+from wittcoh.algebra import Window, make_virasoro, make_witt
+from wittcoh.cochains import (ADJOINT, CENTRAL_TARGET, TRIVIAL, Cochain, MixedCochain, delta_matrix,
+                              differential)
 from wittcoh.cohomology import (
     CohomologyReport,
     central_extension_dim,
@@ -21,9 +22,11 @@ from wittcoh.cohomology import (
 )
 from wittcoh.cli import emit_report
 from wittcoh.errors import ConfigError, NotACocycleError
+from wittcoh import linalg
 from wittcoh.linalg import solve
 
 from helpers import random_mixed_cocycle, truncated_coboundary
+from test_cochains import ABELIAN, RATIONAL, UNGRADED
 
 WITT = make_witt()
 W12 = Window(-12, 12)
@@ -38,12 +41,15 @@ def test_h2_weight0_vanishes():
 
 def test_cocycle_matrix_rows_are_generator_first():
     window = Window(-8, 8)
-    matrix, _, _ = cocycle_matrix(WITT, 2, 0, window)
+    matrix, _, _, spanning = cocycle_matrix(WITT, 2, 0, window)
     basis_order, rows, _ = delta_matrix(WITT, 2, 0, window)
     row_of = dict(zip(rows, basis_order))
-    # sorted absolute indices, lexicographically; the sort is stable, so ties keep basis order
-    order = sorted(rows, key=lambda t: sorted(abs(a) for a in t))
-    assert order[:5] == [(-1, 0, 1), (-2, -1, 0), (-2, 0, 1), (-1, 0, 2), (0, 1, 2)]
+    # the rows through e_1 or e_2 first (the prefix), then sorted absolute indices,
+    # lexicographically; the sort is stable, so ties keep basis order
+    order = sorted(rows, key=lambda t: (1 not in t and 2 not in t, sorted(abs(a) for a in t)))
+    assert order[:5] == [(-1, 0, 1), (-2, 0, 1), (-1, 0, 2), (0, 1, 2), (-3, 0, 1)]
+    assert spanning == sum(1 in t or 2 in t for t in rows) == 134
+    assert order[spanning - 1:spanning + 1] == [(-8, 2, 6), (-2, -1, 0)]
     assert list(matrix) == [row_of[t] for t in order]
 
 
@@ -51,7 +57,7 @@ def test_cocycle_matrix_rows_are_generator_first():
 @pytest.mark.parametrize("q", [1, 2])
 def test_generator_first_rows_keep_the_basis_order_solution(q, coeffs):
     for d in (-3, 0, 2):
-        matrix, _, _ = cocycle_matrix(WITT, q, d, W10, coeffs)
+        matrix, _, _, _ = cocycle_matrix(WITT, q, d, W10, coeffs)
         assert solve(matrix) == solve(delta_matrix(WITT, q, d, W10, coeffs)[0]), d
 
 
@@ -295,12 +301,61 @@ def test_the_homotopy_decides_every_nonzero_weight_as_the_elimination_does(monke
 
 def test_an_abelian_bracket_falls_back_to_the_elimination():
     # e_0 acts by 0, not by the weight, so the homotopy identity fails on every row
-    abelian = load_algebra("name: abelian\ngraded: yes\ncentral: no\n")
     window = Window(-6, 6)
     for d, stable in ((1, 28), (-2, 26)):
-        r = cohomology_dim(abelian, 2, d, window, 2).to_json_dict()
-        assert r == cohomology_by_elimination(abelian, 2, d, window, 2).to_json_dict()
+        r = cohomology_dim(ABELIAN, 2, d, window, 2).to_json_dict()
+        assert r == cohomology_by_elimination(ABELIAN, 2, d, window, 2).to_json_dict()
         assert r["dim_stable"] == stable
+
+
+def _outcome(compute, *args):
+    """A report as its JSON dict, or the (type, message) of the error it raised."""
+    try:
+        return compute(*args).to_json_dict()
+    except (ConfigError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("alg", [WITT, make_virasoro(), ABELIAN, RATIONAL, UNGRADED],
+                         ids=["witt", "virasoro", "abelian", "rational", "ungraded"])
+def test_nonzero_weights_refuse_what_the_elimination_refuses(alg):
+    # the homotopy path counts omissions without building delta_q, yet must still
+    # meet every bracket value the elimination meets: a central one on Virasoro,
+    # one off the grading on UNGRADED
+    refused = 0
+    for window in (Window(-8, 8), Window(-9, 5)):
+        for q in (0, 1, 2):
+            for coeffs in (ADJOINT, TRIVIAL):
+                for d in range(-6, 7):
+                    if not d:
+                        continue
+                    got = _outcome(cohomology_dim, alg, q, d, window, 3, coeffs)
+                    if coeffs == ADJOINT and alg.has_central:  # refused up front, at every q
+                        assert got == (ConfigError, CENTRAL_TARGET)
+                    else:
+                        assert got == _outcome(cohomology_by_elimination, alg, q, d, window, 3,
+                                               coeffs), (window, q, coeffs, d)
+                    refused += isinstance(got, tuple)
+    assert bool(refused) == (alg.name in ("virasoro", "ungraded"))
+
+
+def test_rows_through_one_or_two_that_lose_rank_fall_back_to_every_row(monkeypatch):
+    # at d = 3 on [-8,8] the 76 rows through e_1 or e_2 have rank 56 of the 75
+    m, _, _, spanning = cocycle_matrix(WITT, 2, 3, Window(-8, 8))
+    expected = solve(m)
+    seen = []
+    real = linalg._select
+    monkeypatch.setattr(linalg, "_select", lambda rows: seen.append(len(rows)) or real(rows))
+    assert solve(m, prefix=spanning) == expected
+    assert (spanning, expected.rank, seen) == (76, 75, [76, m.n_rows])
+    assert len(real([linalg._primitive(r) for r in m][:spanning])) == 56
+    seen.clear()
+    r = cohomology_by_elimination(WITT, 2, 3, Window(-8, 8), 4)
+    assert seen[:2] == [76, m.n_rows]  # the kernel's solve, then the thin ranks
+    assert r.to_json_dict() == {
+        "algebra": "witt", "degree": 2, "weight": 3, "window": "-8:8", "margin": 4,
+        "coefficients": "adjoint", "dim_cocycles": 11, "dim_coboundaries": 11, "dim_stable": 0,
+        "representatives": [], "stabilization": [["-8:8", 0]], "omitted_triples": 278}
 
 
 def test_h1_vanishes_across_weights():

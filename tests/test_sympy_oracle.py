@@ -38,7 +38,7 @@ def sympy_rank_nullity(m):
 @pytest.mark.parametrize("q", [1, 2])
 def test_cocycle_matrix_rank_matches_sympy(q, h, coeffs):
     for d in range(-3, 4):
-        matrix, cols, _ = cocycle_matrix(WITT, q, d, Window(-h, h), coeffs)
+        matrix, cols, _, _ = cocycle_matrix(WITT, q, d, Window(-h, h), coeffs)
         assert matrix.n_cols == len(cols)
         sol = solve(matrix)
         assert (sol.rank, len(sol.kernel_basis)) == sympy_rank_nullity(matrix), (q, d, coeffs)
