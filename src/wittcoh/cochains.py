@@ -394,6 +394,17 @@ class MixedCochain:
                 clean[t] = kept
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _trusted(cls, degree: int, window: Window, entries: dict) -> "MixedCochain":
+        """A MixedCochain of entries already in the form `__post_init__` leaves, built
+        without its checks: strictly increasing window tuples, each to a nonempty
+        {window output: nonzero int or Fraction}.  Only for values read from checked
+        cochains."""
+        out = object.__new__(cls)
+        for name, value in (("degree", degree), ("window", window), ("entries", entries)):
+            object.__setattr__(out, name, value)
+        return out
+
     @property
     def is_zero(self) -> bool:
         return not self.entries

@@ -166,10 +166,9 @@ def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     comp = basis_tuples(q, d, window.core(margin), coeffs)
     if q == 0:
         return comp, SparseMatrix([{}] * len(comp), 0)
-    matrix, rows, _ = delta_matrix(alg, q - 1, d, window, coeffs)
-    core = set(comp)
-    keep = [r for r, t in enumerate(rows) if t in core]
-    return [rows[r] for r in keep], matrix.take_rows(keep)
+    omitted_count(alg, q - 1, d, window, coeffs)  # raises what a build of all of delta_{q-1} raises
+    matrix, rows, _ = delta_matrix(alg, q - 1, d, window, coeffs, rows=comp)
+    return rows, matrix
 
 
 def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude=frozenset(),

@@ -33,13 +33,24 @@ layer value at a pair lost to the window edge, is a _LOST table value, and
 reading one raises OutOfWindowError.  The defect and conjugation routines
 skip the triple or pair that needed it (and record the drop), so every stored
 value is the exact global one.
+
+Both routines leave out work that cannot change their output.  The order-s
+Jacobi sum holds mu_s(mu_0(a, b), c) for each rotation (a, b, c), so a triple
+with a lost order-0 bracket is skipped at every order: jacobi_defect lists
+the other triples once and counts the lost ones per row, adding those of the
+rows up to the first defect's.  conjugate sums the B_m = sum_{r+v+w=m}
+mu_r(phi_v x, phi_w y) of a pair over the nonzero images phi_v x, phi_w y
+only.  Below m0, the first order with phi_{m0} != 0, psi_u = phi_u = 0 for
+0 < u < m0, so those layers are d's, minus the pairs newly omitted; a stage
+id + t^s b_s of trivialize has m0 = s.  conjugate builds its result layers
+with `MixedCochain._trusted`, without re-checking values that come from
+checked tables or layers; the central-target check stays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
 from math import lcm
 
@@ -192,9 +203,9 @@ def _layer_tables(d: DeformedBracket, extra=()) -> tuple[list, int, int]:
     tables = [{a: {b: _LOST if any(k != CENTRAL and k not in d.window for k in out)
                    else _scaled(out, d0) for b, out in row.items()} for a, row in rule.items()}]
     for r, mu in enumerate(d.layers, start=1):
-        table = {a: {} for a in keys}
+        table, scale = {a: {} for a in keys}, d0 * den ** r
         for (i, j), outs in mu.entries.items():
-            table[i][j] = _scaled(outs, d0 * den ** r)
+            table[i][j] = _scaled(outs, scale)
             table[j][i] = tuple((k, -v) for k, v in table[i][j])
         for i, j in d.omitted_pairs:
             table[i][j] = table[j][i] = _LOST
@@ -247,13 +258,22 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
     if window.lo < d.window.lo or window.hi > d.window.hi:
         raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
     tables, d0, den = _layer_tables(d)
+    # the term mu_s(mu_0(a, b), c) of every order reads mu_0(a, b) for each rotation,
+    # so a triple with a lost order-0 bracket is skipped at every order
+    live, lost_in_row = [], {}
+    t0 = tables[0]
+    for x, y, z in combinations(window.indices(), 3):
+        if t0[x][y] is _LOST or t0[y][z] is _LOST or t0[z][x] is _LOST:
+            lost_in_row[x] = lost_in_row.get(x, 0) + 1
+        else:
+            live.append((x, y, z))
     orders = []
     for s in range(0, d.order + 1):
         # every term mu_{s-p}(mu_p(a, b), c) of the order-s sum carries d0^2 den^s
         terms = [(tables[s - p], tables[p]) for p in range(s + 1)]
         found = None
         skipped = 0
-        for x, y, z in combinations(window.indices(), 3):
+        for x, y, z in live:
             if found and x != found[0][0]:
                 break  # the rest of the first defective row is still counted
             total = {}
@@ -269,6 +289,8 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
             if found is None and any(total.values()):
                 scale = d0 * d0 * den ** s
                 found = ((x, y, z), {k: Fraction(v, scale) for k, v in total.items() if v})
+        last = found[0][0] if found else window.hi
+        skipped += sum(n for row, n in lost_in_row.items() if row <= last)
         orders.append(OrderDefect(s, False, *found, skipped) if found
                       else OrderDefect(s, True, skipped=skipped))
     return DefectReport(window, tuple(orders))
@@ -325,46 +347,64 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
                           for series in (e, psi))
     # smallest order with a nonzero equivalence layer; psi_u = 0 for 0 < u < m0
     m0 = next((s for s in range(1, N + 1) if not e.layers[s - 1].is_zero), N + 1)
-    images = {i: [((i, 1),)] + [rows.get(i, ()) for rows in phi_rows] for i in d.window.indices()}
+    # B_0 is read only through psi_u(B_0), u >= m0, so only when phi != 0
+    first = 0 if m0 <= N else 1
+    # the nonzero images (v, den^v phi_v e_i), phi_0 = id, and the nonzero psi_u, by order
+    images = {i: [(0, ((i, 1),))] + [(v, rows[i]) for v, rows in enumerate(phi_rows, start=1)
+                                     if i in rows]
+              for i in d.window.indices()}
+    psi_terms = [(u, rows) for u, rows in enumerate(psi_rows, start=1) if rows]
     new_entries: list[dict] = [dict() for _ in range(N)]
     omitted = set(d.omitted_pairs)
     for i in d.window.indices():
         for j in range(i + 1, d.window.hi + 1):
-            # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j) times d0 den^m, computed
-            # only for the orders a nonzero psi_u will consume
-            @cache
-            def b_order(m):
-                total = {}
-                for r in range(m + 1):
-                    for v in range(m - r + 1):
-                        for kx, vx in images[i][v]:
-                            for ky, vy in images[j][m - r - v]:
-                                for k, c in tables[r][kx].get(ky, ()):
-                                    total[k] = total.get(k, 0) + vx * vy * c
-                return total
-
-            try:
-                values = []
-                for s in range(1, N + 1):
-                    # psi_u(B_{s-u}) carries d0 den^s for every u
-                    total = dict(b_order(s))
-                    for u in range(m0, s + 1):
-                        for k, c in b_order(s - u).items():
-                            for o, w in psi_rows[u - 1].get(k, ()):
-                                total[o] = total.get(o, 0) + c * w
-                    scale = d0 * den ** s
-                    outs = {k: Fraction(c, scale) if c % scale else c // scale
-                            for k, c in total.items() if c}
-                    if CENTRAL in outs:
-                        raise ConfigError("central targets are not deformed here")
-                    values.append(outs)
-            except OutOfWindowError:
+            # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j) times d0 den^m, in one sweep
+            # over the nonzero images
+            b = [{} for _ in range(N + 1)]
+            lost = N + 1  # the smallest m whose B_m reads a lost table value
+            for v, xs in images[i]:
+                for w, ys in images[j]:
+                    for m in range(max(v + w, first), lost):
+                        table, total = tables[m - v - w], b[m]
+                        try:
+                            for kx, cx in xs:
+                                row = table[kx]
+                                for ky, cy in ys:
+                                    for k, c in row.get(ky, ()):
+                                        total[k] = total.get(k, 0) + cx * cy * c
+                        except OutOfWindowError:
+                            lost = m
+                            break
+            # orders below m0 keep d's layers (psi_u = phi_u = 0 for 0 < u < m0); order s
+            # reads B_0..B_s, so the orders m0..lost-1 are computed (a central target there
+            # raises) and a pair with lost <= N is omitted
+            values = []
+            for s in range(m0, lost):
+                # psi_u(B_{s-u}) carries d0 den^s for every u
+                total = dict(b[s])
+                for u, rows in psi_terms:
+                    if u > s:
+                        break
+                    for k, c in b[s - u].items():
+                        for o, w in rows.get(k, ()):
+                            total[o] = total.get(o, 0) + c * w
+                scale = d0 * den ** s
+                outs = {k: Fraction(c, scale) if c % scale else c // scale
+                        for k, c in total.items() if c}
+                if CENTRAL in outs:
+                    raise ConfigError("central targets are not deformed here")
+                values.append(outs)
+            if lost <= N:
                 omitted.add((i, j))
                 continue
-            for s, outs in enumerate(values):
-                new_entries[s][(i, j)] = outs
-    del tables  # freed before MixedCochain copies the entries
-    layers = tuple(MixedCochain(2, d.window, entries) for entries in new_entries)
+            for s, outs in enumerate(values, start=m0):
+                if outs:
+                    new_entries[s - 1][(i, j)] = outs
+    for s in range(1, min(m0, N + 1)):
+        new_entries[s - 1] = {t: outs for t, outs in d.layers[s - 1].entries.items()
+                              if t not in omitted}
+    # every value above is an exact entry of a checked table or of d's checked layers
+    layers = tuple(MixedCochain._trusted(2, d.window, entries) for entries in new_entries)
     return DeformedBracket(N, d.algebra, d.window, layers, frozenset(omitted))
 
 
@@ -404,6 +444,11 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
     core raises ConfigError (from `Window.core`) before any work.  The Jacobi
     defect report on `window` comes back on the result, or on the
     NotACocycleError that rejects a defective d.
+
+    The equivalence on the result is e_1 o ... o e_N.  Conjugating d by it in
+    one step gives `conjugated`'s values on every pair both keep.  A pair the
+    chain lost is left out of the later stages' primitives, so the one-step
+    value there may be nonzero on the core.
     """
     core = d.window.core(margin)
     report = jacobi_defect(d, window)
@@ -437,7 +482,8 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
             b_s = MixedCochain.from_components(1, d.window, parts)
             e_s = Equivalence.single(d.window, N, s, b_s)
             current = conjugate(current, e_s)
-            total_eq = compose(e_s, total_eq)
+            # conjugate(conjugate(d, e1), e2) = conjugate(d, e1 o e2): the new stage goes inside
+            total_eq = compose(total_eq, e_s)
     for s in range(1, N + 1):
         leftover = current.layers[s - 1].restrict(core)
         if not leftover.is_zero:

@@ -93,8 +93,12 @@ class SparseMatrix:
         return iter(self.rows)
 
     def take_rows(self, keep) -> "SparseMatrix":
-        """The submatrix of the rows listed in `keep`, in that order."""
-        return SparseMatrix(tuple(self.rows[r] for r in keep), self.n_cols)
+        """The submatrix of the rows listed in `keep`, in that order; those rows
+        passed `__post_init__` already and are not checked again."""
+        sub = object.__new__(SparseMatrix)
+        object.__setattr__(sub, "rows", tuple(self.rows[r] for r in keep))
+        object.__setattr__(sub, "n_cols", self.n_cols)
+        return sub
 
     def apply(self, vec):
         """Matrix-vector product, exact."""

@@ -249,6 +249,19 @@ def test_virasoro_central_term_matches_references():
     assert_matches_references(one, Equivalence(1, w6, auto.layers[:1]), (Window(-3, 3),))
 
 
+def test_a_pair_lost_below_its_central_order_is_omitted():
+    # phi_1 sends e_1 -> e_3 and e_2 -> e_-3: mu_0(phi_1 e_1, phi_1 e_2) is central at
+    # order 2, and [e_-3, phi_1 e_1], [phi_1 e_2, e_3] at order 1; those pairs are lost
+    # at order 1 already, so they are omitted rather than refused
+    vir = make_virasoro()
+    w6 = Window(-6, 6)
+    lost = frozenset({(-3, 1), (1, 2), (2, 3)})
+    d = DeformedBracket(2, vir, w6, DeformedBracket.trivial(vir, w6, 2).layers, lost)
+    e = Equivalence.single(w6, 2, 1, MixedCochain(1, w6, {(1,): {3: 1}, (2,): {-3: 1}}))
+    assert lost <= fraction_conjugate(d, e).omitted_pairs
+    assert_matches_references(d, e, ())
+
+
 def test_brackets_with_omitted_pairs_match_references():
     rng = Random(130)
     once = conjugate(DeformedBracket.trivial(WITT, W7, 3), random_equivalence(rng, W7, 3))
@@ -257,6 +270,31 @@ def test_brackets_with_omitted_pairs_match_references():
     d = random_bracket(rng, WITT, W7, 2)
     marked = DeformedBracket(2, WITT, W7, d.layers, frozenset({(-3, 1), (0, 2), (2, 5)}))
     assert_matches_references(marked, random_equivalence(rng, W7, 2), (W7,))
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_single_stage_conjugates_match_references(s):
+    # a trivialize stage id + t^s phi_s keeps the layers below s, minus the pairs it
+    # newly omits, on a bracket that carries omitted pairs already
+    rng = Random(150 + s)
+    d = conjugate(DeformedBracket.trivial(WITT, W7, 3), random_equivalence(rng, W7, 3))
+    e = Equivalence.single(W7, 3, s, random_mixed_layer(rng, 1, W7, (-2, 2), 0.3))
+    assert_matches_references(d, e, (Window(-6, 4),))
+    got = conjugate(d, e)
+    assert d.omitted_pairs and got.omitted_pairs > d.omitted_pairs
+    for layer, before in zip(got.layers[:s - 1], d.layers):
+        assert layer.entries == {t: o for t, o in before.entries.items()
+                                 if t not in got.omitted_pairs}
+
+
+def test_skipped_count_stops_at_the_first_defective_row():
+    # e_-3 ^ e_1 -> e_-2 is no cocycle, and its first order-1 defect lies in row -8;
+    # the triples of the later rows that order 0 loses are not counted there
+    d = DeformedBracket(1, WITT, W8, (MixedCochain(2, W8, {(-3, 1): {-2: 1}}),))
+    report = jacobi_defect(d, W8)
+    assert report.orders[1].triple[0] == -8
+    assert report.orders[1].skipped < report.orders[0].skipped
+    assert_matches_references(d, random_equivalence(Random(160), W8, 1), (W8, Window(-8, 6)))
 
 
 def test_custom_rational_algebra_matches_references():
@@ -483,16 +521,27 @@ def test_trivialize_carries_its_jacobi_report():
     assert not caught.value.report.clean
 
 
-def test_composed_equivalence_trivializes_in_one_step():
-    # conjugating the original bracket by the single composed equivalence kills
-    # every layer on the core, not just the incremental stage-by-stage chain
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_composed_equivalence_trivializes_in_one_step(order):
+    # conjugating the original bracket by the single composed equivalence gives the
+    # stage-by-stage chain's layers, so it too vanishes on the core; from order 3 on
+    # this needs the stages composed as total o e_s, since
+    # conjugate(conjugate(d, e1), e2) = conjugate(d, e1 o e2)
     rng = Random(21)
     phis = []
-    for _ in range(2):
+    for _ in range(order):
         ws = rng.sample([-1, 0, 1], k=2)
         phis.append(mixed_coboundary(rng, W12, ws, order_fill=0.25))
-    d = conjugate(DeformedBracket.trivial(WITT, W12, 2),
-                  Equivalence(2, W12, tuple(phis)))
+    d = conjugate(DeformedBracket.trivial(WITT, W12, order),
+                  Equivalence(order, W12, tuple(phis)))
     res = trivialize(d, W12, margin=4)
     redone = conjugate(d, res.equivalence)
-    assert all(l.restrict(res.verification_core).is_zero for l in redone.layers)
+    # one step loses no pair the chain keeps and agrees with the chain on every
+    # pair the chain keeps; each stage's primitive skips the pairs the chain has
+    # lost, so only on those may the one-step conjugate differ
+    chain = res.conjugated
+    assert redone.omitted_pairs <= chain.omitted_pairs
+    for mine, theirs in zip(redone.layers, chain.layers):
+        assert {t: o for t, o in mine.entries.items() if t not in chain.omitted_pairs} == \
+            theirs.entries
+        assert set(mine.restrict(res.verification_core).entries) <= chain.omitted_pairs
