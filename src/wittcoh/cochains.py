@@ -433,11 +433,6 @@ class MixedCochain:
                 tgt[o] = tgt.get(o, 0) + v
         return MixedCochain(self.degree, self.window, out)
 
-    def __neg__(self):
-        return MixedCochain(self.degree, self.window,
-                            {t: {o: -v for o, v in outs.items()}
-                             for t, outs in self.entries.items()})
-
     def restrict(self, sub: Window) -> "MixedCochain":
         keep = {}
         for t, outs in self.entries.items():

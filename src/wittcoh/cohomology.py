@@ -20,12 +20,12 @@ window through `_check_window`: lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
 Weight 0 is the paper's argument: eq. (4), the six-term equation, at k = 1 is
 eq. (5), and the replay adds k = 2, so the equations through e_1 and e_2
 should determine a cocycle (e_{+-1} and e_{+-2} generate the algebra).
-`cocycle_matrix` lists the rows whose tuple holds 1 or 2 first, and
-`cohomology_by_elimination` offers that prefix to `linalg.solve` for row
-selection: at weight 0 it has the full rank of delta_q on every window
+`cocycle_matrix` lists the rows whose tuple holds 1 or 2 first, and at
+weight 0 `cohomology_by_elimination` offers that prefix to `linalg.solve` for
+row selection: there it has the full rank of delta_q on every window
 measured, so the selection works on a fraction of the rows.  The certificate
-still checks every row, and where the prefix loses rank (most nonzero
-weights) it fails and the selection runs on all rows; no answer depends on it.
+still checks every row, so no answer depends on it.  At most nonzero weights
+the prefix loses rank, so there the selection runs on all rows at once.
 
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
@@ -245,7 +245,7 @@ def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Win
                               margin: int, coeffs: str = ADJOINT) -> CohomologyReport:
     """`cohomology_dim`'s report from the kernel of delta_q: weight 0, the fallback, the oracle."""
     matrix, cols, omitted, spanning = cocycle_matrix(alg, q, d, window, coeffs)
-    kernel = solve(matrix, prefix=spanning).kernel_basis
+    kernel = solve(matrix, prefix=spanning if d == 0 else 0).kernel_basis
 
     comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
     # each cocycle on the comparison set (a subset of cols), as a column

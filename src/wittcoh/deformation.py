@@ -7,25 +7,27 @@ plain `order` field, with exactly N layers.  The staple computations:
 
 * jacobi_defect expands the Jacobi identity of the deformed bracket order by
   order; cleanliness at order 1 is exactly delta(mu_1) = 0;
-* invert builds the inverse series once, order by order, and compose
-  multiplies two series; both go through one composition helper;
 * conjugate transports a bracket along phi = id + t^1 phi_1 + ... (unipotent,
-  hence invertible over the truncated base): mu'(x,y) = phi^{-1} mu(phi x, phi y);
+  hence invertible over the truncated base): mu'(x,y) = phi^{-1} mu(phi x, phi y).
+  It never builds phi^{-1}: phi(mu') = B with B(x, y) = mu(phi x, phi y) is
+  triangular in t, so mu'_s = B_s - sum_{u>=1} phi_u(mu'_{s-u}), order by order;
 * infinitesimal checks delta(mu_1) = 0 with `cochains.cocycle_violation`;
 * trivialize peels a Jacobi-clean deformation one order at a time, solving
   delta(b_s) = mu_s on the core comparison tuples and conjugating by
   id + t^s b_s; under the sign convention of `cochains.differential` that
-  replaces mu_s by mu_s - delta(b_s) at order s.
+  replaces mu_s by mu_s - delta(b_s) at order s.  Each stage goes inside the
+  equivalence so far, whose layers it updates in place:
+  (total o (id + t^s b_s))_r = total_r + total_{r-s} o b_s.
 
 jacobi_defect and conjugate compute on Python ints: with D the lcm of every
 layer denominator (the equivalence's too) and D0 that of the order-0
 brackets, `_layer_tables` stores T_r = D0 D^r mu_r, the substitution
 t -> t/D.  Every term of an order-s sum then carries one scale: D0^2 D^s for
-mu_{s-p}(mu_p(x, y), z) in the Jacobi sum, and D0 D^s for
-psi_u mu_r(phi_v x, phi_w y) in conjugate, where D^v phi_v and D^u psi_u (a
-sum of products of phi layers of total order u) are integral.  So a scaled
-sum is zero exactly when the exact one is, and one exact division by the
-scale gives each stored or reported value.
+mu_{s-p}(mu_p(x, y), z) in the Jacobi sum, and D0 D^s for both
+mu_r(phi_v x, phi_w y) and phi_u(mu'_{s-u}(x, y)) in conjugate, where
+D^v phi_v is integral and mu'_{s-u} carries D0 D^{s-u} by induction.  So a
+scaled sum is zero exactly when the exact one is, and one exact division by
+the scale gives each stored or reported value.
 
 Window bookkeeping is strictly honest, and `_layer_tables` is the only place
 it is checked: an order-0 bracket whose target lies outside the window, or a
@@ -40,7 +42,7 @@ with a lost order-0 bracket is skipped at every order: jacobi_defect lists
 the other triples once and counts the lost ones per row, adding those of the
 rows up to the first defect's.  conjugate sums the B_m = sum_{r+v+w=m}
 mu_r(phi_v x, phi_w y) of a pair over the nonzero images phi_v x, phi_w y
-only.  Below m0, the first order with phi_{m0} != 0, psi_u = phi_u = 0 for
+only.  Below m0, the first order with phi_{m0} != 0, phi_u = 0 for
 0 < u < m0, so those layers are d's, minus the pairs newly omitted; a stage
 id + t^s b_s of trivialize has m0 = s.  conjugate builds its result layers
 with `MixedCochain._trusted`, without re-checking values that come from
@@ -135,39 +137,6 @@ class Equivalence:
             for o, w in rows.get((k,), {}).items():
                 out[o] = out.get(o, 0) + v * w
         return out
-
-
-def _compose_order(outer: Equivalence, inner: Equivalence, s: int) -> MixedCochain:
-    """(outer o inner)_s(e_i) = sum_u outer_u(inner_{s-u}(e_i)) on every generator."""
-    entries = {}
-    for i in outer.window.indices():
-        total = {}
-        for u in range(s + 1):
-            for k, v in outer.apply_order(u, inner.apply_order(s - u, {i: 1})).items():
-                total[k] = total.get(k, 0) + v
-        entries[(i,)] = total
-    return MixedCochain(1, outer.window, entries)
-
-
-def invert(e: Equivalence) -> Equivalence:
-    """The inverse series psi = id - phi_1 t + ..., built once, order by order.
-
-    (psi o phi)_s = 0 for s >= 1 with psi_s entering only as itself, so
-    psi_s = -(psi o phi)_s evaluated while psi_s is still zero.
-    """
-    layers = [MixedCochain(1, e.window) for _ in range(e.order)]
-    for s in range(1, e.order + 1):
-        psi = Equivalence(e.order, e.window, tuple(layers))
-        layers[s - 1] = -_compose_order(psi, e, s)
-    return Equivalence(e.order, e.window, tuple(layers))
-
-
-def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
-    """The equivalence x -> outer(inner(x)), truncated at the common order."""
-    if outer.order != inner.order or outer.window != inner.window:
-        raise ValueError("equivalence shape mismatch")
-    return Equivalence(outer.order, outer.window, tuple(
-        _compose_order(outer, inner, s) for s in range(1, outer.order + 1)))
 
 
 # -- integer layer tables ----------------------------------------------------------
@@ -330,7 +299,8 @@ def infinitesimal(d: DeformedBracket) -> InfinitesimalReport:
 
 
 def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
-    """phi^{-1}[phi(x), phi(y)] expanded through the truncation order.
+    """phi^{-1}[phi(x), phi(y)] expanded through the truncation order, solved from
+    phi(mu'(x, y)) = mu(phi x, phi y) one order at a time.
 
     Entries whose evaluation would leave the window are omitted from every
     layer and the pair is recorded in omitted_pairs; all stored entries are
@@ -339,21 +309,19 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
     if e.order != d.order or e.window != d.window:
         raise ValueError("equivalence and bracket must share order and window")
     N = d.order
-    psi = invert(e)
     tables, d0, den = _layer_tables(d, e.layers)
-    # den^u phi_u and den^u psi_u are integral; row u - 1 holds them at each e_i
-    phi_rows, psi_rows = ([{i: _scaled(outs, den ** u) for (i,), outs in layer.entries.items()}
-                           for u, layer in enumerate(series.layers, start=1)]
-                          for series in (e, psi))
-    # smallest order with a nonzero equivalence layer; psi_u = 0 for 0 < u < m0
+    # den^u phi_u is integral; row u - 1 holds it at each e_i
+    phi_rows = [{i: _scaled(outs, den ** u) for (i,), outs in layer.entries.items()}
+                for u, layer in enumerate(e.layers, start=1)]
+    # smallest order with a nonzero equivalence layer; phi_u = 0 for 0 < u < m0
     m0 = next((s for s in range(1, N + 1) if not e.layers[s - 1].is_zero), N + 1)
-    # B_0 is read only through psi_u(B_0), u >= m0, so only when phi != 0
+    # B_0 is read only through phi_u(mu'_0) = phi_u(B_0), u >= m0, so only when phi != 0
     first = 0 if m0 <= N else 1
-    # the nonzero images (v, den^v phi_v e_i), phi_0 = id, and the nonzero psi_u, by order
+    # the nonzero images (v, den^v phi_v e_i), phi_0 = id, and the nonzero phi_u, by order
     images = {i: [(0, ((i, 1),))] + [(v, rows[i]) for v, rows in enumerate(phi_rows, start=1)
                                      if i in rows]
               for i in d.window.indices()}
-    psi_terms = [(u, rows) for u, rows in enumerate(psi_rows, start=1) if rows]
+    phi_terms = [(u, rows) for u, rows in enumerate(phi_rows, start=1) if rows]
     new_entries: list[dict] = [dict() for _ in range(N)]
     omitted = set(d.omitted_pairs)
     for i in d.window.indices():
@@ -375,19 +343,22 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
                         except OutOfWindowError:
                             lost = m
                             break
-            # orders below m0 keep d's layers (psi_u = phi_u = 0 for 0 < u < m0); order s
+            # orders below m0 keep d's layers (mu'_r = B_r = mu_r for r < m0); order s
             # reads B_0..B_s, so the orders m0..lost-1 are computed (a central target there
             # raises) and a pair with lost <= N is omitted
+            mu = b[:m0]  # d0 den^r mu'_r(e_i, e_j), by order r
             values = []
             for s in range(m0, lost):
-                # psi_u(B_{s-u}) carries d0 den^s for every u
+                # phi(mu') = B at order s: mu'_s = B_s - sum_{u >= 1} phi_u(mu'_{s-u}),
+                # every term carrying d0 den^s
                 total = dict(b[s])
-                for u, rows in psi_terms:
+                for u, rows in phi_terms:
                     if u > s:
                         break
-                    for k, c in b[s - u].items():
+                    for k, c in mu[s - u].items():
                         for o, w in rows.get(k, ()):
-                            total[o] = total.get(o, 0) + c * w
+                            total[o] = total.get(o, 0) - c * w
+                mu.append(total)
                 scale = d0 * den ** s
                 outs = {k: Fraction(c, scale) if c % scale else c // scale
                         for k, c in total.items() if c}
@@ -482,8 +453,13 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
             b_s = MixedCochain.from_components(1, d.window, parts)
             e_s = Equivalence.single(d.window, N, s, b_s)
             current = conjugate(current, e_s)
-            # conjugate(conjugate(d, e1), e2) = conjugate(d, e1 o e2): the new stage goes inside
-            total_eq = compose(total_eq, e_s)
+            # conjugate(conjugate(d, e1), e2) = conjugate(d, e1 o e2): the new stage goes
+            # inside, (total o (id + t^s b_s))_r = total_r + total_{r-s} o b_s
+            layers = list(total_eq.layers)
+            for r in range(s, N + 1):
+                layers[r - 1] += MixedCochain(1, d.window, {
+                    t: total_eq.apply_order(r - s, outs) for t, outs in b_s.entries.items()})
+            total_eq = Equivalence(N, d.window, tuple(layers))
     for s in range(1, N + 1):
         leftover = current.layers[s - 1].restrict(core)
         if not leftover.is_zero:

@@ -235,10 +235,7 @@ def init_table(K: int) -> FactTable:
     for i in range(-K, K + 1):
         if i == 1:
             continue
-        if not t.known(i, 1) or t.cell(i, 1) != SymbolicValue.zero():
-            t.set_cell(i, 1, SymbolicValue.zero(), "Eq1")
-    if t.cell(-2, 2) != SymbolicValue.zero():
-        raise ContradictionError("seed at (-2,2) should already be zero")
+        t.set_cell(i, 1, SymbolicValue.zero(), "Eq1")
     return t
 
 

@@ -10,7 +10,9 @@ The builders (`matrix_from_rows`, `cochain_from_function`, `without_tag`,
 `solved_form`) and `sequential_solve`, the reference elimination that
 `RelationSet.solve` is checked against, are used by the tests only, as are
 `fraction_jacobi_defect` and `fraction_conjugate`, the Fraction references
-for the integer-table `jacobi_defect` and `conjugate`, `annihilates`,
+for the integer-table `jacobi_defect` and `conjugate` (the latter through the
+inverse series `invert`, while `conjugate` solves phi(mu') = mu(phi, phi)
+order by order), `compose`, the product of two equivalences, `annihilates`,
 the per-vector reference for the one-sweep certificate of `linalg.solve`,
 `reference_solve`, the reduced-echelon-form reference for `linalg.solve`, and
 `reference_delta_matrix`, the term-by-term reference for `delta_matrix`.
@@ -24,7 +26,7 @@ from random import Random
 from wittcoh import linalg
 from wittcoh.algebra import CENTRAL, Window
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, differential
-from wittcoh.deformation import DefectReport, DeformedBracket, Equivalence, OrderDefect, invert
+from wittcoh.deformation import DefectReport, DeformedBracket, Equivalence, OrderDefect
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError, OutOfWindowError
 from wittcoh.linalg import LinearSolution, SparseMatrix
 from wittcoh.replay import RelationSet, SymbolicValue
@@ -264,6 +266,40 @@ def fraction_jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
         else:
             orders.append(OrderDefect(s, True, skipped=skipped))
     return DefectReport(window, tuple(orders))
+
+
+def _compose_order(outer: Equivalence, inner: Equivalence, s: int) -> dict:
+    """(outer o inner)_s(e_i) = sum_u outer_u(inner_{s-u}(e_i)) as {(i,): {out: value}}."""
+    entries = {}
+    for i in outer.window.indices():
+        total = {}
+        for u in range(s + 1):
+            for k, v in outer.apply_order(u, inner.apply_order(s - u, {i: 1})).items():
+                total[k] = total.get(k, 0) + v
+        entries[(i,)] = total
+    return entries
+
+
+def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
+    """The equivalence x -> outer(inner(x)), truncated at the common order."""
+    if outer.order != inner.order or outer.window != inner.window:
+        raise ValueError("equivalence shape mismatch")
+    return Equivalence(outer.order, outer.window, tuple(
+        MixedCochain(1, outer.window, _compose_order(outer, inner, s))
+        for s in range(1, outer.order + 1)))
+
+
+def invert(e: Equivalence) -> Equivalence:
+    """The inverse series psi = id - phi_1 t + ..., order by order: (psi o phi)_s = 0
+    for s >= 1 with psi_s entering only as itself, so psi_s = -(psi o phi)_s
+    evaluated while psi_s is still zero."""
+    layers = [MixedCochain(1, e.window) for _ in range(e.order)]
+    for s in range(1, e.order + 1):
+        psi = Equivalence(e.order, e.window, tuple(layers))
+        layers[s - 1] = MixedCochain(1, e.window, {
+            t: {k: -v for k, v in outs.items()}
+            for t, outs in _compose_order(psi, e, s).items()})
+    return Equivalence(e.order, e.window, tuple(layers))
 
 
 def fraction_conjugate(d: DeformedBracket, e) -> DeformedBracket:

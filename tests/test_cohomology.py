@@ -351,7 +351,7 @@ def test_rows_through_one_or_two_that_lose_rank_fall_back_to_every_row(monkeypat
     assert len(real([linalg._primitive(r) for r in m][:spanning])) == 56
     seen.clear()
     r = cohomology_by_elimination(WITT, 2, 3, Window(-8, 8), 4)
-    assert seen[:2] == [76, m.n_rows]  # the kernel's solve, then the thin ranks
+    assert seen[0] == m.n_rows  # the kernel's solve offers no prefix at d != 0
     assert r.to_json_dict() == {
         "algebra": "witt", "degree": 2, "weight": 3, "window": "-8:8", "margin": 4,
         "coefficients": "adjoint", "dim_cocycles": 11, "dim_coboundaries": 11, "dim_stable": 0,

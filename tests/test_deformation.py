@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 from random import Random
 
 import pytest
@@ -8,10 +9,8 @@ from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential, weigh
 from wittcoh.deformation import (
     DeformedBracket,
     Equivalence,
-    compose,
     conjugate,
     infinitesimal,
-    invert,
     jacobi_defect,
     parse_deformation,
     render_deformation,
@@ -20,8 +19,11 @@ from wittcoh.deformation import (
 from wittcoh.errors import BoundaryError, ConfigError, FormatError, NotACocycleError
 
 from helpers import (
+    _evaluate_order,
+    compose,
     fraction_conjugate,
     fraction_jacobi_defect,
+    invert,
     random_cochain,
     random_equivalence,
     random_mixed_layer,
@@ -30,6 +32,7 @@ from helpers import (
 WITT = make_witt()
 W12 = Window(-12, 12)
 W8 = Window(-8, 8)
+W9 = Window(-9, 9)
 
 
 def mixed_coboundary(rng, window, weights, order_fill=0.35):
@@ -285,6 +288,56 @@ def test_single_stage_conjugates_match_references(s):
     for layer, before in zip(got.layers[:s - 1], d.layers):
         assert layer.entries == {t: o for t, o in before.entries.items()
                                  if t not in got.omitted_pairs}
+
+
+def assert_defining_identity(d, e):
+    """phi(mu'(x, y)) = mu(phi x, phi y) order by order on every pair that
+    conjugate(d, e) keeps, with no inverse series: for s = 0..N,
+    sum_u phi_u(mu'_{s-u}(e_i, e_j)) = sum_{r+v+w=s} mu_r(phi_v e_i, phi_w e_j)."""
+    conj = conjugate(d, e)
+    N = d.order
+    images = {i: [e.apply_order(v, {i: 1}) for v in range(N + 1)] for i in d.window.indices()}
+
+    def summed(parts):
+        total = {}
+        for part in parts:
+            for k, c in part.items():
+                total[k] = total.get(k, 0) + c
+        return {k: c for k, c in total.items() if c}
+
+    kept = 0
+    for i in d.window.indices():
+        for j in range(i + 1, d.window.hi + 1):
+            if (i, j) in conj.omitted_pairs:
+                continue
+            kept += 1
+            new = [_evaluate_order(conj, s, {i: 1}, {j: 1}) for s in range(N + 1)]
+            for s in range(N + 1):
+                lhs = summed(e.apply_order(u, new[s - u]) for u in range(s + 1))
+                rhs = summed(_evaluate_order(d, r, images[i][v], images[j][s - r - v])
+                             for r in range(s + 1) for v in range(s - r + 1))
+                assert lhs == rhs, (i, j, s)
+    assert kept
+
+
+def test_conjugate_solves_the_defining_identity():
+    rng = Random(170)
+    for order in range(1, 5):
+        start = DeformedBracket.trivial(WITT, W9, order)
+        once = conjugate(start, random_equivalence(rng, W9, order))
+        assert once.omitted_pairs
+        assert_defining_identity(start, random_equivalence(rng, W9, order))
+        assert_defining_identity(once, random_equivalence(rng, W9, order))
+    # e_i -> exp(t i) e_i: the order-0 terms mu_0(e_i, e_-i) are central, and phi moves
+    # no central term
+    vir = make_virasoro()
+    w6 = Window(-6, 6)
+    d = DeformedBracket(2, vir, w6, tuple(
+        random_mixed_layer(rng, 2, w6, (0, 2), 0.3) for _ in range(2)))
+    auto = Equivalence(2, w6, tuple(
+        MixedCochain(1, w6, {(i,): {i: Fraction(i ** v, factorial(v))} for i in w6.indices()})
+        for v in (1, 2)))
+    assert_defining_identity(d, auto)
 
 
 def test_skipped_count_stops_at_the_first_defective_row():
