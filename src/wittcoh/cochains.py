@@ -31,8 +31,8 @@ consequence worth knowing: for a diagonal 1-cochain b(e_i) = b_i e_i,
 
 Window truncation is interior-only: delta is evaluated only on tuples whose
 every intermediate index (pairwise bracket targets, intermediate cochain
-outputs) stays inside the window; the remaining tuples are omitted from the
-result and recorded on it, so no equation is ever fabricated with missing
+outputs) stays inside the window; the remaining tuples are omitted, and
+`delta_matrix` returns them, so no equation is ever fabricated with missing
 terms.
 
 `delta_matrix` is the single builder of delta: cocycles, comparison sets,
@@ -52,9 +52,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .algebra import (CENTRAL, GradedLieAlgebra, Window, parse_rational, parse_tuple,
-                      parse_window, read_document)
-from .errors import ConfigError, FormatError, OutOfWindowError
+from .algebra import CENTRAL, GradedLieAlgebra, Window
+from .errors import ConfigError, OutOfWindowError
 from .linalg import SparseMatrix, check_coefficient
 
 ADJOINT = "adjoint"
@@ -121,7 +120,6 @@ class Cochain:
     window: Window
     coeffs: str = ADJOINT
     entries: dict = field(default_factory=dict)
-    omitted: tuple = ()
 
     def __post_init__(self):
         if self.coeffs not in (ADJOINT, TRIVIAL):
@@ -142,9 +140,8 @@ class Cochain:
 
     # -- vector space structure ------------------------------------------
 
-    def _like(self, entries, omitted=None):
-        return Cochain(self.degree, self.weight, self.window, self.coeffs, entries,
-                       self.omitted if omitted is None else omitted)
+    def _like(self, entries):
+        return Cochain(self.degree, self.weight, self.window, self.coeffs, entries)
 
     def _check_compatible(self, other):
         if (self.degree, self.weight, self.window, self.coeffs) != (
@@ -156,7 +153,7 @@ class Cochain:
         out = dict(self.entries)
         for t, v in other.entries.items():
             out[t] = out.get(t, 0) + v
-        return self._like(out, omitted=tuple(sorted(set(self.omitted) | set(other.omitted))))
+        return self._like(out)
 
     def __sub__(self, other):
         return self + (-other)
@@ -171,12 +168,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other):
-        return (isinstance(other, Cochain)
-                and (self.degree, self.weight, self.window, self.coeffs) ==
-                    (other.degree, other.weight, other.window, other.coeffs)
-                and self.entries == other.entries)
-
     # -- evaluation -------------------------------------------------------
 
     def component(self, *args) -> int | Fraction:
@@ -188,13 +179,6 @@ class Cochain:
             raise OutOfWindowError(
                 f"tuple {t} has no admissible output in C^{self.degree}_{self.weight} on {self.window}")
         return sign * self.entries.get(t, 0)
-
-    def evaluate(self, *args):
-        """Full value: {output index: coefficient} for adjoint coefficients, a scalar otherwise."""
-        v = self.component(*args)
-        if self.coeffs == TRIVIAL:
-            return v
-        return {sum(args) + self.weight: v} if v else {}
 
 
 # -- the differential ------------------------------------------------------
@@ -356,14 +340,14 @@ def differential(alg: GradedLieAlgebra, c: Cochain) -> Cochain:
     """delta(c), same weight, degree q+1, interior-only.
 
     Output tuples whose evaluation would reference an index outside the window
-    are omitted and listed on the result's `omitted` attribute.
+    are omitted; `delta_matrix` lists them.
     """
-    matrix, rows, omitted = delta_matrix(alg, c.degree, c.weight, c.window, c.coeffs)
+    matrix, rows, _ = delta_matrix(alg, c.degree, c.weight, c.window, c.coeffs)
     vec = [c.entries.get(t, 0)
            for t in basis_tuples(c.degree, c.weight, c.window, c.coeffs)]
     values = matrix.apply(vec)
     return Cochain(c.degree + 1, c.weight, c.window, c.coeffs,
-                   {t: v for t, v in zip(rows, values) if v}, tuple(omitted))
+                   {t: v for t, v in zip(rows, values) if v})
 
 
 # -- mixed-weight cochains --------------------------------------------------
@@ -408,20 +392,6 @@ class MixedCochain:
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def weights(self):
-        ws = set()
-        for t, outs in self.entries.items():
-            for out in outs:
-                ws.add(out - sum(t))
-        return sorted(ws)
-
-    def evaluate(self, *args) -> dict:
-        """Full value as {output index: coefficient}."""
-        t, sign = _sort_with_sign(args, self.window)
-        if t is None:
-            return {}
-        return {out: sign * v for out, v in self.entries.get(t, {}).items()}
 
     def __add__(self, other: "MixedCochain") -> "MixedCochain":
         if (self.degree, self.window) != (other.degree, other.window):
@@ -505,25 +475,3 @@ def cochain_to_text(c: Cochain) -> str:
         key = "(" + ",".join(str(a) for a in t) + ")"
         lines.append(f"{key} -> {c.entries[t]}")
     return "\n".join(lines) + "\n"
-
-
-def cochain_from_text(text: str) -> Cochain:
-    """Parse `cochain_to_text`'s form (`read_document`'s grammar, records '(i,j) -> p/q')."""
-    header, records = read_document(text, ("degree", "weight", "window", "coefficients"))
-    entries = {}
-    for lineno, lhs, rhs in records:
-        t = parse_tuple(lhs, lineno)
-        if t in entries:
-            raise FormatError(f"line {lineno}: duplicate tuple {t}")
-        entries[t] = parse_rational(rhs, lineno)
-    try:
-        degree = int(header["degree"])
-        weight = int(header["weight"])
-    except ValueError:
-        raise FormatError("degree and weight must be integers") from None
-    window = parse_window(header["window"])
-    coeffs = header["coefficients"]
-    try:
-        return Cochain(degree, weight, window, coeffs, entries)
-    except (ValueError, OutOfWindowError) as exc:
-        raise FormatError(str(exc)) from None

@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import BUILTIN, GradedLieAlgebra, Window, parse_window
+from .algebra import BUILTIN, GradedLieAlgebra, Window
 from .cochains import (
     ADJOINT,
     CENTRAL_TARGET,
@@ -64,6 +64,7 @@ from .cochains import (
     Cochain,
     MixedCochain,
     basis_tuples,
+    cochain_to_text,
     cocycle_violation,
     delta_matrix,
     differential,
@@ -90,8 +91,6 @@ class CohomologyReport:
     omitted_triples: int = 0
 
     def to_json_dict(self) -> dict:
-        from .cochains import cochain_to_text
-
         return {
             "algebra": self.algebra,
             "degree": self.degree,
@@ -106,25 +105,6 @@ class CohomologyReport:
             "stabilization": [[f"{w.lo}:{w.hi}", n] for w, n in self.stabilization],
             "omitted_triples": self.omitted_triples,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CohomologyReport":
-        from .cochains import cochain_from_text
-
-        return cls(
-            algebra=data["algebra"],
-            degree=data["degree"],
-            weight=data["weight"],
-            window=parse_window(data["window"]),
-            margin=data["margin"],
-            coeffs=data["coefficients"],
-            dim_cocycles=data["dim_cocycles"],
-            dim_coboundaries=data["dim_coboundaries"],
-            dim_stable=data["dim_stable"],
-            representatives=tuple(cochain_from_text(t) for t in data["representatives"]),
-            stabilization=tuple((parse_window(w), n) for w, n in data["stabilization"]),
-            omitted_triples=data["omitted_triples"],
-        )
 
 
 def _check_window(window: Window, margin: int):

@@ -22,8 +22,9 @@ the same certified integer elimination the cohomology computations use.
 
 All relations are derived programmatically from (*); printed closed forms
 are asserted as regression checks in the test suite where they are correct.
-Every derivation is logged with a justification tag, and replaying the log
-onto a fresh table reconstructs it cell for cell.
+Every derivation is logged with a justification tag; the test suite checks
+that replaying the log's cells onto a fresh table reconstructs it cell for
+cell.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from .errors import BoundaryError, ConfigError, ContradictionError
 from .linalg import SparseMatrix, check_coefficient, rank, solve
 
-TAGS = ("Eq1", "Eq5", "Eq6", "Eq7", "Diag", "Antisym", "Sec5", "Sec9")
+TAGS = ("Eq1", "Eq5", "Eq7", "Diag", "Antisym", "Sec5", "Sec9")
 
 
 def _render_unknown(k: int) -> str:
@@ -68,9 +69,6 @@ class SymbolicValue:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
-
-    def coeff(self, k: int):
-        return dict(self.coeffs).get(k, 0)
 
     def __add__(self, other: "SymbolicValue") -> "SymbolicValue":
         out = dict(self.coeffs)
@@ -129,8 +127,8 @@ class FactTable:
 
     Only cells with i < j are stored; antisymmetry supplies the rest and the
     diagonal is identically zero.  Every derived cell or relation is appended
-    to the log with one justification tag, and replaying the log onto a fresh
-    init_table(K) rebuilds the table deterministically.
+    to the log with one justification tag; the test suite checks that
+    replaying the log's cells onto a fresh init_table(K) rebuilds the table.
     """
 
     def __init__(self, K: int):
@@ -199,24 +197,6 @@ class FactTable:
 
     def log_text(self) -> str:
         return "\n".join(e.render() for e in self.log) + "\n"
-
-    @classmethod
-    def replay_log(cls, K: int, log) -> "FactTable":
-        """Rebuild a table by re-applying the cell entries of a log."""
-        t = init_table(K)
-        for entry in log:
-            if entry.kind != "cell":
-                continue
-            i, j = _parse_cell_label(entry.label)
-            if not t.known(i, j):
-                t.set_cell(i, j, entry.value, entry.tag)
-        return t
-
-
-def _parse_cell_label(label: str):
-    inner = label[label.index("[") + 1: label.index("]")]
-    a, b = inner.split(",")
-    return int(a), int(b)
 
 
 def _seed(k: int) -> SymbolicValue:
@@ -395,10 +375,10 @@ def _eq4(value, i, j, k) -> SymbolicValue:
             + (j - i + k) * value(k, j) + (j - i - k) * value(k, i) - (i + j - k) * value(i, j))
 
 
-def k2_specializations(t: FactTable, rows=(-2, -3)) -> RelationSet:
-    """Six-term relations at k = 2 for the requested i-families.
+def k2_specializations(t: FactTable) -> RelationSet:
+    """Six-term relations at k = 2 for the i-families i = -2 and i = -3.
 
-    The default families are i = -2, which yields the chains
+    The family i = -2 yields the chains
     (j+4)a_j = (j+2)a_{j-2} for j <= 0 and j >= 4 (hence a_0 = 0, the
     vanishing even chains and the proportional odd chains), and i = -3,
     which closes the endgame.  The i = -2 family is restricted to instances
@@ -411,8 +391,7 @@ def k2_specializations(t: FactTable, rows=(-2, -3)) -> RelationSet:
         raise ValueError("fill_nonpositive_rows must run first")
     K = t.K
     rels = RelationSet()
-    for i in rows:
-        tag = {-2: "Eq7", -3: "Sec9"}.get(i, "Eq6")
+    for i, tag in ((-2, "Eq7"), (-3, "Sec9")):
         for j in range(max(-K + 2, -K - i), K - 1):
             if j in (i, 2):
                 continue
@@ -475,34 +454,18 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
     check_buffer(K, buffer)
     solved = relations.solve()
     targets = [k for k in range(-(K - buffer), K - buffer + 1) if k not in (-2, 1, 2)]
-    universe = set(targets) | set(solved)
-    for rel in relations.relations:
-        universe.update(k for k, _ in rel.form.coeffs)
-    free = sorted(u for u in universe if u not in solved)
-
-    # basis of the solution space: one vector per free unknown
-    target_pos = {k: n for n, k in enumerate(targets)}
-    rows = []
-    touching = []
-    for u in free:
-        vec = {}
-        if u in target_pos:
-            vec[target_pos[u]] = 1
-        for k in targets:
-            if k in solved:
-                cv = solved[k].coeff(u)
-                if cv:
-                    vec[target_pos[k]] = cv
-        if vec:
-            rows.append(vec)
-            touching.append(u)
-    dimension = rank(SparseMatrix(rows, len(targets)))
-
-    solved_targets = {k: solved.get(k, SymbolicValue.unknown(k)) for k in targets}
-    all_zero = dimension == 0 and all(v.is_zero for v in solved_targets.values())
+    forms = {k: solved.get(k, SymbolicValue.unknown(k)) for k in targets}
+    # the solution space on the targets: one row per free unknown their forms read
+    rows = {}
+    for n, form in enumerate(forms.values()):
+        for u, v in form.coeffs:
+            rows.setdefault(u, {})[n] = v
+    free = sorted(rows)
+    dimension = rank(SparseMatrix([rows[u] for u in free], len(targets)))
+    all_zero = dimension == 0 and all(v.is_zero for v in forms.values())
     return Verdict(
         K=K, buffer=buffer, dimension=dimension,
-        free_unknowns=tuple(touching), solved_targets=solved_targets,
+        free_unknowns=tuple(free), solved_targets=forms,
         all_zero=all_zero,
     )
 
@@ -539,8 +502,7 @@ class ReplayResult:
 def run_replay(K: int = 12, buffer: int = 3) -> ReplayResult:
     """The full staged pipeline: init, fills, relations, final solve.
 
-    Diagonal relations run up to i = min(6, (K + 2) // 2), and the k = 2
-    relations use the default families i = -2 and i = -3.
+    Diagonal relations run up to i = min(6, (K + 2) // 2).
     """
     t = init_table(K)
     fill_nonpositive_rows(t)

@@ -25,7 +25,7 @@ from random import Random
 
 from wittcoh import linalg
 from wittcoh.algebra import CENTRAL, Window
-from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, differential
+from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, delta_matrix, differential
 from wittcoh.deformation import DefectReport, DeformedBracket, Equivalence, OrderDefect
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError, OutOfWindowError
 from wittcoh.linalg import LinearSolution, SparseMatrix
@@ -407,7 +407,7 @@ def truncated_coboundary(rng: Random, alg, degree, weight, window, coeffs=ADJOIN
                     {t: v for t, v in b.entries.items() if all(a in support for a in t)})
     db = differential(alg, b)
     probe = Cochain(degree + 1, weight, window, coeffs)
-    if any(probe.admissible(t) for t in db.omitted):
+    if any(probe.admissible(t) for t in delta_matrix(alg, degree, weight, big, coeffs)[2]):
         raise AssertionError("primitive window not large enough for exact coboundary")
     return b, restrict_entries(db, window)
 

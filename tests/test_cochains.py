@@ -11,8 +11,6 @@ from wittcoh.cochains import (
     Cochain,
     MixedCochain,
     basis_tuples,
-    cochain_from_text,
-    cochain_to_text,
     cocycle_violation,
     delta_matrix,
     differential,
@@ -47,8 +45,8 @@ def diagonal(b_values, window=W8):
 
 def test_evaluate_antisymmetry():
     c = Cochain(2, 1, W8, ADJOINT, {(2, 3): 5})
-    assert c.evaluate(3, 2) == {6: -5}
-    assert c.evaluate(2, 3) == {6: 5}
+    assert c.component(3, 2) == -5
+    assert c.component(2, 3) == 5
 
 
 def test_cochains_reject_a_float_coefficient():
@@ -60,18 +58,18 @@ def test_cochains_reject_a_float_coefficient():
 
 def test_evaluate_repeated_arguments():
     c = Cochain(2, 0, W8, ADJOINT, {(2, 3): 5})
-    assert c.evaluate(2, 2) == {}
+    assert c.component(2, 2) == 0
 
 
 def test_evaluate_diagonal_one_cochain():
     b = diagonal({i: Fraction(i) for i in W8.indices()})
-    assert b.evaluate(4) == {4: 4}
+    assert b.component(4) == 4
 
 
 def test_evaluate_out_of_window():
     c = Cochain(2, 0, W8, ADJOINT, {(2, 3): 5})
     with pytest.raises(OutOfWindowError):
-        c.evaluate(9, 2)
+        c.component(9, 2)
 
 
 def test_basis_is_lexicographic():
@@ -165,7 +163,8 @@ def test_differential_preserves_weight_and_reports_omissions():
     dc = differential(WITT, c)
     assert dc.weight == 3 and dc.degree == 2
     # near the upper edge some pairs must have been dropped, and they are listed
-    assert all(isinstance(t, tuple) and len(t) == 2 for t in dc.omitted)
+    omitted = delta_matrix(WITT, 1, 3, W8)[2]
+    assert omitted and all(isinstance(t, tuple) and len(t) == 2 for t in omitted)
 
 
 def test_mixed_cochain_checks_the_tuple_length():
@@ -226,7 +225,8 @@ def test_central_extension_shape_is_a_cocycle():
     omega = central_candidate(W10)
     d_omega = differential(WITT, omega)
     assert d_omega.is_zero
-    assert not d_omega.omitted  # every summing-to-zero triple stays interior
+    # every summing-to-zero triple stays interior
+    assert not delta_matrix(WITT, 2, 0, W10, TRIVIAL)[2]
 
 
 def test_coboundary_direction_is_a_cocycle_and_a_coboundary():
@@ -268,43 +268,11 @@ def test_delta_squared_zero_trivial_coefficients():
             assert all(v == 0 for t, v in dd.entries.items() if never_leaves_window(t, d, W10))
 
 
-# -- serialization -------------------------------------------------------------
-
-
-def test_cochain_text_round_trip():
-    rng = Random(31)
-    c = random_cochain(rng, 2, 1, W8, fill=0.4)
-    again = cochain_from_text(cochain_to_text(c))
-    assert again == c
-
-
 def test_mixed_cocycle_generator_is_honest():
     rng = Random(37)
     mixed = random_mixed_cocycle(rng, WITT, 1, (0, 1, 3), W10)
     assert mixed.degree == 2
-    assert set(mixed.weights()) <= {0, 1, 3}
-
-
-def test_cochain_text_rejects_garbage():
-    from wittcoh.errors import FormatError
-
-    good = cochain_to_text(Cochain(2, 0, W8, ADJOINT, {(1, 2): 5}))
-    with pytest.raises(FormatError):
-        cochain_from_text(good + "trailing garbage\n")
-    with pytest.raises(FormatError):
-        cochain_from_text("degree: 2\nweight: 0\nwindow: -8:8\n(1,2) -> 1\n")  # header missing
-    with pytest.raises(FormatError):
-        cochain_from_text(good.replace("(1,2)", "(1,2") )
-    with pytest.raises(FormatError):
-        cochain_from_text(good + "(1,2) -> 7\n")  # duplicate tuple
-
-
-def test_cochain_text_rejects_duplicate_header():
-    from wittcoh.errors import FormatError
-
-    good = cochain_to_text(Cochain(2, 0, W8, ADJOINT, {(1, 2): 5}))
-    with pytest.raises(FormatError, match="line 2: duplicate header 'degree'"):
-        cochain_from_text("degree: 1\n" + good)
+    assert set(weight_components(mixed)) <= {0, 1, 3}
 
 
 def test_adjoint_differential_rejects_central_targets():

@@ -1,9 +1,8 @@
-"""The one document grammar, checked through all three parsers that read it."""
+"""The one document grammar, checked through both parsers that read it."""
 
 import pytest
 
 from wittcoh.algebra import Window, dump_algebra, load_algebra
-from wittcoh.cochains import cochain_from_text, cochain_to_text
 from wittcoh.deformation import parse_deformation, render_deformation
 from wittcoh.errors import FormatError
 
@@ -12,9 +11,6 @@ from wittcoh.errors import FormatError
 FORMATS = {
     "algebra": (load_algebra, lambda alg: dump_algebra(alg, Window(-2, 2)),
                 "name: x\ngraded: yes\ncentral: no\n-1 1 -> 0:1/2\n", "-1 1"),
-    "cochain": (cochain_from_text, cochain_to_text,
-                "degree: 2\nweight: 0\nwindow: -4:4\ncoefficients: adjoint\n(-1,1) -> 1/2\n",
-                "(-1,1)"),
     "deformation": (parse_deformation, render_deformation,
                     "algebra: witt\norder: 1\nwindow: -4:4\nlayer: 1\n(-1,1) -> 0:1/2\n",
                     "(-1,1)"),

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wittcoh.algebra import Window, make_witt
-from wittcoh.cochains import basis_tuples, differential
+from wittcoh.cochains import basis_tuples, delta_matrix, differential
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError
 from wittcoh.linalg import SparseMatrix, solve
 from wittcoh.replay import (
-    FactTable,
     RelationSet,
     SymbolicValue,
     TAGS,
@@ -77,6 +76,16 @@ def test_inconsistent_overwrite_is_a_contradiction():
     t = init_table(12)
     with pytest.raises(ContradictionError):
         t.set_cell(2, 5, SV.zero(), "Eq5")
+
+
+def test_stages_refuse_to_run_out_of_order():
+    t = init_table(12)
+    with pytest.raises(ValueError, match=r"^fill_nonpositive_rows must run first$"):
+        fill_positive_rows(t)
+    with pytest.raises(ValueError, match=r"^fill_nonpositive_rows must run first$"):
+        k2_specializations(t)
+    with pytest.raises(ValueError, match=r"^fill_positive_rows must run first$"):
+        recurrence_value(t, 3, 3)
 
 
 # -- nonpositive fill -----------------------------------------------------------
@@ -152,7 +161,7 @@ def test_closed_forms_match_recurrence_rows(table12):
 def test_row_three_coefficient_pattern(table12):
     # (j+1) on a_j and -(j-1) on a_{j+1}
     form = recurrence_value(table12, 3, 5)
-    assert form.coeff(5) == 6 and form.coeff(6) == -4
+    assert dict(form.coeffs)[5] == 6 and dict(form.coeffs)[6] == -4
 
 
 def test_row_five_at_zero_matches_table_row(table12):
@@ -245,7 +254,7 @@ def test_diagonal_boundary_error(table12):
 
 
 def test_k2_chains(table12):
-    rels = k2_specializations(table12, rows=(-2,))
+    rels = without_tag(k2_specializations(table12), "Sec9")
     assert all(r.tag == "Eq7" for r in rels.relations)
     solved = rels.solve()
     f = lambda k: solved_form(rels, k, solved)
@@ -263,7 +272,7 @@ def test_k2_chains(table12):
 
 
 def test_k2_j_minus_two_instance_relates_a0(table12):
-    rels = k2_specializations(table12, rows=(-2,))
+    rels = without_tag(k2_specializations(table12), "Sec9")
     labels = {r.label: r.form for r in rels.relations}
     # the j = 0 instance reads 4a_0 = 2a_{-2} = 0
     assert labels["eq6[i=-2,j=0]"] == SV.make({0: 4})
@@ -324,7 +333,7 @@ def test_eq4_is_the_differential_at_interior_triples(seed):
     window = Window(-7, 7)
     c = random_cochain(Random(seed), 2, 0, window, fill=0.6)
     dc = differential(make_witt(), c)
-    omitted = set(dc.omitted)
+    omitted = set(delta_matrix(make_witt(), 2, 0, window)[2])
     interior = [t for t in basis_tuples(3, 0, window) if t not in omitted]
     assert len(interior) > 50 and dc.entries
     for i, j, k in interior:
@@ -356,6 +365,9 @@ def test_final_solve_without_endgame_family(table12):
     reduced = without_tag(rels, "Sec9")
     verdict = final_solve(table12, reduced)
     assert verdict.dimension == 2
+    assert verdict.free_unknowns == (-11, -4)
+    assert str(verdict) == ("verdict: solution space dimension 2 on |k| <= 9; "
+                            "free directions touch a_{-11}, a_{-4}")
     solved = reduced.solve()
     f = lambda k: solved_form(reduced, k, solved)
     # a_{-4} is untouched, and the odd negative chain survives as one direction
@@ -365,7 +377,7 @@ def test_final_solve_without_endgame_family(table12):
 
 
 def test_diag3_plus_chain_forces_a3(table12):
-    rels = k2_specializations(table12, rows=(-2,)).merged(diagonal_relations(table12, 3))
+    rels = without_tag(k2_specializations(table12), "Sec9").merged(diagonal_relations(table12, 3))
     f = solved_form(rels, 3)
     assert f.is_zero
 
@@ -491,7 +503,11 @@ def test_log_tags_are_from_the_fixed_set(table12):
 
 def test_log_replay_reconstructs_the_table():
     res = run_replay(K=12)
-    rebuilt = FactTable.replay_log(12, res.table.log)
+    rebuilt = init_table(12)
+    for entry in res.table.log:
+        if entry.kind == "cell":  # labelled c[i,j], valued as stored, i < j
+            i, j = map(int, entry.label[2:-1].split(","))
+            rebuilt.set_cell(i, j, entry.value, entry.tag)  # a known cell must agree
     assert rebuilt.cells == res.table.cells
 
 
