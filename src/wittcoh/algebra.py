@@ -1,10 +1,10 @@
 """Z-graded Lie algebras described by structure constants.
 
 Generators are indexed by integers (deg e_n = n) plus an optional central
-generator of degree 0.  Brackets are computed on demand from a rule, never
-tabulated, so windows of any size need no precomputation: the built-in
-algebras are infinite dimensional and only lazily evaluated structure
-constants scale.
+generator of degree 0.  Brackets come from a rule, so an algebra holds no
+table and fixes no window: the built-in algebras are infinite dimensional.
+The layers that read a window's brackets many times tabulate them there, once
+per algebra and window (`cochains` and `deformation`, in bounded caches).
 
 Built-ins, `BUILTIN` by name:
 

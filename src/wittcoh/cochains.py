@@ -40,9 +40,10 @@ coboundaries, primitives, `differential` (a matrix-vector product) and
 `cocycle_violation` (where delta c = 0 first fails) all read the sparse
 matrix it returns.  It expands the formula above in one loop over the
 (q+1)-tuples (or over the rows asked for), summing each row's terms into one
-dict keyed by the referenced q-tuple.  Each bracket it reads goes through
-`_bracket_check`, and `omitted_count` counts the omitted tuples from the
-same checks alone, building no row.
+dict keyed by the referenced q-tuple.  Each bracket it reads comes from
+`_bracket_table`, which reads the rule at every pair of the window once per
+algebra and window (a bounded cache), and `omitted_count` counts the omitted
+tuples from the same table alone, building no row.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .algebra import CENTRAL, GradedLieAlgebra, Window
@@ -184,31 +186,43 @@ class Cochain:
 # -- the differential ------------------------------------------------------
 
 
-def _bracket_check(alg: GradedLieAlgebra, window: Window):
-    """check(a, b): what the expansion of delta finds at [e_a, e_b].
+@lru_cache(maxsize=16)
+def _bracket_table(alg: GradedLieAlgebra, window: Window):
+    """(found, rows, cols): what the expansion of delta finds at each [e_a, e_b],
+    read once per algebra and window.
 
-    That is the rule's {key: coefficient} dict; None when b or a key lies
-    outside the window, so the row reading it is omitted; or the error the
-    expansion raises, ConfigError for a central key and ValueError for one off
-    the grading.  The rule's terms are read in order and the first such event
-    decides.
+    found[a][b], for a and b in the window, is the rule's {key: coefficient}
+    dict; None when a key lies outside the window, so the row reading it is
+    omitted; or the error the expansion raises, ConfigError for a central key
+    and ValueError for one off the grading.  The rule's terms are read in
+    order and the first such event decides; a b outside the window has no
+    entry and reads as None.  rows[a] and cols[b] are the (None, error) bit
+    masks of found[a][b] over b and over a, bit index - lo.  The tables are
+    shared by every caller, so they are only read, and each error read is
+    raised as a fresh exception of its type and message.
     """
     rule, lo, hi = alg.bracket_rule, window.lo, window.hi
-
-    def check(a, b):
-        if not lo <= b <= hi:
-            return None
-        terms = rule(a, b)
-        for key in terms:
-            if key == CENTRAL:
-                return ConfigError(CENTRAL_TARGET)
-            if key != a + b:
-                return ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
-            if not lo <= key <= hi:
-                return None
-        return terms
-
-    return check
+    found = {a: {} for a in window.indices()}
+    rows = {a: [0, 0] for a in window.indices()}
+    cols = {b: [0, 0] for b in window.indices()}
+    for a in window.indices():
+        for b in window.indices():
+            got = terms = rule(a, b)
+            for key in terms:
+                if key == CENTRAL:
+                    got = ConfigError(CENTRAL_TARGET)
+                elif key != a + b:
+                    got = ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
+                elif not lo <= key <= hi:
+                    got = None
+                else:
+                    continue
+                kind = 0 if got is None else 1
+                rows[a][kind] |= 1 << (b - lo)
+                cols[b][kind] |= 1 << (a - lo)
+                break
+            found[a][b] = got
+    return found, {a: tuple(m) for a, m in rows.items()}, {b: tuple(m) for b, m in cols.items()}
 
 
 def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: str = ADJOINT,
@@ -226,13 +240,13 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
     col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
-    check = _bracket_check(alg, window)
+    found = _bracket_table(alg, window)[0]
 
     def bracket(a, b):
-        """The terms of [e_a, e_b]; raises _Omit, or the error `check` found."""
-        got = check(a, b)
+        """The terms of [e_a, e_b]; raises _Omit, or the error the table holds."""
+        got = found[a].get(b)
         if not isinstance(got, dict):
-            raise _Omit if got is None else got
+            raise _Omit if got is None else type(got)(*got.args)
         return got
 
     # bracket-composition terms (-1)^{s+t-1} c([x_s,x_t], rest), 1-indexed s < t
@@ -270,31 +284,20 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                   coeffs: str = ADJOINT) -> int:
     """len(delta_matrix(alg, q, d, window, coeffs)[2]), building no row.
 
-    Each bracket the expansion of a (q+1)-tuple reads (`_bracket_check`)
+    Each bracket the expansion of a (q+1)-tuple reads (`_bracket_table`)
     holds terms, None or an error.  The tuple is omitted when the first one
     without terms is None, and the build raises at the first tuple, in basis
-    order, where it is an error; so does this count.  Every bracket on the
-    window is read once into bit masks (None, error) over the tuple's last
-    index k, bit k - lo, and one pass over the q-tuple prefixes counts all
-    tuples: [e_x, e_k] is a row of that table, the action [e_x, e_{out - x}]
-    a row shifted by k, and the action [e_k, e_{out - k}] a column, since
-    out - k does not depend on k.
+    order, where it is an error; so does this count.  The table's bit masks
+    (None, error) run over the tuple's last index k, bit k - lo, and one pass
+    over the q-tuple prefixes counts all tuples: [e_x, e_k] is a row of the
+    table, the action [e_x, e_{out - x}] a row shifted by k, and the action
+    [e_k, e_{out - k}] a column, since out - k does not depend on k.
     """
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
     lo, hi = window.lo, window.hi
     full = (1 << (hi - lo + 1)) - 1
-    check = _bracket_check(alg, window)
-    # rows[a] / cols[b]: (None, error) masks of check(a, b) over b / over a, both in the window
-    rows = {a: [0, 0] for a in window.indices()}
-    cols = {b: [0, 0] for b in window.indices()}
-    for a in window.indices():
-        for b in window.indices():
-            got = check(a, b)
-            if not isinstance(got, dict):
-                kind = 0 if got is None else 1
-                rows[a][kind] |= 1 << (b - lo)
-                cols[b][kind] |= 1 << (a - lo)
+    found, rows, cols = _bracket_table(alg, window)
 
     def shifted(a, c):
         """The masks of check(a, k + c) over k; None where k + c leaves the window."""
@@ -318,7 +321,7 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         reads = []
         for s in range(q):
             for t in range(s + 1, q):
-                got = check(prefix[s], prefix[t])
+                got = found[prefix[s]][prefix[t]]
                 reads.append((valid * (got is None), valid * isinstance(got, Exception)))
             reads.append(rows[prefix[s]])
         if coeffs == ADJOINT:

@@ -21,11 +21,21 @@ Weight 0 is the paper's argument: eq. (4), the six-term equation, at k = 1 is
 eq. (5), and the replay adds k = 2, so the equations through e_1 and e_2
 should determine a cocycle (e_{+-1} and e_{+-2} generate the algebra).
 `cocycle_matrix` lists the rows whose tuple holds 1 or 2 first, and at
-weight 0 `cohomology_by_elimination` offers that prefix to `linalg.solve` for
-row selection: there it has the full rank of delta_q on every window
-measured, so the selection works on a fraction of the rows.  The certificate
-still checks every row, so no answer depends on it.  At most nonzero weights
-the prefix loses rank, so there the selection runs on all rows at once.
+weight 0 `cohomology_dim` decides by one count on that prefix, with no
+kernel.  Let K = ker delta_q on the n columns and B = delta_{q-1}, whose rows
+are those n columns.  Given the Jacobi identity, im B lies in K (the
+hypothesis the nonzero weights use too).  Rows independent mod p are
+independent over Q (`linalg.rank_mod_p`), so if B omits no row and
+rank_p(prefix) + rank_p(B) = n, then
+rank_Q(B) >= n - rank_p(prefix) >= dim K >= rank_Q(B), hence K = im B:
+every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is the rank of
+the comparison matrix (B's rows on the comparison set), as at d != 0.  For
+the Witt algebra at q = 2 the count closes on every window with lo in
+[-10,-2] and hi in [2,10] except the 9 inside [-4,4], and never at the
+Gelfand-Fuks class (trivial coefficients, q = 2).  Where it does not close,
+`cohomology_by_elimination` runs, offering the prefix to `linalg.solve` for
+row selection, with every row certified.  At most nonzero weights the prefix
+loses rank, so there the selection runs on all rows at once.
 
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
@@ -72,7 +82,7 @@ from .cochains import (
     weight_components,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
-from .linalg import SparseMatrix, rank, solve
+from .linalg import SparseMatrix, rank, rank_mod_p, solve
 
 
 @dataclass(frozen=True)
@@ -187,8 +197,11 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
 
     dim_cocycles and dim_coboundaries are both measured on the core comparison
     set; dim_stable is their difference, so it counts cocycle classes whose
-    core restriction no coboundary can reproduce.  Its dim_cocycles at d != 0 needs
-    a Lie bracket on the window (the built-ins are; the CLI checks a loaded one).
+    core restriction no coboundary can reproduce.  A nonzero weight is decided
+    by the Cartan homotopy, and weight 0 (q >= 1) by the count mod p of the
+    module docstring when it closes; both read a cocycle space spanned by
+    coboundaries, so both need a Lie bracket on the window (the built-ins are;
+    the CLI checks a loaded one).  Everything else is `cohomology_by_elimination`.
     Adjoint coefficients with a central element are refused: cochains neither
     take nor give the central element, so even H^0_0, the center, would read 0.
     """
@@ -213,17 +226,23 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
             for u, sign, v in terms + [(cols[k], hit[1], v) for k, v in (up or {}).items()]:
                 acc[u] = acc.get(u, 0) + sign * v
             if up is None or any(acc.values()):
-                break
-        else:
-            n = rank(coboundary)
-            return CohomologyReport(alg.name, q, d, window, margin, coeffs, n, n, 0,
-                                    stabilization=((window, 0),), omitted_triples=omitted)
-    return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
+                return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
+    elif q:
+        matrix, cols, omitted, spanning = cocycle_matrix(alg, q, d, window, coeffs)
+        bound, _, lost = delta_matrix(alg, q - 1, d, window, coeffs)  # rows: the n columns
+        if lost or rank_mod_p(matrix.rows[:spanning]) + rank_mod_p(bound.rows) != len(cols):
+            return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
+        coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)[1]
+    else:
+        return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
+    n = rank(coboundary)  # every cocycle is a coboundary
+    return CohomologyReport(alg.name, q, d, window, margin, coeffs, n, n, 0,
+                            stabilization=((window, 0),), omitted_triples=omitted)
 
 
 def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                               margin: int, coeffs: str = ADJOINT) -> CohomologyReport:
-    """`cohomology_dim`'s report from the kernel of delta_q: weight 0, the fallback, the oracle."""
+    """`cohomology_dim`'s report from the kernel of delta_q: the fallback and the oracle."""
     matrix, cols, omitted, spanning = cocycle_matrix(alg, q, d, window, coeffs)
     kernel = solve(matrix, prefix=spanning if d == 0 else 0).kernel_basis
 

@@ -29,12 +29,13 @@ D^v phi_v is integral and mu'_{s-u} carries D0 D^{s-u} by induction.  So a
 scaled sum is zero exactly when the exact one is, and one exact division by
 the scale gives each stored or reported value.
 
-Window bookkeeping is strictly honest, and `_layer_tables` is the only place
-it is checked: an order-0 bracket whose target lies outside the window, or a
-layer value at a pair lost to the window edge, is a _LOST table value, and
-reading one raises OutOfWindowError.  The defect and conjugation routines
-skip the triple or pair that needed it (and record the drop), so every stored
-value is the exact global one.
+Window bookkeeping is strictly honest, and `_layer_tables` (with
+`_order0_table`, which builds T_0 once per algebra and window) is the only
+place it is checked: an order-0 bracket whose target lies outside the
+window, or a layer value at a pair lost to the window edge, is a _LOST
+table value, and reading one raises OutOfWindowError.  The defect and
+conjugation routines skip the triple or pair that needed it (and record the
+drop), so every stored value is the exact global one.
 
 Both routines leave out work that cannot change their output.  The order-s
 Jacobi sum holds mu_s(mu_0(a, b), c) for each rotation (a, b, c), so a triple
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -157,22 +159,30 @@ def _scaled(outs: dict, scale: int) -> tuple:
     return tuple((k, v.numerator * (scale // v.denominator)) for k, v in outs.items())
 
 
+@lru_cache(maxsize=16)
+def _order0_table(alg: GradedLieAlgebra, window: Window) -> tuple[dict, int]:
+    """(T_0, D0) of `_layer_tables`, built once per algebra and window and only read."""
+    keys = alg.generator_keys(window)
+    rule = {a: {b: alg.bracket_rule(a, b) for b in keys} for a in keys}
+    d0 = lcm(*(v.denominator for row in rule.values() for out in row.values() for v in out.values()))
+    return {a: {b: _LOST if any(k != CENTRAL and k not in window for k in out)
+                else _scaled(out, d0) for b, out in row.items()} for a, row in rule.items()}, d0
+
+
 def _layer_tables(d: DeformedBracket, extra=()) -> tuple[list, int, int]:
     """([T_0, ..., T_N], D0, D) with T_r[a][b] = D0 D^r mu_r(e_a, e_b) as _scaled pairs.
 
     D covers d's layers and the `extra` mixed cochains.  Both orientations are
     stored; an order-0 target outside the window and an omitted pair map to
     _LOST, and a pair missing from a row of T_r (r >= 1) brackets to zero.
+    T_0 and D0 come from `_order0_table`.
     """
     den = lcm(*(v.denominator for c in (*d.layers, *extra)
                 for outs in c.entries.values() for v in outs.values()))
-    keys = d.algebra.generator_keys(d.window)
-    rule = {a: {b: d.algebra.bracket_rule(a, b) for b in keys} for a in keys}
-    d0 = lcm(*(v.denominator for row in rule.values() for out in row.values() for v in out.values()))
-    tables = [{a: {b: _LOST if any(k != CENTRAL and k not in d.window for k in out)
-                   else _scaled(out, d0) for b, out in row.items()} for a, row in rule.items()}]
+    t0, d0 = _order0_table(d.algebra, d.window)
+    tables = [t0]
     for r, mu in enumerate(d.layers, start=1):
-        table, scale = {a: {} for a in keys}, d0 * den ** r
+        table, scale = {a: {} for a in t0}, d0 * den ** r
         for (i, j), outs in mu.entries.items():
             table[i][j] = _scaled(outs, scale)
             table[j][i] = tuple((k, -v) for k, v in table[i][j])

@@ -1,4 +1,4 @@
-"""Exact rational sparse linear algebra: `solve` and `rank`.
+"""Exact rational sparse linear algebra: `solve`, `rank` and `rank_mod_p`.
 
 A coefficient is an `int` or a `fractions.Fraction`, never converted: a float
 is refused with TypeError, since it is a binary fraction rather than the
@@ -8,8 +8,11 @@ tuple of {col: coefficient} rows, stored as given.
 
 `solve(m, rhs=None)` gives the rank, the canonical kernel basis (integer
 vectors) and a particular solution (None when rhs is inconsistent), each
-certified in integer arithmetic; `rank(m)` is `solve(m).rank`.  Every row is
-scaled once to a primitive integer row.  Two passes:
+certified in integer arithmetic; `rank(m)` is `solve(m).rank`.
+`rank_mod_p(rows)` is the selection pass alone, uncertified: a lower bound on
+the rank over Q, which a caller turns into a certificate by a count of its own
+(`cohomology` at weight 0).  Every row is scaled once to a primitive integer
+row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
   Markowitz pivoting (the column with the fewest active rows, then its
@@ -310,3 +313,14 @@ def solve(m: SparseMatrix, rhs=None, *, prefix: int = 0) -> LinearSolution:
 def rank(m: SparseMatrix) -> int:
     """Rank over Q, certified like `solve`; deterministic for a given input."""
     return solve(m).rank
+
+
+def rank_mod_p(rows) -> int:
+    """Rank modulo _P of {col: int or Fraction} rows, each scaled to a primitive
+    integer row first; zero rows are ignored.
+
+    No certificate: it is a lower bound on the rank over Q, since rows
+    independent mod _P are independent over Q, and equal to it unless _P divides
+    a minor that decides the rank.
+    """
+    return len(_select([_primitive(r) for r in rows if any(r.values())]))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wittcoh.algebra import Window, dump_algebra, load_algebra, make_virasoro, make_witt
 from wittcoh.cochains import (
     ADJOINT,
+    CENTRAL_TARGET,
     TRIVIAL,
     Cochain,
     MixedCochain,
@@ -379,6 +380,36 @@ def test_a_central_value_read_after_the_window_edge_is_not_an_error():
                                                                         TRIVIAL)
     assert isinstance(_count(omitted_count, alg, 2, 3, W8, TRIVIAL), int)
     assert _count(omitted_count, alg, 2, -3, W8, TRIVIAL)[0] is ConfigError
+
+
+def test_two_algebras_on_one_window_read_their_own_bracket_tables():
+    # one name and one window, two brackets: the tables are kept per algebra object
+    text = dump_algebra(WITT, W8)
+    plain = load_algebra(text)
+    perturbed = load_algebra(text.replace("\n1 2 -> 3:1\n", "\n1 2 -> 3:2\n"))
+    assert plain.name == perturbed.name
+    builds = []
+    for alg in (plain, perturbed, plain, perturbed):
+        for q in (1, 2):
+            got = _build(delta_matrix, alg, q, 0, W8, ADJOINT)
+            assert got == _build(reference_delta_matrix, alg, q, 0, W8, ADJOINT), (alg, q)
+            builds.append(got)
+    assert builds[:2] != builds[2:4] and builds[:4] == builds[4:]
+
+
+@pytest.mark.parametrize("alg, expected", [
+    (make_virasoro(), (ConfigError, CENTRAL_TARGET)),
+    (UNGRADED, (ValueError, "bracket is not graded: [e_-8, e_0] hit e_-7"))],
+    ids=["virasoro", "ungraded"])
+def test_an_error_read_twice_is_raised_twice_with_one_message(alg, expected):
+    raised = []
+    for builder in (delta_matrix, omitted_count, delta_matrix):
+        with pytest.raises(expected[0]) as info:
+            builder(alg, 1, 0, W8, ADJOINT)
+        raised.append(info.value)
+    assert [str(exc) for exc in raised] == [expected[1]] * 3
+    assert len({id(exc) for exc in raised}) == 3  # a fresh exception each time
+    assert all(exc.__context__ is None for exc in raised)
 
 
 # -- the first failure of the cocycle condition -----------------------------------

@@ -20,7 +20,7 @@ from wittcoh.cohomology import (
 )
 from wittcoh.errors import ConfigError, NotACocycleError
 from wittcoh import linalg
-from wittcoh.linalg import solve
+from wittcoh.linalg import rank_mod_p, solve
 
 from helpers import random_mixed_cocycle, truncated_coboundary
 from test_cochains import ABELIAN, RATIONAL, UNGRADED
@@ -297,6 +297,79 @@ def test_an_abelian_bracket_falls_back_to_the_elimination():
         r = cohomology_dim(ABELIAN, 2, d, window, 2).to_json_dict()
         assert r == cohomology_by_elimination(ABELIAN, 2, d, window, 2).to_json_dict()
         assert r["dim_stable"] == stable
+
+
+def _spy_elimination(monkeypatch):
+    """The argument tuples of every `cohomology_by_elimination` call `cohomology_dim` makes."""
+    calls = []
+    real = cohomology.cohomology_by_elimination
+    monkeypatch.setattr(cohomology, "cohomology_by_elimination",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_the_count_decides_weight_zero_as_the_elimination_does(monkeypatch):
+    # q = 0 has no count, and it closes everywhere else but at the Gelfand-Fuks class
+    windows = [Window(-h, h) for h in range(8, 13)] + [Window(-9, 12), Window(-12, 7)]
+    cases = [(q, 0, w, m, coeffs) for w in windows for q in (0, 1, 2)
+             for coeffs in (ADJOINT, TRIVIAL) for m in (2, 4)]
+    expected = [cohomology_by_elimination(WITT, *case).to_json_dict() for case in cases]
+    calls = _spy_elimination(monkeypatch)
+    assert [cohomology_dim(WITT, *case).to_json_dict() for case in cases] == expected
+    assert calls == [(WITT, *case) for case in cases
+                     if case[0] == 0 or (case[0], case[4]) == (2, TRIVIAL)]
+    # H^0(W; C) = C and the Gelfand-Fuks class; nothing else
+    assert all(r["dim_stable"] == (r["degree"] != 1 and r["coefficients"] == TRIVIAL)
+               for r in expected)
+
+
+def _count(q, window, coeffs=ADJOINT):
+    """(rank mod p of the rows through e_1 or e_2 plus that of delta_{q-1}, n), weight 0."""
+    matrix, cols, _, spanning = cocycle_matrix(WITT, q, 0, window, coeffs)
+    bound, _, lost = delta_matrix(WITT, q - 1, 0, window, coeffs)
+    assert not lost
+    return rank_mod_p(matrix.rows[:spanning]) + rank_mod_p(bound.rows), len(cols)
+
+
+def test_windows_inside_minus_four_four_fall_back_at_weight_zero(monkeypatch):
+    # the window's own cocycles exceed its coboundaries by one exactly when lo >= -4 and
+    # hi <= 4; [-2,2] accepts no margin, so it is counted directly
+    total, n = _count(2, Window(-2, 2))
+    assert total == n - 1
+    calls = _spy_elimination(monkeypatch)
+    small = []
+    for lo in range(-6, -1):
+        for hi in range(2, 7):
+            if (lo, hi) != (-2, 2):
+                calls.clear()
+                cohomology_dim(WITT, 2, 0, Window(lo, hi), 2)
+                if calls:
+                    small.append((lo, hi))
+    assert small == [(lo, hi) for lo in (-4, -3, -2) for hi in (2, 3, 4) if (lo, hi) != (-2, 2)]
+
+
+def test_a_coboundary_matrix_short_of_one_column_does_not_close_the_count(monkeypatch):
+    # delta_q's rows through e_1 or e_2 and all of delta_{q-1} add up to the n columns
+    # exactly; without the column of e_0 -> e_0 (q = 1) or of b_0 (q = 2) they do not, and
+    # the report comes from the elimination
+    for q, dropped in ((1, ()), (2, (0,))):
+        total, n = _count(q, W12)
+        assert total == n
+        real = cohomology.delta_matrix
+
+        def short(alg, degree, *args, q=q, dropped=dropped, **kwargs):
+            matrix, rows, lost = real(alg, degree, *args, **kwargs)
+            if degree == q - 1 and "rows" not in kwargs:
+                j = cohomology.basis_tuples(degree, 0, W12).index(dropped)
+                matrix = linalg.SparseMatrix([{c: v for c, v in row.items() if c != j}
+                                              for row in matrix], matrix.n_cols)
+            return matrix, rows, lost
+
+        monkeypatch.setattr(cohomology, "delta_matrix", short)
+        calls = _spy_elimination(monkeypatch)
+        cohomology_dim(WITT, q, 0, W12, 4)
+        assert calls == [(WITT, q, 0, W12, 4, ADJOINT)]
+        monkeypatch.undo()
 
 
 def _outcome(compute, *args):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from wittcoh import linalg
 from wittcoh.algebra import Window, make_witt
 from wittcoh.cohomology import cocycle_matrix
-from wittcoh.linalg import LinearSolution, SparseMatrix, rank, solve
+from wittcoh.linalg import LinearSolution, SparseMatrix, rank, rank_mod_p, solve
 
 from helpers import annihilates, matrix_from_rows as mat, reference_solve
 
@@ -255,6 +255,29 @@ def test_selected_rows_give_the_full_elimination_answer(system):
     # selecting every row is the full elimination
     with mock.patch.object(linalg, "_select", lambda rows: list(range(len(rows)))):
         assert solve(m, rhs) == selected
+
+
+@given(low_rank_systems(), st.lists(st.integers(1, 12), min_size=TALL, max_size=TALL),
+       st.sampled_from([linalg._P, 2, 3]))
+@settings(max_examples=60, deadline=None)
+def test_rank_mod_p_never_exceeds_the_rank(system, denominators, prime):
+    # rows independent mod p are independent over Q, for every prime; a Fraction
+    # row reads as its primitive integer row
+    m, _ = system
+    rational = [{c: Fraction(v, k) for c, v in row.items()} for row, k in zip(m, denominators)]
+    with mock.patch.object(linalg, "_P", prime):
+        got = rank_mod_p(m.rows)
+        assert rank_mod_p(rational) == got <= rank(m)
+
+
+def test_rank_mod_p_reads_a_determinant_divisible_by_p_as_singular():
+    m = mat([[1, 1], [1, 1 + linalg._P]])  # determinant _P
+    assert (rank_mod_p(m.rows), rank(m)) == (1, 2)
+
+
+def test_rank_mod_p_ignores_zero_rows():
+    assert rank_mod_p([{}, {0: 0}, {1: Fraction(0)}, {0: 2, 1: 0}, {0: -1}]) == 1
+    assert rank_mod_p([]) == 0
 
 
 @given(low_rank_systems(), st.randoms(use_true_random=False))
