@@ -103,10 +103,17 @@ def bad_arguments(t, degree: int, window: Window):
     return None
 
 
+def _check_coeffs(coeffs: str):
+    """ValueError unless coeffs is ADJOINT or TRIVIAL."""
+    if coeffs not in (ADJOINT, TRIVIAL):
+        raise ValueError(f"unknown coefficients {coeffs!r}")
+
+
 def basis_tuples(degree: int, weight: int, window: Window, coeffs: str = ADJOINT):
     """Lexicographically ordered admissible tuples for C^q_d on the window."""
     if degree < 0 or degree > 3:
         raise ValueError("cochain degrees run from 0 to 3")
+    _check_coeffs(coeffs)
     tuples = combinations(window.indices(), degree)
     if coeffs == ADJOINT:
         return [t for t in tuples if sum(t) + weight in window]
@@ -124,8 +131,7 @@ class Cochain:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.coeffs not in (ADJOINT, TRIVIAL):
-            raise ValueError(f"unknown coefficients {self.coeffs!r}")
+        _check_coeffs(self.coeffs)
         clean = {}
         for t, v in self.entries.items():
             t = tuple(t)
@@ -295,6 +301,7 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     """
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
+    _check_coeffs(coeffs)
     lo, hi = window.lo, window.hi
     full = (1 << (hi - lo + 1)) - 1
     found, rows, cols = _bracket_table(alg, window)

@@ -33,9 +33,7 @@ the comparison matrix (B's rows on the comparison set), as at d != 0.  For
 the Witt algebra at q = 2 the count closes on every window with lo in
 [-10,-2] and hi in [2,10] except the 9 inside [-4,4], and never at the
 Gelfand-Fuks class (trivial coefficients, q = 2).  Where it does not close,
-`cohomology_by_elimination` runs, offering the prefix to `linalg.solve` for
-row selection, with every row certified.  At most nonzero weights the prefix
-loses rank, so there the selection runs on all rows at once.
+`cohomology_by_elimination` runs.
 
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
@@ -135,9 +133,10 @@ def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     k = 2 companion) lead, and within each part they are ordered
     lexicographically by the sorted absolute indices of their tuple, ties in
     basis order, so the equations through e_0, e_{+-1}, e_{+-2} come early.
-    The pivot ties in `solve`, broken by row index, then favour them, which
-    keeps the elimination's fill low.  No answer depends on the order: `solve`
-    returns data of the reduced echelon form, a function of the row space alone.
+    The weight-0 count takes `rank_mod_p` of the leading rows, and in `solve`
+    the pivot ties, broken by row index, favour them, which keeps the fallback's
+    fill low.  No answer depends on the order: `solve` returns data of the
+    reduced echelon form, a function of the row space alone.
     """
     matrix, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
     through = [1 in t or 2 in t for t in rows]
@@ -243,8 +242,8 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
 def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                               margin: int, coeffs: str = ADJOINT) -> CohomologyReport:
     """`cohomology_dim`'s report from the kernel of delta_q: the fallback and the oracle."""
-    matrix, cols, omitted, spanning = cocycle_matrix(alg, q, d, window, coeffs)
-    kernel = solve(matrix, prefix=spanning if d == 0 else 0).kernel_basis
+    matrix, cols, omitted, _ = cocycle_matrix(alg, q, d, window, coeffs)
+    kernel = solve(matrix).kernel_basis
 
     comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
     # each cocycle on the comparison set (a subset of cols), as a column

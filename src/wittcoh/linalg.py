@@ -41,13 +41,6 @@ space, are those of m; selected rows that are inconsistent make m
 inconsistent.  If the certificate fails (an unlucky prime, under which the
 selected rows miss part of the row space over Q), every row is eliminated
 instead, and that fallback raises AssertionError on its own failure.
-
-`solve(m, prefix=n)` first offers only the first n rows to the selection.
-The argument above never asks where the selected rows came from, only that
-the certificate holds on every row of m, so an answer from the prefix is
-exact.  A prefix that misses part of the row space fails the certificate
-(its kernel is too large); the selection then runs on all rows, and the
-fallback is the same as without a prefix.
 """
 
 from __future__ import annotations
@@ -278,7 +271,7 @@ def _solve_rows(sub, rows, n_cols, augmented):
                           kernel_basis=tuple(kernel), particular=particular)
 
 
-def solve(m: SparseMatrix, rhs=None, *, prefix: int = 0) -> LinearSolution:
+def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     """Eliminate m (augmented by rhs if given) and return the full solution data.
 
     The kernel basis is canonical: primitive integer vectors, one per free
@@ -292,8 +285,7 @@ def solve(m: SparseMatrix, rhs=None, *, prefix: int = 0) -> LinearSolution:
     is the identity m*v = 0 (or m*x = rhs).  The kernel vectors are independent,
     each nonzero on its own free column and zero on every other.  If that
     certificate fails, every row is eliminated.  The rows of m are used as
-    stored; a row is copied only to append its right-hand side.  With a
-    `prefix`, the selection is tried on the first `prefix` rows before all rows.
+    stored; a row is copied only to append its right-hand side.
     """
     rows = m.rows
     if rhs is not None:
@@ -302,12 +294,10 @@ def solve(m: SparseMatrix, rhs=None, *, prefix: int = 0) -> LinearSolution:
         rows = [{**row, _AUG: -b} if check_coefficient(b) else row for row, b in zip(rows, rhs)]
     rows = [_primitive(r) for r in rows]
     augmented = rhs is not None
-    for offered in ([rows[:prefix], rows] if prefix else [rows]):
-        try:
-            return _solve_rows([offered[i] for i in _select(offered)], rows, m.n_cols, augmented)
-        except AssertionError:
-            pass  # the rows independent mod _P miss part of the row space over Q
-    return _solve_rows(rows, rows, m.n_cols, augmented)
+    try:
+        return _solve_rows([rows[i] for i in _select(rows)], rows, m.n_cols, augmented)
+    except AssertionError:  # the rows independent mod _P miss part of the row space over Q
+        return _solve_rows(rows, rows, m.n_cols, augmented)
 
 
 def rank(m: SparseMatrix) -> int:

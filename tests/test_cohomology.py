@@ -6,7 +6,7 @@ import pytest
 from wittcoh import cohomology
 from wittcoh.algebra import Window, make_virasoro, make_witt
 from wittcoh.cochains import (ADJOINT, CENTRAL_TARGET, TRIVIAL, Cochain, MixedCochain, delta_matrix,
-                              differential, weight_components)
+                              differential, omitted_count, weight_components)
 from wittcoh.cohomology import (
     central_extension_dim,
     coboundary_primitive,
@@ -338,8 +338,8 @@ def test_windows_inside_minus_four_four_fall_back_at_weight_zero(monkeypatch):
     assert total == n - 1
     calls = _spy_elimination(monkeypatch)
     small = []
-    for lo in range(-6, -1):
-        for hi in range(2, 7):
+    for lo in range(-10, -1):
+        for hi in range(2, 11):
             if (lo, hi) != (-2, 2):
                 calls.clear()
                 cohomology_dim(WITT, 2, 0, Window(lo, hi), 2)
@@ -403,23 +403,37 @@ def test_nonzero_weights_refuse_what_the_elimination_refuses(alg):
     assert bool(refused) == (alg.name in ("virasoro", "ungraded"))
 
 
-def test_rows_through_one_or_two_that_lose_rank_fall_back_to_every_row(monkeypatch):
-    # at d = 3 on [-8,8] the 76 rows through e_1 or e_2 have rank 56 of the 75
+@pytest.mark.parametrize("q, d", [(1, 0), (2, 0), (2, 3)])
+def test_unknown_coefficients_are_refused_before_any_report(q, d):
+    # a misspelt "adjoint" is neither adjoint nor trivial: no report, matrix or cochain
+    for compute, args in ((cohomology_dim, (WITT, q, d, W10, 3)),
+                          (cohomology_by_elimination, (WITT, q, d, W10, 3)),
+                          (delta_matrix, (WITT, q, d, W10)), (omitted_count, (WITT, q, d, W10)),
+                          (Cochain, (q, d, W10))):
+        with pytest.raises(ValueError, match="unknown coefficients 'Adjoint'"):
+            compute(*args, "Adjoint")
+
+
+def test_the_elimination_selects_from_every_row(monkeypatch):
+    # at d = 3 on [-8,8] the 76 rows through e_1 or e_2 have rank 56 of the 75 the
+    # cocycle matrix has, so they do not span: the weight-0 count is for d = 0 only
     m, _, _, spanning = cocycle_matrix(WITT, 2, 3, Window(-8, 8))
-    expected = solve(m)
+    assert (spanning, rank_mod_p(m.rows[:spanning]), solve(m).rank) == (76, 56, 75)
     seen = []
     real = linalg._select
     monkeypatch.setattr(linalg, "_select", lambda rows: seen.append(len(rows)) or real(rows))
-    assert solve(m, prefix=spanning) == expected
-    assert (spanning, expected.rank, seen) == (76, 75, [76, m.n_rows])
-    assert len(real([linalg._primitive(r) for r in m][:spanning])) == 56
-    seen.clear()
     r = cohomology_by_elimination(WITT, 2, 3, Window(-8, 8), 4)
-    assert seen[0] == m.n_rows  # the kernel's solve offers no prefix at d != 0
+    assert seen[0] == m.n_rows
     assert r.to_json_dict() == {
         "algebra": "witt", "degree": 2, "weight": 3, "window": "-8:8", "margin": 4,
         "coefficients": "adjoint", "dim_cocycles": 11, "dim_coboundaries": 11, "dim_stable": 0,
         "representatives": [], "stabilization": [["-8:8", 0]], "omitted_triples": 278}
+    # a weight-0 fallback too: the Gelfand-Fuks class, whose 16 rows through e_1 or e_2
+    # the count reads, is selected from all 50 rows
+    m, _, _, spanning = cocycle_matrix(WITT, 2, 0, W10, TRIVIAL)
+    seen.clear()
+    cohomology_by_elimination(WITT, 2, 0, W10, 3, TRIVIAL)
+    assert (seen[0], m.n_rows, spanning) == (50, 50, 16)
 
 
 def test_h1_vanishes_across_weights():

@@ -214,15 +214,6 @@ def test_cocycle_matrices_take_the_selection_path(monkeypatch):
     assert seen == [m.n_rows]
 
 
-def test_a_prefix_that_spans_is_the_only_selection(monkeypatch):
-    # at weight 0 the rows through e_1 or e_2 span: 225 of 562 rows on [-10,10]
-    m, _, _, spanning = cocycle_matrix(make_witt(), 2, 0, Window(-10, 10))
-    expected = solve(m)
-    seen = _spy_select(monkeypatch)
-    assert solve(m, prefix=spanning) == expected
-    assert (seen, m.n_rows) == ([225], 562)
-
-
 @st.composite
 def low_rank_systems(draw):
     """Integer systems of low rank, mostly tall: combinations of a few generator rows.
