@@ -42,8 +42,9 @@ matrix it returns.  It expands the formula above in one loop over the
 (q+1)-tuples (or over the rows asked for), summing each row's terms into one
 dict keyed by the referenced q-tuple.  Each bracket it reads comes from
 `_bracket_table`, which reads the rule at every pair of the window once per
-algebra and window (a bounded cache), and `omitted_count` counts the omitted
-tuples from the same table alone, building no row.
+algebra and window (a bounded cache) and refuses a coefficient that is not an
+int or a Fraction there, so the matrix is built unchecked; `omitted_count`
+counts the omitted tuples from the same table alone, building no row.
 """
 
 from __future__ import annotations
@@ -116,7 +117,8 @@ def basis_tuples(degree: int, weight: int, window: Window, coeffs: str = ADJOINT
     _check_coeffs(coeffs)
     tuples = combinations(window.indices(), degree)
     if coeffs == ADJOINT:
-        return [t for t in tuples if sum(t) + weight in window]
+        lo, hi = window.lo - weight, window.hi - weight
+        return [t for t in tuples if lo <= sum(t) <= hi]
     return [t for t in tuples if sum(t) + weight == 0]
 
 
@@ -205,7 +207,9 @@ def _bracket_table(alg: GradedLieAlgebra, window: Window):
     entry and reads as None.  rows[a] and cols[b] are the (None, error) bit
     masks of found[a][b] over b and over a, bit index - lo.  The tables are
     shared by every caller, so they are only read, and each error read is
-    raised as a fresh exception of its type and message.
+    raised as a fresh exception of its type and message.  Every coefficient
+    the rule returns must be an int or a Fraction (TypeError otherwise), so
+    the matrices built from the table need no check of their own.
     """
     rule, lo, hi = alg.bracket_rule, window.lo, window.hi
     found = {a: {} for a in window.indices()}
@@ -214,6 +218,8 @@ def _bracket_table(alg: GradedLieAlgebra, window: Window):
     for a in window.indices():
         for b in window.indices():
             got = terms = rule(a, b)
+            for v in terms.values():
+                check_coefficient(v)
             for key in terms:
                 if key == CENTRAL:
                     got = ConfigError(CENTRAL_TARGET)
@@ -283,7 +289,7 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
             continue
         matrix_rows.append({col[ref]: v for ref, v in row.items() if v})
         kept.append(xs)
-    return SparseMatrix(matrix_rows, len(col)), kept, omitted
+    return SparseMatrix._trusted(matrix_rows, len(col)), kept, omitted
 
 
 def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,

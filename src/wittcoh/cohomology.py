@@ -18,22 +18,25 @@ set) both come from `cochains.delta_matrix`.  Every report validates its
 window through `_check_window`: lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
 
 Weight 0 is the paper's argument: eq. (4), the six-term equation, at k = 1 is
-eq. (5), and the replay adds k = 2, so the equations through e_1 and e_2
-should determine a cocycle (e_{+-1} and e_{+-2} generate the algebra).
-`cocycle_matrix` lists the rows whose tuple holds 1 or 2 first, and at
-weight 0 `cohomology_dim` decides by one count on that prefix, with no
-kernel.  Let K = ker delta_q on the n columns and B = delta_{q-1}, whose rows
-are those n columns.  Given the Jacobi identity, im B lies in K (the
-hypothesis the nonzero weights use too).  Rows independent mod p are
-independent over Q (`linalg.rank_mod_p`), so if B omits no row and
-rank_p(prefix) + rank_p(B) = n, then
+eq. (5), and the replay adds a few k = 2 equations (`replay.k2_specializations`,
+at i = -2 and -3), so these should determine a cocycle.  `cocycle_matrix`
+lists their rows first: the rows whose tuple holds 1, and those whose tuple
+holds 2 with one of 0, -1, -2, -3 (0 and -1 keep the smallest windows'
+count closing).  At weight 0 `cohomology_dim` decides by one count on that
+prefix, with no kernel.  Let K = ker delta_q on the n columns and
+B = delta_{q-1}, whose rows are those n columns.  Given the Jacobi identity,
+im B lies in K (the hypothesis the nonzero weights use too).  Rows
+independent mod p are independent over Q (`linalg.rank_mod_p`), so if B
+omits no row and rank_p(prefix) + rank_p(B) = n, then
 rank_Q(B) >= n - rank_p(prefix) >= dim K >= rank_Q(B), hence K = im B:
 every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is the rank of
-the comparison matrix (B's rows on the comparison set), as at d != 0.  For
-the Witt algebra at q = 2 the count closes on every window with lo in
-[-10,-2] and hi in [2,10] except the 9 inside [-4,4], and never at the
-Gelfand-Fuks class (trivial coefficients, q = 2).  Where it does not close,
-`cohomology_by_elimination` runs.
+the comparison matrix (B's rows on the comparison set), as at d != 0.  The
+count is a certificate whatever rows the prefix holds; these close it on the
+same windows as every row through e_1 or e_2 does.  For the Witt algebra at
+q = 2 the count closes on every window with lo in [-10,-2] and hi in [2,10]
+except the 9 inside [-4,4], and never at the Gelfand-Fuks class (trivial
+coefficients, q = 2).  Where it does not close, `cohomology_by_elimination`
+runs.
 
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
@@ -127,22 +130,24 @@ def _check_window(window: Window, margin: int):
 def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                    coeffs: str = ADJOINT):
     """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count,
-    the number of leading rows whose tuple holds 1 or 2).
+    the number of leading rows).
 
-    Rows come generator-first: those whose tuple holds 1 or 2 (eq. (5) and its
-    k = 2 companion) lead, and within each part they are ordered
-    lexicographically by the sorted absolute indices of their tuple, ties in
-    basis order, so the equations through e_0, e_{+-1}, e_{+-2} come early.
+    Rows come generator-first.  The rows the paper's argument needs lead (see
+    the module docstring): those whose tuple holds 1, eq. (5), and those whose
+    tuple holds 2 with one of 0, -1, -2, -3, the k = 2 rows.  Within each part
+    rows are ordered lexicographically by the sorted absolute indices of their
+    tuple, ties in basis order, so the equations through e_0, e_{+-1}, e_{+-2}
+    come early.
     The weight-0 count takes `rank_mod_p` of the leading rows, and in `solve`
     the pivot ties, broken by row index, favour them, which keeps the fallback's
     fill low.  No answer depends on the order: `solve` returns data of the
     reduced echelon form, a function of the row space alone.
     """
     matrix, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
-    through = [1 in t or 2 in t for t in rows]
-    order = sorted(range(len(rows)), key=lambda r: (not through[r], sorted(map(abs, rows[r]))))
+    leads = [1 in t or 2 in t and not {0, -1, -2, -3}.isdisjoint(t) for t in rows]
+    order = sorted(range(len(rows)), key=lambda r: (not leads[r], sorted(map(abs, rows[r]))))
     return (matrix.take_rows(order), basis_tuples(q, d, window, coeffs), len(omitted),
-            sum(through))
+            sum(leads))
 
 
 def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,

@@ -16,8 +16,9 @@ row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
   Markowitz pivoting (the column with the fewest active rows, then its
-  sparsest row; the right-hand side column last).  The rows that become
-  pivots are independent mod _P, hence independent over Q.
+  sparsest row; the right-hand side column last; the column from a lazy
+  heap).  The rows that become pivots are independent mod _P, hence
+  independent over Q.
 * Exact pass: an online fraction-free echelon of the selected rows.  Each
   row in turn is reduced at its leading column by the pivot row already
   there, with a gcd reduction after every update, until it claims a new
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 _AUG = -1  # virtual column index used for the right-hand side
@@ -88,13 +90,19 @@ class SparseMatrix:
     def __iter__(self):
         return iter(self.rows)
 
+    @classmethod
+    def _trusted(cls, rows, n_cols: int) -> "SparseMatrix":
+        """A SparseMatrix of rows already in the form `__post_init__` leaves, built
+        without its checks: nonzero int or Fraction entries in columns 0..n_cols - 1."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", tuple(rows))
+        object.__setattr__(out, "n_cols", n_cols)
+        return out
+
     def take_rows(self, keep) -> "SparseMatrix":
         """The submatrix of the rows listed in `keep`, in that order; those rows
         passed `__post_init__` already and are not checked again."""
-        sub = object.__new__(SparseMatrix)
-        object.__setattr__(sub, "rows", tuple(self.rows[r] for r in keep))
-        object.__setattr__(sub, "n_cols", self.n_cols)
-        return sub
+        return SparseMatrix._trusted((self.rows[r] for r in keep), self.n_cols)
 
     def apply(self, vec):
         """Matrix-vector product, exact."""
@@ -213,6 +221,9 @@ def _select(rows):
     pivots on the remaining column with the fewest active rows, and in it on
     the row with the fewest entries (ties by index); the _AUG column comes
     last.  The rows chosen as pivots are independent mod _P, hence over Q.
+    The column comes from a lazy heap of (is _AUG, active count, column):
+    only the pivot row's columns change their counts in a step, so only they
+    are pushed again, and a popped entry whose count is stale is dropped.
     """
     active, by_col = {}, {}
     for i, row in enumerate(rows):
@@ -221,9 +232,13 @@ def _select(rows):
             active[i] = r
             for c in r:
                 by_col.setdefault(c, set()).add(i)
+    heap = [(c == _AUG, len(hits), c) for c, hits in by_col.items()]
+    heapify(heap)
     chosen = []
-    while by_col:
-        col = min(by_col, key=lambda c: (c == _AUG, len(by_col[c]), c))
+    while heap:
+        _, count, col = heappop(heap)
+        if len(by_col.get(col, ())) != count:
+            continue  # stale: the column's count changed, or it has emptied
         idx = min(by_col[col], key=lambda i: (len(active[i]), i))
         piv = active.pop(idx)
         for c in piv:
@@ -244,7 +259,9 @@ def _select(rows):
             if not r:
                 del active[i]
         for c in piv:
-            if not by_col[c]:
+            if by_col[c]:
+                heappush(heap, (c == _AUG, len(by_col[c]), c))
+            else:
                 del by_col[c]
         chosen.append(idx)
     return sorted(chosen)

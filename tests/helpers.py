@@ -14,7 +14,8 @@ for the integer-table `jacobi_defect` and `conjugate` (the latter through the
 inverse series `invert`, while `conjugate` solves phi(mu') = mu(phi, phi)
 order by order), `compose`, the product of two equivalences, `annihilates`,
 the per-vector reference for the one-sweep certificate of `linalg.solve`,
-`reference_solve`, the reduced-echelon-form reference for `linalg.solve`, and
+`reference_solve`, the reduced-echelon-form reference for `linalg.solve`,
+`reference_select`, the min-scan reference for the heap in `linalg._select`, and
 `reference_delta_matrix`, the term-by-term reference for `delta_matrix`.
 """
 
@@ -84,6 +85,46 @@ def reference_solve(m: SparseMatrix, rhs=None) -> LinearSolution:
         particular = tuple(Fraction(x[j], x[aug]) if j in x else 0 for j in range(m.n_cols))
     return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
                           kernel_basis=tuple(kernel), particular=particular)
+
+
+def reference_select(rows):
+    """Reference for `linalg._select`: the same Markowitz elimination mod P, with each
+    step's pivot column found by a `min` over every remaining column."""
+    p, aug = linalg._P, linalg._AUG
+    active, by_col = {}, {}
+    for i, row in enumerate(rows):
+        r = {c: v % p for c, v in row.items() if v % p}
+        if r:
+            active[i] = r
+            for c in r:
+                by_col.setdefault(c, set()).add(i)
+    chosen = []
+    while by_col:
+        col = min(by_col, key=lambda c: (c == aug, len(by_col[c]), c))
+        idx = min(by_col[col], key=lambda i: (len(active[i]), i))
+        piv = active.pop(idx)
+        for c in piv:
+            by_col[c].discard(idx)
+        inv = pow(piv[col], -1, p)
+        for i in list(by_col[col]):
+            r = active[i]
+            f = r[col] * inv % p
+            for c, v in piv.items():
+                w = (r.get(c, 0) - f * v) % p
+                if w:
+                    if c not in r:
+                        by_col[c].add(i)
+                    r[c] = w
+                elif c in r:
+                    del r[c]
+                    by_col[c].discard(i)
+            if not r:
+                del active[i]
+        for c in piv:
+            if not by_col[c]:
+                del by_col[c]
+        chosen.append(idx)
+    return sorted(chosen)
 
 
 def permutation_sign(args) -> int:

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from wittcoh import linalg
 from wittcoh.algebra import Window, make_witt
-from wittcoh.cohomology import cocycle_matrix
+from wittcoh.cohomology import cocycle_matrix, comparison_tuples
 from wittcoh.linalg import LinearSolution, SparseMatrix, rank, rank_mod_p, solve
 
-from helpers import annihilates, matrix_from_rows as mat, reference_solve
+from helpers import annihilates, matrix_from_rows as mat, reference_select, reference_solve
 
 # rows in the redundant test systems: far more than their rank, so _select drops most
 TALL = 80
@@ -212,6 +212,41 @@ def test_cocycle_matrices_take_the_selection_path(monkeypatch):
     seen = _spy_select(monkeypatch)
     solve(m)
     assert seen == [m.n_rows]
+
+
+def _with_rhs(rows):
+    """The rows with a right-hand side column, row k's value k % 3 + 1."""
+    return [{**row, linalg._AUG: -(k % 3 + 1)} for k, row in enumerate(rows)]
+
+
+def test_the_heap_selects_the_rows_of_the_min_scan_on_the_grid():
+    # the rigidity grid's cocycle matrices (all rows and the count's leading rows) and
+    # comparison matrices, with and without a right-hand side
+    witt = make_witt()
+    for h in (8, 10, 12):
+        for d in range(-6, 7):
+            window = Window(-h, h)
+            m, _, _, spanning = cocycle_matrix(witt, 2, d, window)
+            coboundary = comparison_tuples(witt, 2, d, window, 4)[1]
+            for rows in (m.rows, m.rows[:spanning], coboundary.rows, _with_rhs(coboundary.rows)):
+                rows = [linalg._primitive(r) for r in rows if r]
+                assert linalg._select(rows) == reference_select(rows), (h, d)
+
+
+@st.composite
+def sparse_rows(draw):
+    """Nonzero sparse integer rows, about half of the entries nonzero."""
+    n_cols = draw(st.integers(1, 16))
+    dense = draw(st.lists(st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]),
+                                   min_size=n_cols, max_size=n_cols), min_size=1, max_size=40))
+    return [row for row in ({j: v for j, v in enumerate(r) if v} for r in dense) if row]
+
+
+@given(sparse_rows(), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_the_heap_selects_the_rows_of_the_min_scan(rows, rhs):
+    rows = _with_rhs(rows) if rhs else rows
+    assert linalg._select(rows) == reference_select(rows)
 
 
 @st.composite
