@@ -44,7 +44,7 @@ dict keyed by the referenced q-tuple.  Each bracket it reads comes from
 `_bracket_table`, which reads the rule at every pair of the window once per
 algebra and window (a bounded cache) and refuses a coefficient that is not an
 int or a Fraction there, so the matrix is built unchecked; `omitted_count`
-counts the omitted tuples from the same table alone, building no row.
+counts from the table's masks of lost pairs, or by a build if a bracket raises.
 """
 
 from __future__ import annotations
@@ -196,25 +196,26 @@ class Cochain:
 
 @lru_cache(maxsize=16)
 def _bracket_table(alg: GradedLieAlgebra, window: Window):
-    """(found, rows, cols): what the expansion of delta finds at each [e_a, e_b],
-    read once per algebra and window.
+    """(found, rows, cols, raises): what the expansion of delta finds at each
+    [e_a, e_b], read once per algebra and window.
 
     found[a][b], for a and b in the window, is the rule's {key: coefficient}
     dict; None when a key lies outside the window, so the row reading it is
     omitted; or the error the expansion raises, ConfigError for a central key
     and ValueError for one off the grading.  The rule's terms are read in
     order and the first such event decides; a b outside the window has no
-    entry and reads as None.  rows[a] and cols[b] are the (None, error) bit
-    masks of found[a][b] over b and over a, bit index - lo.  The tables are
-    shared by every caller, so they are only read, and each error read is
-    raised as a fresh exception of its type and message.  Every coefficient
-    the rule returns must be an int or a Fraction (TypeError otherwise), so
-    the matrices built from the table need no check of their own.
+    entry and reads as None.  rows[a] and cols[b] are the bit masks of the
+    lost pairs, where found[a][b] is None, over b and over a, bit index - lo;
+    raises says whether any entry is an error.  The tables are shared by every
+    caller, so they are only read, and each error read is raised as a fresh
+    exception of its type and message.  Every coefficient the rule returns
+    must be an int or a Fraction (TypeError otherwise), so the matrices built
+    from the table need no check of their own.
     """
     rule, lo, hi = alg.bracket_rule, window.lo, window.hi
     found = {a: {} for a in window.indices()}
-    rows = {a: [0, 0] for a in window.indices()}
-    cols = {b: [0, 0] for b in window.indices()}
+    rows = dict.fromkeys(window.indices(), 0)
+    cols = dict.fromkeys(window.indices(), 0)
     for a in window.indices():
         for b in window.indices():
             got = terms = rule(a, b)
@@ -225,16 +226,16 @@ def _bracket_table(alg: GradedLieAlgebra, window: Window):
                     got = ConfigError(CENTRAL_TARGET)
                 elif key != a + b:
                     got = ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
-                elif not lo <= key <= hi:
-                    got = None
-                else:
+                elif lo <= key <= hi:
                     continue
-                kind = 0 if got is None else 1
-                rows[a][kind] |= 1 << (b - lo)
-                cols[b][kind] |= 1 << (a - lo)
+                else:
+                    got = None
+                    rows[a] |= 1 << (b - lo)
+                    cols[b] |= 1 << (a - lo)
                 break
             found[a][b] = got
-    return found, {a: tuple(m) for a, m in rows.items()}, {b: tuple(m) for b, m in cols.items()}
+    return found, rows, cols, any(isinstance(got, Exception)
+                                  for row in found.values() for got in row.values())
 
 
 def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: str = ADJOINT,
@@ -294,30 +295,31 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
 
 def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                   coeffs: str = ADJOINT) -> int:
-    """len(delta_matrix(alg, q, d, window, coeffs)[2]), building no row.
+    """len(delta_matrix(alg, q, d, window, coeffs)[2]), building no row if no bracket raises.
 
-    Each bracket the expansion of a (q+1)-tuple reads (`_bracket_table`)
-    holds terms, None or an error.  The tuple is omitted when the first one
-    without terms is None, and the build raises at the first tuple, in basis
-    order, where it is an error; so does this count.  The table's bit masks
-    (None, error) run over the tuple's last index k, bit k - lo, and one pass
-    over the q-tuple prefixes counts all tuples: [e_x, e_k] is a row of the
-    table, the action [e_x, e_{out - x}] a row shifted by k, and the action
-    [e_k, e_{out - k}] a column, since out - k does not depend on k.
+    A window whose table (`_bracket_table`) holds an error, a central key or
+    one off the grading, is counted by that build, which raises the error or
+    gives the count.  Otherwise a (q+1)-tuple is omitted when a bracket its
+    expansion reads is lost.  The table's masks run over the tuple's last
+    index k, bit k - lo, and one pass over the q-tuple prefixes counts all
+    tuples: [e_x, e_k] is a row of the table, the action [e_x, e_{out - x}] a
+    row shifted by k, and the action [e_k, e_{out - k}] a column, since
+    out - k does not depend on k.
     """
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
     _check_coeffs(coeffs)
+    found, rows, cols, raises = _bracket_table(alg, window)
+    if raises:
+        return len(delta_matrix(alg, q, d, window, coeffs)[2])
     lo, hi = window.lo, window.hi
     full = (1 << (hi - lo + 1)) - 1
-    found, rows, cols = _bracket_table(alg, window)
 
     def shifted(a, c):
-        """The masks of check(a, k + c) over k; None where k + c leaves the window."""
-        none, error = rows[a]
+        """The lost pairs [e_a, e_{k + c}] over k, with every k where k + c leaves the window."""
         if c >= 0:
-            return (none | ~full) >> c & full, error >> c
-        return (none << -c | (1 << -c) - 1) & full, error << -c & full
+            return (rows[a] | ~full) >> c & full
+        return (rows[a] << -c | (1 << -c) - 1) & full
 
     count = 0
     for prefix in combinations(window.indices(), q):
@@ -331,24 +333,12 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         if first > last:
             continue
         valid = full >> (hi - last) & ~((1 << (first - lo)) - 1)
-        reads = []
-        for s in range(q):
-            for t in range(s + 1, q):
-                got = found[prefix[s]][prefix[t]]
-                reads.append((valid * (got is None), valid * isinstance(got, Exception)))
-            reads.append(rows[prefix[s]])
+        lost = full if any(found[x][y] is None for x, y in combinations(prefix, 2)) else 0
         if coeffs == ADJOINT:
-            reads += [shifted(x, total - x) for x in prefix]
-            reads.append(cols[total] if lo <= total <= hi else (full, 0))
-        nones = raising = 0  # a tuple raises when an error comes before every None
-        for none, error in reads:
-            raising |= error & ~nones
-            nones |= none
-        if raising & valid:
-            lowest = raising & valid & -(raising & valid)
-            first_error = prefix + (lowest.bit_length() - 1 + lo,)
-            delta_matrix(alg, q, d, window, coeffs, rows=[first_error])  # raises that error
-        count += (nones & valid).bit_count()
+            lost |= cols[total] if lo <= total <= hi else full
+        for x in prefix:
+            lost |= rows[x] | (shifted(x, total - x) if coeffs == ADJOINT else 0)
+        count += (lost & valid).bit_count()
     return count
 
 

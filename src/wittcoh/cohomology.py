@@ -45,9 +45,9 @@ exactly on each comparison row t, reading the row (0, t) of delta_q (never
 omitted: it needs the indices that row t of delta_{q-1} needs).  Those rows
 alone are expanded, by the expansion that builds all of delta_q
 (`delta_matrix(..., rows=...)`), and `omitted_triples` comes from
-`cochains.omitted_count`, which reads the bracket at each index pair once,
-builds no row, and raises the errors a full build of delta_q raises (a
-central bracket value, one off the grading).  With h = -iota/d, a cocycle z
+`cochains.omitted_count`, which builds no row unless a bracket on the window
+can raise (a central value, one off the grading); then a full build of
+delta_q counts, or raises its error.  With h = -iota/d, a cocycle z
 has delta z = 0 at the rows (0, t), so z = delta(h z) on the comparison set
 and dim_stable = 0.  Given the Jacobi identity, delta of a (q-1)-cochain
 extended by zero to W is a cocycle, equal to the comparison matrix's image on

@@ -137,6 +137,25 @@ def test_injected_relation_beyond_the_table_exits_two(capsys):
     assert run(capsys, "replay", "--K", "12", "--inject-relation=-12=0")[0] == 0
 
 
+@pytest.mark.parametrize("k", ["-2", "1", "2"])
+def test_injecting_a_nonzero_fixed_unknown_is_a_contradiction(capsys, k):
+    # the paper fixes a_-2 = a_1 = a_2 = 0: they appear in no relation, yet the table holds them
+    code, out, err = run(capsys, "replay", "--K", "12", f"--inject-relation={k}=1")
+    assert (code, out) == (3, "")
+    assert err == f"contradiction: relation injected[a_{k}=1] [Diag] reduces to -1 = 0\n"
+    assert run(capsys, "replay", "--K", "12", f"--inject-relation={k}=0")[0] == 0
+
+
+def test_a_negative_injected_key_needs_the_equals_form(capsys, monkeypatch):
+    # argparse reads a bare -2=1 as a flag, so the help says to write --inject-relation=-2=1
+    code, out, err = run(capsys, "replay", "--K", "12", "--inject-relation", "-2=1")
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
+    monkeypatch.setenv("COLUMNS", "200")  # help lines wrap at hyphens on a narrow terminal
+    code, out, _ = run(capsys, "replay", "--help")
+    assert code == 0 and "--inject-relation=-2=1" in out
+
+
 CENTRAL_REFUSAL = ("error: differential needs bracket values inside the indexed span; "
                    "central targets are not supported as cochain arguments\n")
 

@@ -4,6 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittcoh import cochains
 from wittcoh.algebra import Window, dump_algebra, load_algebra, make_virasoro, make_witt
 from wittcoh.cochains import (
     ADJOINT,
@@ -380,6 +381,27 @@ def test_a_central_value_read_after_the_window_edge_is_not_an_error():
                                                                         TRIVIAL)
     assert isinstance(_count(omitted_count, alg, 2, 3, W8, TRIVIAL), int)
     assert _count(omitted_count, alg, 2, -3, W8, TRIVIAL)[0] is ConfigError
+
+
+def test_omitted_count_builds_no_row_where_no_bracket_raises(monkeypatch):
+    cases = [(alg, q, d, window, coeffs) for alg in (WITT, ABELIAN)
+             for window in (W8, Window(-12, 12)) for q in (0, 1, 2)
+             for coeffs in (ADJOINT, TRIVIAL) for d in range(-6, 7)]
+    expected = [len(delta_matrix(*case)[2]) for case in cases]
+    assert any(expected)
+
+    def build(*args, **kwargs):
+        raise AssertionError("omitted_count built rows")
+
+    monkeypatch.setattr(cochains, "delta_matrix", build)
+    assert [omitted_count(*case) for case in cases] == expected
+    # central brackets on a Virasoro trivial window: the build counts it
+    built = []
+    monkeypatch.setattr(cochains, "delta_matrix",
+                        lambda *args: built.append(args) or delta_matrix(*args))
+    case = (make_virasoro(), 1, 5, Window(-12, 12), TRIVIAL)
+    assert omitted_count(*case) == len(delta_matrix(*case)[2])
+    assert built == [case]
 
 
 def test_two_algebras_on_one_window_read_their_own_bracket_tables():
