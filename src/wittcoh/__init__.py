@@ -25,7 +25,7 @@ _HOMES = {
                    "stability_scan"),
     "replay": ("RelationSet", "run_replay"),
     "deformation": ("DefectReport", "DeformedBracket", "Equivalence", "conjugate",
-                    "infinitesimal", "jacobi_defect", "parse_deformation",
+                    "jacobi_defect", "parse_deformation",
                     "render_deformation", "trivialize"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--expect", type=int, default=None,
                      help="exit 0 iff the solution-space dimension equals this")
     rep.add_argument("--inject-relation", default=None, metavar="K=V",
-                     help="consistency audit: add the fake relation a_K = V (a_-2 = a_1 = a_2 "
-                     "= 0 are fixed); write a negative K as --inject-relation=-2=1")
+                     help="audit: add the fake relation a_K = V, for an a_K a relation reads or a "
+                     "fixed a_-2 = a_1 = a_2 = 0; write a negative K as --inject-relation=-2=1")
     rep.add_argument("--output", default=None)
 
     jac = sub.add_parser("jacobi", help="Jacobi certification on a window")
@@ -226,7 +226,10 @@ def _cmd_replay(args) -> int:
         label, k, v = injected
         rels = result.relations
         # c_{2,k} is a_k, and the table holds the fixed a_-2 = a_1 = a_2 = 0
-        rels.add(label, "Diag", result.table.value(2, k) - SymbolicValue.constant(v))
+        a_k = result.table.value(2, k)
+        if not a_k.is_zero and all(k not in dict(r.form.coeffs) for r in rels.relations):
+            raise ConfigError(f"--inject-relation: no relation reads a_{k} at K = {args.K}")
+        rels.add(label, "Diag", a_k - SymbolicValue.constant(v))
         verdict = final_solve(result.table, rels, buffer=args.buffer)
     chunks = []
     if args.emit_table:

@@ -36,11 +36,11 @@ outputs) stays inside the window; the remaining tuples are omitted, and
 terms.
 
 `delta_matrix` is the single builder of delta: cocycles, comparison sets,
-coboundaries, primitives, `differential` (a matrix-vector product) and
-`cocycle_violation` (where delta c = 0 first fails) all read the sparse
-matrix it returns.  It expands the formula above in one loop over the
-(q+1)-tuples (or over the rows asked for), summing each row's terms into one
-dict keyed by the referenced q-tuple.  Each bracket it reads comes from
+coboundaries, primitives and `differential` (a matrix-vector product) all
+read the sparse matrix it returns, and `cocycle_violation` (where delta c = 0
+first fails) reads `differential`.  It expands the formula above in one loop
+over the (q+1)-tuples (or the rows asked for), summing each row's terms into
+one dict keyed by the referenced q-tuple.  Each bracket it reads comes from
 `_bracket_table`, which reads the rule at every pair of the window once per
 algebra and window (a bounded cache) and refuses a coefficient that is not an
 int or a Fraction there, so the matrix is built unchecked; `omitted_count`
@@ -104,22 +104,23 @@ def bad_arguments(t, degree: int, window: Window):
     return None
 
 
-def _check_coeffs(coeffs: str):
-    """ValueError unless coeffs is ADJOINT or TRIVIAL."""
-    if coeffs not in (ADJOINT, TRIVIAL):
-        raise ValueError(f"unknown coefficients {coeffs!r}")
+def _value_range(window: Window, coeffs: str) -> tuple[int, int]:
+    """(lo, hi), the output indices a cochain's values live on: the window for
+    ADJOINT, 0..0 for TRIVIAL (scalars); ValueError for other coefficients."""
+    if coeffs == ADJOINT:
+        return window.lo, window.hi
+    if coeffs == TRIVIAL:
+        return 0, 0
+    raise ValueError(f"unknown coefficients {coeffs!r}")
 
 
 def basis_tuples(degree: int, weight: int, window: Window, coeffs: str = ADJOINT):
     """Lexicographically ordered admissible tuples for C^q_d on the window."""
     if degree < 0 or degree > 3:
         raise ValueError("cochain degrees run from 0 to 3")
-    _check_coeffs(coeffs)
-    tuples = combinations(window.indices(), degree)
-    if coeffs == ADJOINT:
-        lo, hi = window.lo - weight, window.hi - weight
-        return [t for t in tuples if lo <= sum(t) <= hi]
-    return [t for t in tuples if sum(t) + weight == 0]
+    lo, hi = _value_range(window, coeffs)
+    lo, hi = lo - weight, hi - weight
+    return [t for t in combinations(window.indices(), degree) if lo <= sum(t) <= hi]
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ class Cochain:
     entries: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_coeffs(self.coeffs)
+        _value_range(self.window, self.coeffs)  # refuses unknown coefficients
         clean = {}
         for t, v in self.entries.items():
             t = tuple(t)
@@ -308,7 +309,7 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     """
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
-    _check_coeffs(coeffs)
+    vlo, vhi = _value_range(window, coeffs)
     found, rows, cols, raises = _bracket_table(alg, window)
     if raises:
         return len(delta_matrix(alg, q, d, window, coeffs)[2])
@@ -324,12 +325,9 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     count = 0
     for prefix in combinations(window.indices(), q):
         total = sum(prefix) + d
-        first = prefix[-1] + 1 if prefix else lo
-        last = hi
-        if coeffs == ADJOINT:  # the output index total + k lies in the window
-            first, last = max(first, lo - total), min(last, hi - total)
-        else:  # trivial values need total + k = 0
-            first, last = max(first, -total), min(last, -total)
+        # k runs past the prefix, with the output index total + k among the values
+        first = max(prefix[-1] + 1 if prefix else lo, vlo - total)
+        last = min(hi, vhi - total)
         if first > last:
             continue
         valid = full >> (hi - last) & ~((1 << (first - lo)) - 1)
@@ -446,23 +444,17 @@ def weight_components(c: MixedCochain) -> dict:
     }
 
 
-def cocycle_violation(alg: GradedLieAlgebra, c, skip=frozenset()):
+def cocycle_violation(alg: GradedLieAlgebra, c):
     """(weight, tuple) of the first interior tuple where delta(c) != 0, or None.
 
     `c` is a Cochain or a MixedCochain; weights go in increasing order and,
-    within one, tuples in basis order.  An equation that reads a q-tuple in
-    `skip` (a value lost to the window edge) is passed over.
+    within one, tuples in basis order: the first entry of `differential`.
     """
     parts = {c.weight: c} if isinstance(c, Cochain) else weight_components(c)
     for d, part in sorted(parts.items()):
-        matrix, rows, _ = delta_matrix(alg, part.degree, d, part.window, part.coeffs)
-        cols = basis_tuples(part.degree, d, part.window, part.coeffs)
-        vec = [part.entries.get(t, 0) for t in cols]
-        for t, row in zip(rows, matrix):
-            if skip and any(cols[j] in skip for j in row):
-                continue
-            if sum(v * vec[j] for j, v in row.items()):
-                return d, t
+        entries = differential(alg, part).entries
+        if entries:
+            return d, min(entries)
     return None
 
 

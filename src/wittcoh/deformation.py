@@ -11,7 +11,6 @@ plain `order` field, with exactly N layers.  The staple computations:
   hence invertible over the truncated base): mu'(x,y) = phi^{-1} mu(phi x, phi y).
   It never builds phi^{-1}: phi(mu') = B with B(x, y) = mu(phi x, phi y) is
   triangular in t, so mu'_s = B_s - sum_{u>=1} phi_u(mu'_{s-u}), order by order;
-* infinitesimal checks delta(mu_1) = 0 with `cochains.cocycle_violation`;
 * trivialize peels a Jacobi-clean deformation one order at a time, solving
   delta(b_s) = mu_s on the core comparison tuples and conjugating by
   id + t^s b_s; under the sign convention of `cochains.differential` that
@@ -73,7 +72,6 @@ from .cochains import (
     Cochain,
     MixedCochain,
     bad_arguments,
-    cocycle_violation,
     weight_components,
 )
 from .cohomology import coboundary_primitive
@@ -273,36 +271,6 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
         orders.append(OrderDefect(s, False, *found, skipped) if found
                       else OrderDefect(s, True, skipped=skipped))
     return DefectReport(window, tuple(orders))
-
-
-# -- the infinitesimal part ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InfinitesimalReport:
-    cochain: MixedCochain
-    is_cocycle: bool
-    first_violation: tuple | None
-    weights: tuple
-    components: dict
-
-
-def infinitesimal(d: DeformedBracket) -> InfinitesimalReport:
-    """mu_1 with its cocycle verdict and weight decomposition.
-
-    Any genuine deformation has delta(mu_1) = 0; a nonzero differential means
-    the data fails to be a deformation already at order 1.  Equations that
-    reference a pair lost to the window edge are skipped rather than read as
-    zero.
-    """
-    if d.order < 1:
-        raise ValueError("need at least one layer")
-    mu1 = d.layers[0]
-    comps = weight_components(mu1)
-    violation = cocycle_violation(d.algebra, mu1, skip=d.omitted_pairs)
-    return InfinitesimalReport(cochain=mu1, is_cocycle=violation is None,
-                               first_violation=violation and violation[1],
-                               weights=tuple(sorted(comps)), components=comps)
 
 
 # -- conjugation -------------------------------------------------------------------

@@ -137,6 +137,18 @@ def test_injected_relation_beyond_the_table_exits_two(capsys):
     assert run(capsys, "replay", "--K", "12", "--inject-relation=-12=0")[0] == 0
 
 
+@pytest.mark.parametrize("K, k, v", [("12", "11", "1"), ("12", "12", "1"), ("20", "19", "0")])
+def test_injected_unknown_that_no_relation_reads_exits_two(capsys, K, k, v):
+    # a_k lies in the table, yet no relation reads it, so the audit could never fail
+    code, out, err = run(capsys, "replay", "--K", K, "--inject-relation", f"{k}={v}")
+    assert (code, out) == (2, "")
+    assert err == f"error: --inject-relation: no relation reads a_{k} at K = {K}\n"
+    # a_-k sits as far out, but a relation reads it
+    code, out, err = run(capsys, "replay", "--K", K, f"--inject-relation=-{k}=1")
+    assert (code, out) == (3, "")
+    assert err == f"contradiction: relation injected[a_-{k}=1] [Diag] reduces to -1 = 0\n"
+
+
 @pytest.mark.parametrize("k", ["-2", "1", "2"])
 def test_injecting_a_nonzero_fixed_unknown_is_a_contradiction(capsys, k):
     # the paper fixes a_-2 = a_1 = a_2 = 0: they appear in no relation, yet the table holds them

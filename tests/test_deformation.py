@@ -10,7 +10,6 @@ from wittcoh.deformation import (
     DeformedBracket,
     Equivalence,
     conjugate,
-    infinitesimal,
     jacobi_defect,
     parse_deformation,
     render_deformation,
@@ -85,41 +84,6 @@ def test_virasoro_trivial_base_is_clean():
     report = jacobi_defect(d, Window(-6, 6))
     assert report.clean
     assert report.orders[0].order == 0
-
-
-# -- infinitesimal -----------------------------------------------------------------
-
-
-def test_infinitesimal_of_trivial_is_zero_cocycle():
-    d = DeformedBracket.trivial(WITT, W12, 2)
-    rep = infinitesimal(d)
-    assert rep.cochain.is_zero
-    assert rep.is_cocycle
-    assert rep.weights == ()
-
-
-def test_infinitesimal_coboundary_is_trivializable():
-    from wittcoh.cohomology import coboundary_primitive
-
-    from helpers import truncated_coboundary
-
-    rng = Random(2)
-    _, c = truncated_coboundary(rng, WITT, 1, 1, W12, fill=0.4)
-    mu1 = MixedCochain.from_cochain(c)
-    d = DeformedBracket(1, WITT, W12, (mu1,))
-    rep = infinitesimal(d)
-    assert rep.is_cocycle
-    assert rep.weights == (1,)
-    prim = coboundary_primitive(WITT, rep.components[1], margin=4)
-    assert prim is not None
-
-
-def test_infinitesimal_non_cocycle_flagged():
-    mu1 = MixedCochain(2, W12, {(1, 2): {3: 1}})
-    d = DeformedBracket(1, WITT, W12, (mu1,))
-    rep = infinitesimal(d)
-    assert not rep.is_cocycle
-    assert rep.first_violation is not None
 
 
 # -- conjugation --------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_the_line_reader_guard_sees_every_caller(tmp_path):
 def test_delta_matrix_is_built_only_by_its_readers():
     offenders = {p.name: callers_of(p, "delta_matrix") for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: got for name, got in offenders.items() if got} == {
-        "cochains.py": ["cocycle_violation", "differential", "omitted_count"],
+        "cochains.py": ["differential", "omitted_count"],
         "cohomology.py": ["cocycle_matrix", "cohomology_dim", "comparison_tuples"]}
 
 
