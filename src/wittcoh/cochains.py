@@ -40,7 +40,8 @@ coboundaries, primitives and `differential` (a matrix-vector product) all
 read the sparse matrix it returns, and `cocycle_violation` (where delta c = 0
 first fails) reads `differential`.  It expands the formula above in one loop
 over the (q+1)-tuples (or the rows asked for), summing each row's terms into
-one dict keyed by the referenced q-tuple.  Each bracket it reads comes from
+one dict keyed by the column of the referenced q-tuple, and leaves a row at
+the first bracket it reads that is lost.  Each bracket it reads comes from
 `_bracket_table`, which reads the rule at every pair of the window once per
 algebra and window (a bounded cache) and refuses a coefficient that is not an
 int or a Fraction there, so the matrix is built unchecked; `omitted_count`
@@ -65,10 +66,6 @@ TRIVIAL = "trivial"
 
 CENTRAL_TARGET = ("differential needs bracket values inside the indexed span; "
                   "central targets are not supported as cochain arguments")
-
-
-class _Omit(Exception):
-    """Internal: the expansion left the window; omit the output tuple."""
 
 
 def _sort_with_sign(args, window: Window):
@@ -255,42 +252,43 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
         raise ValueError("differential supports cochain degrees 0..2")
     col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
     found = _bracket_table(alg, window)[0]
-
-    def bracket(a, b):
-        """The terms of [e_a, e_b]; raises _Omit, or the error the table holds."""
-        got = found[a].get(b)
-        if not isinstance(got, dict):
-            raise _Omit if got is None else type(got)(*got.args)
-        return got
-
     # bracket-composition terms (-1)^{s+t-1} c([x_s,x_t], rest), 1-indexed s < t
     pairs = [(s, t, 1 if (s + t) % 2 else -1) for s in range(q + 1) for t in range(s + 1, q + 1)]
+    sides = range(q + 1) if coeffs == ADJOINT else ()  # trivial coefficients have no action terms
     matrix_rows, kept, omitted = [], [], []
     for xs in basis_tuples(q + 1, d, window, coeffs) if rows is None else rows:
-        row = {}  # referenced q-tuple -> coefficient of its entry in delta(c)(xs)
-        try:
-            for s, t, sign in pairs:
-                rest = xs[:s] + xs[s + 1:t] + xs[t + 1:]
-                for key, coeff in bracket(xs[s], xs[t]).items():
-                    # sort (key, *rest): key passes k arguments of the sorted rest
-                    k = bisect_left(rest, key)
-                    if k < len(rest) and rest[k] == key:
-                        continue
-                    ref = rest[:k] + (key,) + rest[k:]
-                    row[ref] = row.get(ref, 0) + (-sign if k % 2 else sign) * coeff
-            if coeffs == ADJOINT:
-                # action terms (-1)^s [x_s, c(rest)]; rest is already sorted
-                out_index = sum(xs) + d
-                for s in range(q + 1):
-                    rest = xs[:s] + xs[s + 1:]
-                    sign = 1 if s % 2 else -1
-                    for coeff in bracket(xs[s], out_index - xs[s]).values():
-                        row[rest] = row.get(rest, 0) + sign * coeff
-        except _Omit:
-            omitted.append(xs)
-            continue
-        matrix_rows.append({col[ref]: v for ref, v in row.items() if v})
-        kept.append(xs)
+        row = {}  # column of a referenced q-tuple -> coefficient of its entry in delta(c)(xs)
+        for s, t, sign in pairs:
+            got = found[xs[s]].get(xs[t])
+            if not isinstance(got, dict):
+                break
+            rest = xs[:s] + xs[s + 1:t] + xs[t + 1:]
+            for key, coeff in got.items():
+                # sort (key, *rest): key passes k arguments of the sorted rest
+                k = bisect_left(rest, key)
+                if k < len(rest) and rest[k] == key:
+                    continue
+                c = col[rest[:k] + (key,) + rest[k:]]
+                row[c] = row.get(c, 0) + (-sign if k % 2 else sign) * coeff
+        else:
+            # action terms (-1)^s [x_s, c(xs without x_s)], a sorted q-tuple
+            out_index = sum(xs) + d
+            for s in sides:
+                got = found[xs[s]].get(out_index - xs[s])
+                if not isinstance(got, dict):
+                    break
+                c = col[xs[:s] + xs[s + 1:]]
+                sign = 1 if s % 2 else -1
+                for coeff in got.values():
+                    row[c] = row.get(c, 0) + sign * coeff
+            else:
+                matrix_rows.append({c: v for c, v in row.items() if v})
+                kept.append(xs)
+                continue
+        # a break: the bracket `got` is lost (None), or the table's error
+        if got is not None:
+            raise type(got)(*got.args)  # a fresh exception of its type and message
+        omitted.append(xs)
     return SparseMatrix._trusted(matrix_rows, len(col)), kept, omitted
 
 

@@ -19,19 +19,22 @@ window through `_check_window`: lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
 
 Weight 0 is the paper's argument: eq. (4), the six-term equation, at k = 1 is
 eq. (5), and the replay adds a few k = 2 equations (`replay.k2_specializations`,
-at i = -2 and -3), so these should determine a cocycle.  `cocycle_matrix`
-lists their rows first: the rows whose tuple holds 1, and those whose tuple
-holds 2 with one of 0, -1, -2, -3 (0 and -1 keep the smallest windows'
-count closing).  At weight 0 `cohomology_dim` decides by one count on that
-prefix, with no kernel.  Let K = ker delta_q on the n columns and
-B = delta_{q-1}, whose rows are those n columns.  Given the Jacobi identity,
-im B lies in K (the hypothesis the nonzero weights use too).  Rows
-independent mod p are independent over Q (`linalg.rank_mod_p`), so if B
-omits no row and rank_p(prefix) + rank_p(B) = n, then
-rank_Q(B) >= n - rank_p(prefix) >= dim K >= rank_Q(B), hence K = im B:
+at i = -2 and -3), so these should determine a cocycle.  `leading_tuples`
+lists their rows: the rows whose tuple holds 1, and those whose tuple holds 2
+with one of 0, -1, -2, -3 (0 and -1 keep the smallest windows' count
+closing).  At weight 0 `cohomology_dim` decides by one count on those rows,
+the only rows of delta_q it builds, with no kernel; `omitted_triples` comes
+from `omitted_count` first, so a window whose brackets raise raises before
+any row is built.  Let K = ker delta_q on the n columns and B = delta_{q-1},
+whose rows are those n columns, read from `cocycle_matrix(q - 1)` (its row
+order changes no rank).  Given the Jacobi identity, im B lies in K (the
+hypothesis the nonzero weights use too).  Rows independent mod p are
+independent over Q (`linalg.rank_mod_p`), so if B omits no row and
+rank_p(leading) + rank_p(B) = n, then
+rank_Q(B) >= n - rank_p(leading) >= dim K >= rank_Q(B), hence K = im B:
 every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is the rank of
 the comparison matrix (B's rows on the comparison set), as at d != 0.  The
-count is a certificate whatever rows the prefix holds; these close it on the
+count is a certificate whatever rows it reads; these close it on the
 same windows as every row through e_1 or e_2 does.  For the Witt algebra at
 q = 2 the count closes on every window with lo in [-10,-2] and hi in [2,10]
 except the 9 inside [-4,4], and never at the Gelfand-Fuks class (trivial
@@ -127,27 +130,37 @@ def _check_window(window: Window, margin: int):
         raise ConfigError(f"window {window} too small for margin {margin}")
 
 
+def leading_tuples(q: int, d: int, window: Window, coeffs: str = ADJOINT):
+    """The tuples of delta_q's leading rows (module docstring) in basis order, each
+    listed from the tuples of its other indices: those through 1, eq. (5), and
+    through 2 with one of 0, -1, -2, -3, the k = 2 rows."""
+    found = set()
+    for fixed in ((1,), (0, 2), (-1, 2), (-2, 2), (-3, 2)):
+        if len(fixed) <= q + 1 and all(a in window for a in fixed):
+            found.update(tuple(sorted(fixed + rest)) for rest in
+                         basis_tuples(q + 1 - len(fixed), d + sum(fixed), window, coeffs)
+                         if set(fixed).isdisjoint(rest))
+    return sorted(found)
+
+
 def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                    coeffs: str = ADJOINT):
-    """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count,
-    the number of leading rows).
+    """(matrix of delta on C^q_d over interior tuples, column tuples, omitted count).
 
-    Rows come generator-first.  The rows the paper's argument needs lead (see
-    the module docstring): those whose tuple holds 1, eq. (5), and those whose
-    tuple holds 2 with one of 0, -1, -2, -3, the k = 2 rows.  Within each part
-    rows are ordered lexicographically by the sorted absolute indices of their
-    tuple, ties in basis order, so the equations through e_0, e_{+-1}, e_{+-2}
-    come early.
-    The weight-0 count takes `rank_mod_p` of the leading rows, and in `solve`
-    the pivot ties, broken by row index, favour them, which keeps the fallback's
-    fill low.  No answer depends on the order: `solve` returns data of the
-    reduced echelon form, a function of the row space alone.
+    Rows come generator-first.  The rows the paper's argument needs lead
+    (`leading_tuples`).  Within each part rows are ordered lexicographically
+    by the sorted absolute indices of their tuple, ties in basis order, so the
+    equations through e_0, e_{+-1}, e_{+-2} come early.  In `solve` the pivot
+    ties, broken by row index, favour them, which keeps the fallback's fill
+    low.  No answer depends on the order: `solve` returns data of the reduced
+    echelon form, a function of the row space alone.  At weight 0 the count
+    reads B = delta_{q-1} from here, and builds the leading rows of delta_q
+    alone; all of delta_q is built by `cohomology_by_elimination`.
     """
     matrix, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
-    leads = [1 in t or 2 in t and not {0, -1, -2, -3}.isdisjoint(t) for t in rows]
-    order = sorted(range(len(rows)), key=lambda r: (not leads[r], sorted(map(abs, rows[r]))))
-    return (matrix.take_rows(order), basis_tuples(q, d, window, coeffs), len(omitted),
-            sum(leads))
+    leads = set(leading_tuples(q, d, window, coeffs))
+    order = sorted(range(len(rows)), key=lambda r: (rows[r] not in leads, sorted(map(abs, rows[r]))))
+    return matrix.take_rows(order), basis_tuples(q, d, window, coeffs), len(omitted)
 
 
 def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
@@ -232,9 +245,10 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
             if up is None or any(acc.values()):
                 return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
     elif q:
-        matrix, cols, omitted, spanning = cocycle_matrix(alg, q, d, window, coeffs)
-        bound, _, lost = delta_matrix(alg, q - 1, d, window, coeffs)  # rows: the n columns
-        if lost or rank_mod_p(matrix.rows[:spanning]) + rank_mod_p(bound.rows) != len(cols):
+        omitted = omitted_count(alg, q, d, window, coeffs)  # raises what a build of delta_q raises
+        lead = delta_matrix(alg, q, d, window, coeffs, rows=leading_tuples(q, d, window, coeffs))[0]
+        bound, _, lost = cocycle_matrix(alg, q - 1, d, window, coeffs)  # rows: delta_q's n columns
+        if lost or rank_mod_p(lead.rows) + rank_mod_p(bound.rows) != bound.n_rows:
             return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
         coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)[1]
     else:
@@ -247,7 +261,7 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
 def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                               margin: int, coeffs: str = ADJOINT) -> CohomologyReport:
     """`cohomology_dim`'s report from the kernel of delta_q: the fallback and the oracle."""
-    matrix, cols, omitted, _ = cocycle_matrix(alg, q, d, window, coeffs)
+    matrix, cols, omitted = cocycle_matrix(alg, q, d, window, coeffs)
     kernel = solve(matrix).kernel_basis
 
     comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)

@@ -273,7 +273,7 @@ def test_criterion_06e_residual_unknowns_without_endgame(replay12):
 def test_criterion_07_brute_force_normalized_cocycles():
     window = Window(-12, 12)
     margin = 4
-    matrix, cols, _, _ = cocycle_matrix(WITT, 2, 0, window, ADJOINT)
+    matrix, cols, _ = cocycle_matrix(WITT, 2, 0, window, ADJOINT)
     col = {t: i for i, t in enumerate(cols)}
     rows = list(matrix)
     for t in cols:  # normalization: the (i,1) column and (-2,2) vanish

@@ -3,10 +3,10 @@ from random import Random
 
 import pytest
 
-from wittcoh import cohomology
+from wittcoh import cochains, cohomology
 from wittcoh.algebra import GradedLieAlgebra, Window, make_virasoro, make_witt
-from wittcoh.cochains import (ADJOINT, CENTRAL_TARGET, TRIVIAL, Cochain, MixedCochain, delta_matrix,
-                              differential, omitted_count, weight_components)
+from wittcoh.cochains import (ADJOINT, CENTRAL_TARGET, TRIVIAL, Cochain, MixedCochain, basis_tuples,
+                              delta_matrix, differential, omitted_count, weight_components)
 from wittcoh.cohomology import (
     central_extension_dim,
     coboundary_primitive,
@@ -14,6 +14,7 @@ from wittcoh.cohomology import (
     cohomology_by_elimination,
     cohomology_dim,
     comparison_tuples,
+    leading_tuples,
     normalize_weight_zero,
     reduce_to_weight_zero,
     stability_scan,
@@ -30,6 +31,11 @@ W12 = Window(-12, 12)
 W10 = Window(-10, 10)
 
 
+def _leading(q, d, window, coeffs=ADJOINT):
+    """The leading rows of delta_q, as the weight-0 count builds them."""
+    return delta_matrix(WITT, q, d, window, coeffs, rows=leading_tuples(q, d, window, coeffs))[0]
+
+
 def test_h2_weight0_vanishes():
     r = cohomology_dim(WITT, 2, 0, W12, 4)
     assert r.dim_stable == 0
@@ -38,7 +44,8 @@ def test_h2_weight0_vanishes():
 
 def test_cocycle_matrix_rows_are_generator_first():
     window = Window(-8, 8)
-    matrix, _, _, spanning = cocycle_matrix(WITT, 2, 0, window)
+    matrix, _, _ = cocycle_matrix(WITT, 2, 0, window)
+    spanning = _leading(2, 0, window).n_rows
     basis_order, rows, _ = delta_matrix(WITT, 2, 0, window)
     row_of = dict(zip(rows, basis_order))
     # the rows through e_1, and through e_2 with one of e_0, e_-1, e_-2, e_-3, first (the
@@ -58,7 +65,7 @@ def test_cocycle_matrix_rows_are_generator_first():
 @pytest.mark.parametrize("q", [1, 2])
 def test_generator_first_rows_keep_the_basis_order_solution(q, coeffs):
     for d in (-3, 0, 2):
-        matrix, _, _, _ = cocycle_matrix(WITT, q, d, W10, coeffs)
+        matrix, _, _ = cocycle_matrix(WITT, q, d, W10, coeffs)
         assert solve(matrix) == solve(delta_matrix(WITT, q, d, W10, coeffs)[0]), d
 
 
@@ -329,10 +336,10 @@ def test_the_count_decides_weight_zero_as_the_elimination_does(monkeypatch):
 
 def _count(q, window, coeffs=ADJOINT):
     """(rank mod p of the leading rows of delta_q plus that of delta_{q-1}, n), weight 0."""
-    matrix, cols, _, spanning = cocycle_matrix(WITT, q, 0, window, coeffs)
+    cols = basis_tuples(q, 0, window, coeffs)
     bound, _, lost = delta_matrix(WITT, q - 1, 0, window, coeffs)
     assert not lost
-    return rank_mod_p(matrix.rows[:spanning]) + rank_mod_p(bound.rows), len(cols)
+    return rank_mod_p(_leading(q, 0, window, coeffs).rows) + rank_mod_p(bound.rows), len(cols)
 
 
 def test_the_leading_rows_close_the_count_where_the_rows_through_one_or_two_do():
@@ -344,16 +351,53 @@ def test_the_leading_rows_close_the_count_where_the_rows_through_one_or_two_do()
             for lo in range(-10, -1):
                 for hi in range(2, 11):
                     window = Window(lo, hi)
-                    matrix, cols, _, spanning = cocycle_matrix(WITT, q, 0, window, coeffs)
+                    lead = _leading(q, 0, window, coeffs)
+                    spanning = lead.n_rows
                     delta, rows, _ = delta_matrix(WITT, q, 0, window, coeffs)
                     through = [row for row, t in zip(delta, rows) if 1 in t or 2 in t]
                     assert spanning <= len(through)
                     bound, _, lost = delta_matrix(WITT, q - 1, 0, window, coeffs)
-                    rest = len(cols) - rank_mod_p(bound.rows)
-                    leading = not lost and rank_mod_p(matrix.rows[:spanning]) == rest
+                    rest = delta.n_cols - rank_mod_p(bound.rows)
+                    leading = not lost and rank_mod_p(lead.rows) == rest
                     assert leading == (not lost and rank_mod_p(through) == rest), (q, coeffs, window)
                     closed.append(leading)
     assert (sum(closed), len(closed)) == (234, 324)
+
+
+def test_leading_tuples_are_the_basis_tuples_through_one_or_through_two_and_a_low_index():
+    # listed from the rest of each tuple, they are exactly the filter over every basis
+    # tuple, in the same (basis) order
+    for q in (1, 2):
+        for coeffs in (ADJOINT, TRIVIAL):
+            for lo in range(-10, -1):
+                for hi in range(2, 11):
+                    window = Window(lo, hi)
+                    old = [t for t in basis_tuples(q + 1, 0, window, coeffs)
+                           if 1 in t or 2 in t and bool({0, -1, -2, -3} & set(t))]
+                    assert leading_tuples(q, 0, window, coeffs) == old, (q, coeffs, window)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_weight_zero_raises_the_central_bracket_before_building_a_leading_row(monkeypatch, q):
+    # [e_n, e_-n] of the Virasoro algebra is central: omitted_count meets it by a full
+    # build of delta_q, which raises, and the count builds none of its rows first
+    builds = []
+    for module in (cochains, cohomology):
+        monkeypatch.setattr(module, "delta_matrix", lambda *args, real=module.delta_matrix, **kwargs:
+                            builds.append("rows" in kwargs) or real(*args, **kwargs))
+    with pytest.raises(ConfigError) as raised:
+        cohomology_dim(make_virasoro(), q, 0, Window(-8, 8), 3, TRIVIAL)
+    assert str(raised.value) == CENTRAL_TARGET
+    assert builds == [False]
+
+
+@pytest.mark.parametrize("h, report", [(24, (40, 40, 0, 4756)), (32, (56, 56, 0, 11184)),
+                                       (48, (88, 88, 0, 37448))])
+def test_large_weight_zero_windows_close_the_count(monkeypatch, h, report):
+    calls = _spy_elimination(monkeypatch)
+    r = cohomology_dim(WITT, 2, 0, Window(-h, h), 4)
+    assert (r.dim_cocycles, r.dim_coboundaries, r.dim_stable, r.omitted_triples) == report
+    assert calls == []
 
 
 def test_windows_inside_minus_four_four_fall_back_at_weight_zero(monkeypatch):
@@ -452,8 +496,10 @@ def test_a_float_bracket_coefficient_is_refused_before_any_work(d):
 def test_the_elimination_selects_from_every_row(monkeypatch):
     # at d = 3 on [-8,8] the 71 leading rows have rank 56 of the 75 the cocycle matrix
     # has, so they do not span: the weight-0 count is for d = 0 only
-    m, _, _, spanning = cocycle_matrix(WITT, 2, 3, Window(-8, 8))
-    assert (spanning, rank_mod_p(m.rows[:spanning]), solve(m).rank) == (71, 56, 75)
+    m = cocycle_matrix(WITT, 2, 3, Window(-8, 8))[0]
+    lead = _leading(2, 3, Window(-8, 8))
+    spanning = lead.n_rows
+    assert (spanning, rank_mod_p(lead.rows), solve(m).rank) == (71, 56, 75)
     seen = []
     real = linalg._select
     monkeypatch.setattr(linalg, "_select", lambda rows: seen.append(len(rows)) or real(rows))
@@ -465,7 +511,8 @@ def test_the_elimination_selects_from_every_row(monkeypatch):
         "representatives": [], "stabilization": [["-8:8", 0]], "omitted_triples": 278}
     # a weight-0 fallback too: the Gelfand-Fuks class, whose 10 leading rows the count
     # reads, is selected from all 50 rows
-    m, _, _, spanning = cocycle_matrix(WITT, 2, 0, W10, TRIVIAL)
+    m = cocycle_matrix(WITT, 2, 0, W10, TRIVIAL)[0]
+    spanning = _leading(2, 0, W10, TRIVIAL).n_rows
     seen.clear()
     cohomology_by_elimination(WITT, 2, 0, W10, 3, TRIVIAL)
     assert (seen[0], m.n_rows, spanning) == (50, 50, 10)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from wittcoh import linalg
 from wittcoh.algebra import Window, make_witt
-from wittcoh.cohomology import cocycle_matrix, comparison_tuples
+from wittcoh.cochains import delta_matrix
+from wittcoh.cohomology import cocycle_matrix, comparison_tuples, leading_tuples
 from wittcoh.linalg import LinearSolution, SparseMatrix, rank, rank_mod_p, solve
 
 from helpers import annihilates, matrix_from_rows as mat, reference_select, reference_solve
@@ -226,9 +227,10 @@ def test_the_heap_selects_the_rows_of_the_min_scan_on_the_grid():
     for h in (8, 10, 12):
         for d in range(-6, 7):
             window = Window(-h, h)
-            m, _, _, spanning = cocycle_matrix(witt, 2, d, window)
+            m = cocycle_matrix(witt, 2, d, window)[0]
+            lead = delta_matrix(witt, 2, d, window, rows=leading_tuples(2, d, window))[0]
             coboundary = comparison_tuples(witt, 2, d, window, 4)[1]
-            for rows in (m.rows, m.rows[:spanning], coboundary.rows, _with_rhs(coboundary.rows)):
+            for rows in (m.rows, lead.rows, coboundary.rows, _with_rhs(coboundary.rows)):
                 rows = [linalg._primitive(r) for r in rows if r]
                 assert linalg._select(rows) == reference_select(rows), (h, d)
 
@@ -379,7 +381,7 @@ def test_rejects_a_float_coefficient():
 
 
 def test_kernel_basis_entries_are_ints():
-    witt_matrix, _, _, _ = cocycle_matrix(make_witt(), 2, 0, Window(-6, 6))
+    witt_matrix, _, _ = cocycle_matrix(make_witt(), 2, 0, Window(-6, 6))
     rational = mat([[Fraction(1, 2), Fraction(-3, 4), 0, 5], [0, 1, Fraction(2, 3), 0]])
     for m in (witt_matrix, rational):
         kernel = solve(m).kernel_basis

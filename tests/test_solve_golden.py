@@ -68,7 +68,7 @@ def golden_text() -> str:
         for coeffs in (ADJOINT, TRIVIAL):
             for q in (1, 2):
                 for d in range(-3, 4):
-                    matrix, _, _, _ = cocycle_matrix(witt, q, d, Window(-h, h), coeffs)
+                    matrix, _, _ = cocycle_matrix(witt, q, d, Window(-h, h), coeffs)
                     digests[f"q={q} d={d} window=-{h}:{h} {coeffs}"] = solution_digest(solve(matrix))
     data = {
         "solve_sha256": digests,
