@@ -141,6 +141,18 @@ class Cochain:
                 clean[t] = v
         object.__setattr__(self, "entries", clean)
 
+    @classmethod
+    def _trusted(cls, degree: int, weight: int, window: Window, coeffs: str,
+                 entries: dict) -> "Cochain":
+        """A Cochain of entries already in the form `__post_init__` leaves, built
+        without its checks: admissible tuples, each to a nonzero int or Fraction.
+        Only for values read from checked cochains."""
+        out = object.__new__(cls)
+        for name, value in (("degree", degree), ("weight", weight), ("window", window),
+                            ("coeffs", coeffs), ("entries", entries)):
+            object.__setattr__(out, name, value)
+        return out
+
     def admissible(self, t) -> bool:
         out = sum(t) + self.weight
         return (bad_arguments(t, self.degree, self.window) is None
@@ -402,8 +414,14 @@ class MixedCochain:
         for t, outs in other.entries.items():
             tgt = out.setdefault(t, {})
             for o, v in outs.items():
-                tgt[o] = tgt.get(o, 0) + v
-        return MixedCochain(self.degree, self.window, out)
+                # a sum of two checked cochains: only the zeros it creates are dropped
+                if total := tgt.get(o, 0) + v:
+                    tgt[o] = total
+                else:
+                    del tgt[o]
+            if not tgt:
+                del out[t]
+        return MixedCochain._trusted(self.degree, self.window, out)
 
     def restrict(self, sub: Window) -> "MixedCochain":
         keep = {}
@@ -419,7 +437,7 @@ class MixedCochain:
         if c.coeffs != ADJOINT:
             raise ValueError("only adjoint cochains carry output indices")
         entries = {t: {sum(t) + c.weight: v} for t, v in c.entries.items()}
-        return cls(c.degree, c.window, entries)
+        return cls._trusted(c.degree, c.window, entries)
 
     @classmethod
     def from_components(cls, degree, window, components) -> "MixedCochain":
@@ -437,7 +455,7 @@ def weight_components(c: MixedCochain) -> dict:
         for out, v in outs.items():
             buckets.setdefault(out - s, {})[t] = v
     return {
-        d: Cochain(c.degree, d, c.window, ADJOINT, entries)
+        d: Cochain._trusted(c.degree, d, c.window, ADJOINT, entries)
         for d, entries in sorted(buckets.items())
     }
 

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .algebra import BUILTIN, GradedLieAlgebra, Window
 from .cochains import (
@@ -86,7 +87,7 @@ from .cochains import (
     weight_components,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
-from .linalg import SparseMatrix, rank, rank_mod_p, solve
+from .linalg import SparseMatrix, independent_rows, rank, rank_mod_p, solve
 
 
 @dataclass(frozen=True)
@@ -184,20 +185,40 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
 
     Tuples in `exclude` carry no trustworthy value of c and are dropped from
     the equation set.  A caller solving many c of one algebra, window, margin
-    and degree passes one `comparisons` dict, weight -> comparison_tuples, and
-    each weight's set is built once.
+    and degree passes one `comparisons` dict, and each weight's comparison set
+    (`comparison_tuples`) is built once, as is the selection below for each
+    set of kept rows.
+
+    c is solved on the kept rows that `linalg.independent_rows` selects, and
+    the particular solution x is checked on the other kept rows in integers
+    (x and c scaled by one common denominator); if it fails there, all kept
+    rows are solved, which also decides an obstruction.  Either way b is the
+    particular solution `solve` gives on all kept rows: x is zero off the
+    selected rows' pivot columns, a column independent of the columns before
+    it on those rows is so on all kept rows, and the solution supported on
+    the pivot columns of all kept rows is unique.
     """
     q, d, window, coeffs = c.degree, c.weight, c.window, c.coeffs
     if q < 1:
         raise ValueError("0-cochains have no primitives")
     comparisons = {} if comparisons is None else comparisons
     if d not in comparisons:
-        comparisons[d] = comparison_tuples(alg, q, d, window, margin, coeffs)
-    comp, matrix = comparisons[d]
-    keep = [r for r, t in enumerate(comp) if t not in exclude]
-    x = solve(matrix.take_rows(keep), [c.entries.get(comp[r], 0) for r in keep]).particular
-    if x is None:
-        return None
+        comparisons[d] = (*comparison_tuples(alg, q, d, window, margin, coeffs), {})
+    comp, matrix, systems = comparisons[d]
+    keep = tuple(r for r, t in enumerate(comp) if t not in exclude)
+    if keep not in systems:
+        chosen = [keep[k] for k in independent_rows([matrix.rows[r] for r in keep])]
+        systems[keep] = chosen, sorted(set(keep).difference(chosen))
+    chosen, others = systems[keep]
+    rhs = [c.entries.get(t, 0) for t in comp]
+    x = solve(matrix.take_rows(chosen), [rhs[r] for r in chosen]).particular
+    scale = lcm(*(v.denominator for v in x), *(rhs[r].denominator for r in others))
+    xs = [v.numerator * (scale // v.denominator) for v in x]
+    if any(sum(v * xs[j] for j, v in matrix.rows[r].items())
+           != rhs[r].numerator * (scale // rhs[r].denominator) for r in others):
+        x = solve(matrix.take_rows(keep), [rhs[r] for r in keep]).particular
+        if x is None:
+            return None
     cols = basis_tuples(q - 1, d, window, coeffs)
     return Cochain(q - 1, d, window, coeffs, {t: x[i] for i, t in enumerate(cols) if x[i]})
 

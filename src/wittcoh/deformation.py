@@ -18,35 +18,47 @@ plain `order` field, with exactly N layers.  The staple computations:
   equivalence so far, whose layers it updates in place:
   (total o (id + t^s b_s))_r = total_r + total_{r-s} o b_s.
 
-jacobi_defect and conjugate compute on Python ints: with D the lcm of every
-layer denominator (the equivalence's too) and D0 that of the order-0
-brackets, `_layer_tables` stores T_r = D0 D^r mu_r, the substitution
-t -> t/D.  Every term of an order-s sum then carries one scale: D0^2 D^s for
-mu_{s-p}(mu_p(x, y), z) in the Jacobi sum, and D0 D^s for both
-mu_r(phi_v x, phi_w y) and phi_u(mu'_{s-u}(x, y)) in conjugate, where
-D^v phi_v is integral and mu'_{s-u} carries D0 D^{s-u} by induction.  So a
-scaled sum is zero exactly when the exact one is, and one exact division by
-the scale gives each stored or reported value.
+jacobi_defect and conjugate compute on Python ints, with the denominators
+cleared per order: `_layer_tables` stores T_r = S_r mu_r, where S_r is the
+lcm of mu_r's denominators and S_0 = D0 that of the order-0 brackets; P_u is
+the lcm of phi_u's.  The terms of one order-s sum carry different scales:
+S_{s-p} S_p for mu_{s-p}(mu_p(x, y), z) in the Jacobi sum, and S_r P_v P_w
+for mu_r(phi_v x, phi_w y) and P_u W_{s-u} for phi_u(mu'_{s-u}) in
+conjugate, where W_s is the scale of order s there.  So each order's scale
+is the lcm of its terms' scales, and each term has a cofactor, applied once
+per outer term or image coefficient.  A scaled sum is then zero exactly
+when the exact one is, and one exact division by the order's scale gives
+each stored or reported value.
+
+One conjugation core, `_conjugate_tables`, rewrites the tables in place.  It
+divides each rewritten T_s by the gcd of its entries and W_s, so S_s stays
+the lcm of mu'_s's denominators.  `conjugate` is tables, the core, and one
+conversion to Fractions.  `trivialize` carries one chain of tables from the
+first stage to the last: it builds them once, reads each mu_s's weight
+components from T_s, runs the core at each stage, and converts once at the
+end.
 
 Window bookkeeping is strictly honest, and `_layer_tables` (with
-`_order0_table`, which builds T_0 once per algebra and window) is the only
-place it is checked: an order-0 bracket whose target lies outside the
-window, or a layer value at a pair lost to the window edge, is a _LOST
-table value, and reading one raises OutOfWindowError.  The defect and
-conjugation routines skip the triple or pair that needed it (and record the
-drop), so every stored value is the exact global one.
+`_order0_table`, which builds T_0 once per algebra and window; the core never
+writes it) is the only place it is checked: an order-0 bracket whose target
+lies outside the window, or a layer value at a pair lost to the window edge,
+is a _LOST table value, and reading one raises OutOfWindowError.  The defect
+and conjugation routines skip the triple or pair that needed it (and record
+the drop), so every stored value is the exact global one.
 
 Both routines leave out work that cannot change their output.  The order-s
 Jacobi sum holds mu_s(mu_0(a, b), c) for each rotation (a, b, c), so a triple
 with a lost order-0 bracket is skipped at every order: jacobi_defect lists
 the other triples once and counts the lost ones per row, adding those of the
-rows up to the first defect's.  conjugate sums the B_m = sum_{r+v+w=m}
-mu_r(phi_v x, phi_w y) of a pair over the nonzero images phi_v x, phi_w y
-only.  Below m0, the first order with phi_{m0} != 0, phi_u = 0 for
-0 < u < m0, so those layers are d's, minus the pairs newly omitted; a stage
-id + t^s b_s of trivialize has m0 = s.  conjugate builds its result layers
-with `MixedCochain._trusted`, without re-checking values that come from
-checked tables or layers; the central-target check stays.
+rows up to the first defect's.  That list, those counts and the order-0
+defect read T_0 alone, so `_order0_defect` keeps them per algebra and pair
+of windows.  conjugate sums the B_m = sum_{r+v+w=m} mu_r(phi_v x, phi_w y)
+of a pair over the nonzero images phi_v x, phi_w y only.  Below m0, the
+first order with phi_{m0} != 0, phi_u = 0 for 0 < u < m0, so those layers
+are d's, minus the pairs newly omitted; a stage id + t^s b_s of trivialize
+has m0 = s.  The conversion builds the result layers with
+`MixedCochain._trusted`, without re-checking values that come from checked
+tables or layers; the central-target check stays.
 """
 
 from __future__ import annotations
@@ -55,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import (
     BUILTIN,
@@ -68,12 +80,7 @@ from .algebra import (
     parse_window,
     read_document,
 )
-from .cochains import (
-    Cochain,
-    MixedCochain,
-    bad_arguments,
-    weight_components,
-)
+from .cochains import ADJOINT, Cochain, MixedCochain, bad_arguments
 from .cohomology import coboundary_primitive
 from .errors import BoundaryError, ConfigError, FormatError, NotACocycleError, OutOfWindowError
 
@@ -120,15 +127,9 @@ class Equivalence:
     def identity(cls, window: Window, order: int) -> "Equivalence":
         return cls(order, window, tuple(MixedCochain(1, window) for _ in range(order)))
 
-    @classmethod
-    def single(cls, window: Window, order: int, s: int, phi_s: MixedCochain) -> "Equivalence":
-        layers = [MixedCochain(1, window) for _ in range(order)]
-        layers[s - 1] = phi_s
-        return cls(order, window, tuple(layers))
-
     def apply_order(self, s: int, x: dict) -> dict:
-        """phi_s applied to an {index: coefficient} dict (phi_0 = id); the center,
-        which has no row in a layer, is not moved."""
+        """phi_s applied to an {index: coefficient} dict (phi_0 = id), without the
+        zeros a sum makes; the center, which has no row in a layer, is not moved."""
         if s == 0:
             return x
         rows = self.layers[s - 1].entries
@@ -136,7 +137,7 @@ class Equivalence:
         for k, v in x.items():
             for o, w in rows.get((k,), {}).items():
                 out[o] = out.get(o, 0) + v * w
-        return out
+        return {o: v for o, v in out.items() if v}
 
 
 # -- integer layer tables ----------------------------------------------------------
@@ -157,6 +158,11 @@ def _scaled(outs: dict, scale: int) -> tuple:
     return tuple((k, v.numerator * (scale // v.denominator)) for k, v in outs.items())
 
 
+def _denominator(c: MixedCochain) -> int:
+    """The lcm of the denominators of c's values (1 when c is zero)."""
+    return lcm(*(v.denominator for outs in c.entries.values() for v in outs.values()))
+
+
 @lru_cache(maxsize=16)
 def _order0_table(alg: GradedLieAlgebra, window: Window) -> tuple[dict, int]:
     """(T_0, D0) of `_layer_tables`, built once per algebra and window and only read."""
@@ -167,27 +173,44 @@ def _order0_table(alg: GradedLieAlgebra, window: Window) -> tuple[dict, int]:
                 else _scaled(out, d0) for b, out in row.items()} for a, row in rule.items()}, d0
 
 
-def _layer_tables(d: DeformedBracket, extra=()) -> tuple[list, int, int]:
-    """([T_0, ..., T_N], D0, D) with T_r[a][b] = D0 D^r mu_r(e_a, e_b) as _scaled pairs.
+def _layer_tables(d: DeformedBracket) -> tuple[list, list]:
+    """([T_0, ..., T_N], [S_0, ..., S_N]) with T_r[a][b] = S_r mu_r(e_a, e_b) as
+    _scaled pairs and S_r the lcm of mu_r's denominators (S_0 = D0).
 
-    D covers d's layers and the `extra` mixed cochains.  Both orientations are
-    stored; an order-0 target outside the window and an omitted pair map to
-    _LOST, and a pair missing from a row of T_r (r >= 1) brackets to zero.
-    T_0 and D0 come from `_order0_table`.
+    Both orientations are stored; an order-0 target outside the window and an
+    omitted pair map to _LOST, and a pair missing from a row of T_r (r >= 1)
+    brackets to zero.  T_0 and D0 come from `_order0_table`; the other tables
+    are new, and `_conjugate_tables` rewrites them.
     """
-    den = lcm(*(v.denominator for c in (*d.layers, *extra)
-                for outs in c.entries.values() for v in outs.values()))
     t0, d0 = _order0_table(d.algebra, d.window)
-    tables = [t0]
-    for r, mu in enumerate(d.layers, start=1):
-        table, scale = {a: {} for a in t0}, d0 * den ** r
+    tables, scales = [t0], [d0]
+    for mu in d.layers:
+        table, scale = {a: {} for a in t0}, _denominator(mu)
         for (i, j), outs in mu.entries.items():
             table[i][j] = _scaled(outs, scale)
             table[j][i] = tuple((k, -v) for k, v in table[i][j])
         for i, j in d.omitted_pairs:
             table[i][j] = table[j][i] = _LOST
         tables.append(table)
-    return tables, d0, den
+        scales.append(scale)
+    return tables, scales
+
+
+def _pairs(table: dict, scale: int, window: Window):
+    """((i, j), {key: value}) for each pair i < j that T_r = scale * mu_r holds."""
+    for i in window.indices():
+        for j, outs in table[i].items():
+            if j > i and outs is not _LOST:
+                yield (i, j), {k: Fraction(c, scale) if c % scale else c // scale
+                               for k, c in outs}
+
+
+def _bracket(d: DeformedBracket, tables: list, scales: list, omitted) -> DeformedBracket:
+    """The bracket that tables T_1..T_N hold on d's algebra and window; every value
+    is an exact entry of a checked table or layer, so the layers are built unchecked."""
+    layers = tuple(MixedCochain._trusted(2, d.window, dict(_pairs(table, scale, d.window)))
+                   for table, scale in zip(tables[1:], scales[1:]))
+    return DeformedBracket(d.order, d.algebra, d.window, layers, frozenset(omitted))
 
 
 # -- Jacobi defects ------------------------------------------------------------
@@ -224,6 +247,67 @@ class DefectReport:
         return "\n".join(lines)
 
 
+def _order_defect(s: int, terms: list, scale: int, live: list, lost_in_row: dict,
+                  window: Window) -> OrderDefect:
+    """The order-s sum over the live triples: `terms` lists (outer, inner, cofactor),
+    outer[a][b] bracketed with c by inner, and cofactor times the term carries `scale`."""
+    found = None
+    skipped = 0
+    for x, y, z in live:
+        if found and x != found[0][0]:
+            break  # the rest of the first defective row is still counted
+        total = {}
+        try:
+            for outer, inner, f in terms:
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    for k, v in outer[a].get(b, ()):
+                        v *= f
+                        for out, w in inner[k].get(c, ()):
+                            total[out] = total.get(out, 0) + v * w
+        except OutOfWindowError:
+            skipped += 1
+            continue
+        if found is None and any(total.values()):
+            found = ((x, y, z), {k: Fraction(v, scale) for k, v in total.items() if v})
+    last = found[0][0] if found else window.hi
+    skipped += sum(n for row, n in lost_in_row.items() if row <= last)
+    if found:
+        return OrderDefect(s, False, *found, skipped)
+    return OrderDefect(s, True, skipped=skipped)
+
+
+@lru_cache(maxsize=16)
+def _order0_defect(alg: GradedLieAlgebra, bracket_window: Window, window: Window):
+    """(order-0 OrderDefect, live triples, lost triples by row) of `jacobi_defect` on
+    `window`; they read T_0 alone, so they are built once per algebra and windows,
+    and only read."""
+    t0, d0 = _order0_table(alg, bracket_window)
+    # the term mu_s(mu_0(a, b), c) of every order reads mu_0(a, b) for each rotation,
+    # so a triple with a lost order-0 bracket is skipped at every order
+    live, lost_in_row = [], {}
+    for x, y, z in combinations(window.indices(), 3):
+        if t0[x][y] is _LOST or t0[y][z] is _LOST or t0[z][x] is _LOST:
+            lost_in_row[x] = lost_in_row.get(x, 0) + 1
+        else:
+            live.append((x, y, z))
+    return _order_defect(0, [(t0, t0, 1)], d0 * d0, live, lost_in_row, window), live, lost_in_row
+
+
+def _jacobi(d: DeformedBracket, window: Window, tables: list, scales: list) -> DefectReport:
+    """`jacobi_defect` on d's tables and scales (`_layer_tables`)."""
+    if window.lo < d.window.lo or window.hi > d.window.hi:
+        raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
+    order0, live, lost_in_row = _order0_defect(d.algebra, d.window, window)
+    orders = [order0]
+    for s in range(1, d.order + 1):
+        # mu_{s-p}(mu_p(a, b), c) carries S_{s-p} S_p; its cofactor brings it to the lcm
+        carried = [scales[s - p] * scales[p] for p in range(s + 1)]
+        scale = lcm(*carried)
+        terms = [(tables[s - p], tables[p], scale // carried[p]) for p in range(s + 1)]
+        orders.append(_order_defect(s, terms, scale, live, lost_in_row, window))
+    return DefectReport(window, tuple(orders))
+
+
 def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
     """Expand the Jacobi identity of mu_0 + sum t^s mu_s order by order.
 
@@ -232,48 +316,102 @@ def jacobi_defect(d: DeformedBracket, window: Window) -> DefectReport:
     defect is reported, and order-1 cleanliness is equivalent to
     delta(mu_1) = 0 on the interior triples.
     """
-    if window.lo < d.window.lo or window.hi > d.window.hi:
-        raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
-    tables, d0, den = _layer_tables(d)
-    # the term mu_s(mu_0(a, b), c) of every order reads mu_0(a, b) for each rotation,
-    # so a triple with a lost order-0 bracket is skipped at every order
-    live, lost_in_row = [], {}
-    t0 = tables[0]
-    for x, y, z in combinations(window.indices(), 3):
-        if t0[x][y] is _LOST or t0[y][z] is _LOST or t0[z][x] is _LOST:
-            lost_in_row[x] = lost_in_row.get(x, 0) + 1
-        else:
-            live.append((x, y, z))
-    orders = []
-    for s in range(0, d.order + 1):
-        # every term mu_{s-p}(mu_p(a, b), c) of the order-s sum carries d0^2 den^s
-        terms = [(tables[s - p], tables[p]) for p in range(s + 1)]
-        found = None
-        skipped = 0
-        for x, y, z in live:
-            if found and x != found[0][0]:
-                break  # the rest of the first defective row is still counted
-            total = {}
-            try:
-                for outer, inner in terms:
-                    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                        for k, v in outer[a].get(b, ()):
-                            for out, w in inner[k].get(c, ()):
-                                total[out] = total.get(out, 0) + v * w
-            except OutOfWindowError:
-                skipped += 1
-                continue
-            if found is None and any(total.values()):
-                scale = d0 * d0 * den ** s
-                found = ((x, y, z), {k: Fraction(v, scale) for k, v in total.items() if v})
-        last = found[0][0] if found else window.hi
-        skipped += sum(n for row, n in lost_in_row.items() if row <= last)
-        orders.append(OrderDefect(s, False, *found, skipped) if found
-                      else OrderDefect(s, True, skipped=skipped))
-    return DefectReport(window, tuple(orders))
+    return _jacobi(d, window, *_layer_tables(d))
 
 
 # -- conjugation -------------------------------------------------------------------
+
+
+def _conjugate_tables(tables: list, scales: list, omitted: set, window: Window, phi: dict):
+    """Conjugate the bracket that (tables, scales) hold by id + sum_u t^u phi_u, in place.
+
+    `phi` maps orders u >= 1 to 1-cochains phi_u (an order left out is zero),
+    and P_u is the lcm of phi_u's denominators (P_0 = 1 for phi_0 = id).  The
+    order-m sums carry one scale W_m, a multiple of S_r P_v P_w for each term
+    mu_r(phi_v x, phi_w y), r + v + w = m, and of P_u W_{m-u} for each term
+    phi_u(mu'_{m-u}); a term's cofactor is applied once per image coefficient
+    or outer term.  Each rewritten T_m is divided by the gcd of W_m and its
+    entries, so S_m is again the lcm of mu'_m's denominators.  A pair newly
+    lost is added to `omitted` and is _LOST at every order from 1; T_0 is
+    never written.  A nonzero central target raises ConfigError.
+    """
+    N = len(tables) - 1
+    used = sorted(u for u, layer in phi.items() if not layer.is_zero)
+    if not used:
+        return  # phi = id: mu' = mu, and a pair reads a lost value only if it is omitted
+    m0 = used[0]  # smallest order with a nonzero equivalence layer; phi_u = 0 for 0 < u < m0
+    pscale = {0: 1, **{u: _denominator(phi[u]) for u in used}}
+    # P_u phi_u(e_i) as _scaled pairs, by u and i
+    rows = {u: {i: _scaled(outs, pscale[u]) for (i,), outs in phi[u].entries.items()}
+            for u in used}
+    vs = [0, *used]  # phi_0 = id
+    work = []
+    for m in range(N + 1):
+        work.append(lcm(*(scales[m - v - w] * pscale[v] * pscale[w]
+                          for v in vs for w in vs if v + w <= m),
+                        *(pscale[u] * work[m - u] for u in used if u <= m)))
+    # cofactors of mu_r(phi_v x, phi_w y) by v, w and m, and of phi_u(mu'_{m-u}) by u and m
+    cof = {v: {w: [work[m] // (scales[m - v - w] * pscale[v] * pscale[w]) if v + w <= m else 0
+                   for m in range(N + 1)] for w in vs} for v in vs}
+    phi_terms = [(u, rows[u], [work[m] // (pscale[u] * work[m - u]) if u <= m else 0
+                               for m in range(N + 1)]) for u in used]
+    # the nonzero images (v, P_v phi_v e_i), phi_0 = id
+    images = {i: [(0, ((i, 1),))] + [(v, rows[v][i]) for v in used if i in rows[v]]
+              for i in window.indices()}
+    values = [{} for _ in range(N + 1)]  # W_m mu'_m(e_i, e_j) by m and (i, j), for m >= m0
+    for i in window.indices():
+        for j in range(i + 1, window.hi + 1):
+            # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j) times W_m, in one sweep
+            # over the nonzero images
+            b = [{} for _ in range(N + 1)]
+            lost = N + 1  # the smallest m whose B_m reads a lost table value
+            for v, xs in images[i]:
+                for w, ys in images[j]:
+                    fs = cof[v][w]
+                    for m in range(v + w, lost):
+                        table, total = tables[m - v - w], b[m]
+                        try:
+                            for kx, cx in xs:
+                                row, cx = table[kx], cx * fs[m]
+                                for ky, cy in ys:
+                                    cxy = cx * cy
+                                    for k, c in row.get(ky, ()):
+                                        total[k] = total.get(k, 0) + cxy * c
+                        except OutOfWindowError:
+                            lost = m
+                            break
+            # orders below m0 keep their tables (mu'_r = B_r = mu_r for r < m0); order s
+            # reads B_0..B_s, so the orders m0..lost-1 are computed (a central target there
+            # raises) and a pair with lost <= N is omitted
+            for s in range(m0, lost):
+                # phi(mu') = B at order s: mu'_s = B_s - sum_{u >= 1} phi_u(mu'_{s-u}),
+                # and b[s - u] holds mu'_{s-u} by now
+                total = b[s]
+                for u, phi_u, fs in phi_terms:
+                    if u > s:
+                        break
+                    for k, c in b[s - u].items():
+                        c *= fs[s]
+                        for o, w in phi_u.get(k, ()):
+                            total[o] = total.get(o, 0) - c * w
+                if total.get(CENTRAL):
+                    raise ConfigError("central targets are not deformed here")
+            if lost <= N:
+                omitted.add((i, j))
+                continue
+            for s in range(m0, N + 1):
+                values[s][i, j] = b[s]
+    for m in range(1, N + 1):
+        if m >= m0:
+            g = gcd(work[m], *(c for outs in values[m].values() for c in outs.values()))
+            table = {a: {} for a in tables[0]}
+            for (i, j), outs in values[m].items():
+                if row := tuple((k, c // g) for k, c in outs.items() if c):
+                    table[i][j] = row
+                    table[j][i] = tuple((k, -c) for k, c in row)
+            tables[m], scales[m] = table, work[m] // g
+        for i, j in omitted:
+            tables[m][i][j] = tables[m][j][i] = _LOST
 
 
 def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
@@ -286,75 +424,10 @@ def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:
     """
     if e.order != d.order or e.window != d.window:
         raise ValueError("equivalence and bracket must share order and window")
-    N = d.order
-    tables, d0, den = _layer_tables(d, e.layers)
-    # den^u phi_u is integral; row u - 1 holds it at each e_i
-    phi_rows = [{i: _scaled(outs, den ** u) for (i,), outs in layer.entries.items()}
-                for u, layer in enumerate(e.layers, start=1)]
-    # smallest order with a nonzero equivalence layer; phi_u = 0 for 0 < u < m0
-    m0 = next((s for s in range(1, N + 1) if not e.layers[s - 1].is_zero), N + 1)
-    # B_0 is read only through phi_u(mu'_0) = phi_u(B_0), u >= m0, so only when phi != 0
-    first = 0 if m0 <= N else 1
-    # the nonzero images (v, den^v phi_v e_i), phi_0 = id, and the nonzero phi_u, by order
-    images = {i: [(0, ((i, 1),))] + [(v, rows[i]) for v, rows in enumerate(phi_rows, start=1)
-                                     if i in rows]
-              for i in d.window.indices()}
-    phi_terms = [(u, rows) for u, rows in enumerate(phi_rows, start=1) if rows]
-    new_entries: list[dict] = [dict() for _ in range(N)]
+    tables, scales = _layer_tables(d)
     omitted = set(d.omitted_pairs)
-    for i in d.window.indices():
-        for j in range(i + 1, d.window.hi + 1):
-            # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j) times d0 den^m, in one sweep
-            # over the nonzero images
-            b = [{} for _ in range(N + 1)]
-            lost = N + 1  # the smallest m whose B_m reads a lost table value
-            for v, xs in images[i]:
-                for w, ys in images[j]:
-                    for m in range(max(v + w, first), lost):
-                        table, total = tables[m - v - w], b[m]
-                        try:
-                            for kx, cx in xs:
-                                row = table[kx]
-                                for ky, cy in ys:
-                                    for k, c in row.get(ky, ()):
-                                        total[k] = total.get(k, 0) + cx * cy * c
-                        except OutOfWindowError:
-                            lost = m
-                            break
-            # orders below m0 keep d's layers (mu'_r = B_r = mu_r for r < m0); order s
-            # reads B_0..B_s, so the orders m0..lost-1 are computed (a central target there
-            # raises) and a pair with lost <= N is omitted
-            mu = b[:m0]  # d0 den^r mu'_r(e_i, e_j), by order r
-            values = []
-            for s in range(m0, lost):
-                # phi(mu') = B at order s: mu'_s = B_s - sum_{u >= 1} phi_u(mu'_{s-u}),
-                # every term carrying d0 den^s
-                total = dict(b[s])
-                for u, rows in phi_terms:
-                    if u > s:
-                        break
-                    for k, c in mu[s - u].items():
-                        for o, w in rows.get(k, ()):
-                            total[o] = total.get(o, 0) - c * w
-                mu.append(total)
-                scale = d0 * den ** s
-                outs = {k: Fraction(c, scale) if c % scale else c // scale
-                        for k, c in total.items() if c}
-                if CENTRAL in outs:
-                    raise ConfigError("central targets are not deformed here")
-                values.append(outs)
-            if lost <= N:
-                omitted.add((i, j))
-                continue
-            for s, outs in enumerate(values, start=m0):
-                if outs:
-                    new_entries[s - 1][(i, j)] = outs
-    for s in range(1, min(m0, N + 1)):
-        new_entries[s - 1] = {t: outs for t, outs in d.layers[s - 1].entries.items()
-                              if t not in omitted}
-    # every value above is an exact entry of a checked table or of d's checked layers
-    layers = tuple(MixedCochain._trusted(2, d.window, entries) for entries in new_entries)
-    return DeformedBracket(N, d.algebra, d.window, layers, frozenset(omitted))
+    _conjugate_tables(tables, scales, omitted, d.window, dict(enumerate(e.layers, start=1)))
+    return _bracket(d, tables, scales, omitted)
 
 
 # -- trivialization -------------------------------------------------------------------
@@ -375,7 +448,7 @@ class TrivializationResult:
             return (f"trivialized: all layers vanish on the core "
                     f"{self.verification_core} (exact)")
         return (f"obstructed at order {self.obstruction_order}: no primitive for the "
-                f"weight-{self.obstruction.weight} component")
+                f"weight {self.obstruction.weight} component")
 
 
 def trivialize(d: DeformedBracket, window: Window, margin: int) -> TrivializationResult:
@@ -400,44 +473,50 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
     value there may be nonzero on the core.
     """
     core = d.window.core(margin)
-    report = jacobi_defect(d, window)
+    tables, scales = _layer_tables(d)
+    report = _jacobi(d, window, tables, scales)
     if not report.clean:
         bad = report.first_unclean()
         raise NotACocycleError(bad.triple,
                                f"jacobi defect at order {bad.order}; not a deformation",
                                report=report)
     N = d.order
-    current = d
+    omitted = set(d.omitted_pairs)
     total_eq = Equivalence.identity(d.window, N)
-    comparisons = {}  # weight -> comparison_tuples, built once for every order of this call
+    comparisons = {}  # comparison data by weight, built once for every order of this call
     for s in range(1, N + 1):
-        mu_s = current.layers[s - 1]
-        if not mu_s.is_zero:
-            comps = weight_components(mu_s)
-            parts = []
-            for wt in sorted(comps):
-                if abs(wt) > margin:
-                    raise BoundaryError(
-                        f"order {s} has a weight-{wt} component; trivializing it "
-                        f"needs margin >= {abs(wt)}, got {margin}")
-                prim = coboundary_primitive(d.algebra, comps[wt], margin, comparisons=comparisons,
-                                            exclude=current.omitted_pairs)
-                if prim is None:
-                    return TrivializationResult(
-                        trivialized=False, equivalence=None, conjugated=None,
-                        verification_core=None, report=report, obstruction_order=s,
-                        obstruction=comps[wt])
-                parts.append(prim)
-            b_s = MixedCochain.from_components(1, d.window, parts)
-            e_s = Equivalence.single(d.window, N, s, b_s)
-            current = conjugate(current, e_s)
-            # conjugate(conjugate(d, e1), e2) = conjugate(d, e1 o e2): the new stage goes
-            # inside, (total o (id + t^s b_s))_r = total_r + total_{r-s} o b_s
-            layers = list(total_eq.layers)
-            for r in range(s, N + 1):
-                layers[r - 1] += MixedCochain(1, d.window, {
-                    t: total_eq.apply_order(r - s, outs) for t, outs in b_s.entries.items()})
-            total_eq = Equivalence(N, d.window, tuple(layers))
+        comps = {}  # mu_s's weight components, read from T_s
+        for t, outs in _pairs(tables[s], scales[s], d.window):
+            for k, v in outs.items():
+                comps.setdefault(k - sum(t), {})[t] = v
+        if not comps:
+            continue
+        parts = []
+        for wt in sorted(comps):
+            if abs(wt) > margin:
+                raise BoundaryError(
+                    f"order {s} has a weight {wt} component; trivializing it "
+                    f"needs margin >= {abs(wt)}, got {margin}")
+            part = Cochain._trusted(2, wt, d.window, ADJOINT, comps[wt])
+            prim = coboundary_primitive(d.algebra, part, margin, comparisons=comparisons,
+                                        exclude=omitted)
+            if prim is None:
+                return TrivializationResult(
+                    trivialized=False, equivalence=None, conjugated=None,
+                    verification_core=None, report=report, obstruction_order=s,
+                    obstruction=part)
+            parts.append(prim)
+        b_s = MixedCochain.from_components(1, d.window, parts)
+        _conjugate_tables(tables, scales, omitted, d.window, {s: b_s})
+        # conjugate(conjugate(d, e1), e2) = conjugate(d, e1 o e2): the new stage goes
+        # inside, (total o (id + t^s b_s))_r = total_r + total_{r-s} o b_s
+        layers = list(total_eq.layers)
+        for r in range(s, N + 1):
+            layers[r - 1] += MixedCochain._trusted(1, d.window, {
+                t: image for t, outs in b_s.entries.items()
+                if (image := total_eq.apply_order(r - s, outs))})
+        total_eq = Equivalence(N, d.window, tuple(layers))
+    current = _bracket(d, tables, scales, omitted)
     for s in range(1, N + 1):
         leftover = current.layers[s - 1].restrict(core)
         if not leftover.is_zero:

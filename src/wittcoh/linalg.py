@@ -1,4 +1,4 @@
-"""Exact rational sparse linear algebra: `solve`, `rank` and `rank_mod_p`.
+"""Exact rational sparse linear algebra: `solve`, `rank`, `independent_rows`, `rank_mod_p`.
 
 A coefficient is an `int` or a `fractions.Fraction`, never converted: a float
 is refused with TypeError, since it is a binary fraction rather than the
@@ -9,10 +9,12 @@ tuple of {col: coefficient} rows, stored as given.
 `solve(m, rhs=None)` gives the rank, the canonical kernel basis (integer
 vectors) and a particular solution (None when rhs is inconsistent), each
 certified in integer arithmetic; `rank(m)` is `solve(m).rank`.
-`rank_mod_p(rows)` is the selection pass alone, uncertified: a lower bound on
-the rank over Q, which a caller turns into a certificate by a count of its own
-(`cohomology` at weight 0).  Every row is scaled once to a primitive integer
-row.  Two passes:
+`independent_rows(rows)` is the selection pass alone, uncertified: the rows it
+lists are independent over Q, and `rank_mod_p(rows)`, their count, is a lower
+bound on the rank over Q, which a caller turns into a certificate by a count
+of its own (`cohomology` at weight 0).  `cohomology.coboundary_primitive`
+solves on the listed rows and checks the solution on the others itself.
+Every row is scaled once to a primitive integer row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
   Markowitz pivoting (the column with the fewest active rows, then its
@@ -322,12 +324,18 @@ def rank(m: SparseMatrix) -> int:
     return solve(m).rank
 
 
-def rank_mod_p(rows) -> int:
-    """Rank modulo _P of {col: int or Fraction} rows, each scaled to a primitive
-    integer row first; zero rows are ignored.
+def independent_rows(rows) -> list:
+    """Sorted indices into `rows`, a list of {col: int or Fraction} rows, of rows
+    independent modulo _P: `_select` on the primitive integer rows, zero rows skipped.
 
-    No certificate: it is a lower bound on the rank over Q, since rows
-    independent mod _P are independent over Q, and equal to it unless _P divides
-    a minor that decides the rank.
+    No certificate: rows independent mod _P are independent over Q, so their
+    count is a lower bound on the rank over Q, equal to it unless _P divides a
+    minor that decides the rank.
     """
-    return len(_select([_primitive(r) for r in rows if any(r.values())]))
+    nonzero = [i for i, r in enumerate(rows) if any(r.values())]
+    return [nonzero[k] for k in _select([_primitive(rows[i]) for i in nonzero])]
+
+
+def rank_mod_p(rows) -> int:
+    """Rank modulo _P of {col: int or Fraction} rows: len(independent_rows(rows))."""
+    return len(independent_rows(rows))

@@ -12,11 +12,14 @@ The builders (`matrix_from_rows`, `cochain_from_function`, `without_tag`,
 `fraction_jacobi_defect` and `fraction_conjugate`, the Fraction references
 for the integer-table `jacobi_defect` and `conjugate` (the latter through the
 inverse series `invert`, while `conjugate` solves phi(mu') = mu(phi, phi)
-order by order), `compose`, the product of two equivalences, `annihilates`,
+order by order), `compose`, the product of two equivalences, `single_stage`,
+the equivalence id + t^s phi_s of one trivialize stage, `annihilates`,
 the per-vector reference for the one-sweep certificate of `linalg.solve`,
 `reference_solve`, the reduced-echelon-form reference for `linalg.solve`,
-`reference_select`, the min-scan reference for the heap in `linalg._select`, and
-`reference_delta_matrix`, the term-by-term reference for `delta_matrix`.
+`reference_select`, the min-scan reference for the heap in `linalg._select`,
+`reference_primitive`, the all-rows solve that `coboundary_primitive` must
+reproduce, and `reference_delta_matrix`, the term-by-term reference for
+`delta_matrix`.
 """
 
 from fractions import Fraction
@@ -27,9 +30,10 @@ from random import Random
 from wittcoh import linalg
 from wittcoh.algebra import CENTRAL, Window
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, delta_matrix, differential
+from wittcoh.cohomology import comparison_tuples
 from wittcoh.deformation import DefectReport, DeformedBracket, Equivalence, OrderDefect
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError, OutOfWindowError
-from wittcoh.linalg import LinearSolution, SparseMatrix
+from wittcoh.linalg import LinearSolution, SparseMatrix, solve
 from wittcoh.replay import RelationSet, SymbolicValue
 
 
@@ -85,6 +89,19 @@ def reference_solve(m: SparseMatrix, rhs=None) -> LinearSolution:
         particular = tuple(Fraction(x[j], x[aug]) if j in x else 0 for j in range(m.n_cols))
     return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
                           kernel_basis=tuple(kernel), particular=particular)
+
+
+def reference_primitive(alg, c: Cochain, margin: int, exclude=frozenset()):
+    """Reference for `cohomology.coboundary_primitive`: the particular solution of
+    delta(b) = c on every comparison row whose tuple is not excluded, or None."""
+    comp, matrix = comparison_tuples(alg, c.degree, c.weight, c.window, margin, c.coeffs)
+    keep = [r for r, t in enumerate(comp) if t not in exclude]
+    x = solve(matrix.take_rows(keep), [c.entries.get(comp[r], 0) for r in keep]).particular
+    if x is None:
+        return None
+    cols = basis_tuples(c.degree - 1, c.weight, c.window, c.coeffs)
+    return Cochain(c.degree - 1, c.weight, c.window, c.coeffs,
+                   {t: v for t, v in zip(cols, x) if v})
 
 
 def reference_select(rows):
@@ -328,6 +345,13 @@ def compose(outer: Equivalence, inner: Equivalence) -> Equivalence:
     return Equivalence(outer.order, outer.window, tuple(
         MixedCochain(1, outer.window, _compose_order(outer, inner, s))
         for s in range(1, outer.order + 1)))
+
+
+def single_stage(window: Window, order: int, s: int, phi_s: MixedCochain) -> Equivalence:
+    """id + t^s phi_s: the equivalence of one trivialize stage."""
+    layers = [MixedCochain(1, window) for _ in range(order)]
+    layers[s - 1] = phi_s
+    return Equivalence(order, window, tuple(layers))
 
 
 def invert(e: Equivalence) -> Equivalence:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from random import Random
@@ -26,6 +27,8 @@ from helpers import (
     random_cochain,
     random_equivalence,
     random_mixed_layer,
+    reference_primitive,
+    single_stage,
 )
 
 WITT = make_witt()
@@ -105,7 +108,7 @@ def test_conjugate_trivial_gives_minus_delta_at_order_one():
     rng = Random(4)
     b = random_cochain(rng, 1, 0, W12, fill=0.4)
     conj = conjugate(DeformedBracket.trivial(WITT, W12, 1),
-                     Equivalence.single(W12, 1, 1, MixedCochain.from_cochain(b)))
+                     single_stage(W12, 1, 1, MixedCochain.from_cochain(b)))
     db = differential(WITT, b)
     for t, v in db.entries.items():
         if t in conj.omitted_pairs:
@@ -147,7 +150,7 @@ def test_conjugate_rejects_central_targets():
     w6 = Window(-6, 6)
     b = MixedCochain(1, w6, {(2,): {2: 1}, (-2,): {-2: 1}})
     with pytest.raises(ConfigError, match="central targets"):
-        conjugate(DeformedBracket.trivial(make_virasoro(), w6, 1), Equivalence.single(w6, 1, 1, b))
+        conjugate(DeformedBracket.trivial(make_virasoro(), w6, 1), single_stage(w6, 1, 1, b))
 
 
 # -- the integer tables against the Fraction references ----------------------------------
@@ -224,7 +227,7 @@ def test_a_pair_lost_below_its_central_order_is_omitted():
     w6 = Window(-6, 6)
     lost = frozenset({(-3, 1), (1, 2), (2, 3)})
     d = DeformedBracket(2, vir, w6, DeformedBracket.trivial(vir, w6, 2).layers, lost)
-    e = Equivalence.single(w6, 2, 1, MixedCochain(1, w6, {(1,): {3: 1}, (2,): {-3: 1}}))
+    e = single_stage(w6, 2, 1, MixedCochain(1, w6, {(1,): {3: 1}, (2,): {-3: 1}}))
     assert lost <= fraction_conjugate(d, e).omitted_pairs
     assert_matches_references(d, e, ())
 
@@ -245,7 +248,7 @@ def test_single_stage_conjugates_match_references(s):
     # newly omits, on a bracket that carries omitted pairs already
     rng = Random(150 + s)
     d = conjugate(DeformedBracket.trivial(WITT, W7, 3), random_equivalence(rng, W7, 3))
-    e = Equivalence.single(W7, 3, s, random_mixed_layer(rng, 1, W7, (-2, 2), 0.3))
+    e = single_stage(W7, 3, s, random_mixed_layer(rng, 1, W7, (-2, 2), 0.3))
     assert_matches_references(d, e, (Window(-6, 4),))
     got = conjugate(d, e)
     assert d.omitted_pairs and got.omitted_pairs > d.omitted_pairs
@@ -337,7 +340,7 @@ def test_invert_single_layer_is_the_geometric_series():
     # phi = id + t b with b(e_i) = beta_i e_{i+1} has inverse layers psi_s = (-b)^s,
     # which send e_i to (-1)^s beta_i beta_{i+1} ... beta_{i+s-1} e_{i+s}
     b = random_cochain(Random(10), 1, 1, W12, fill=0.8)
-    psi = invert(Equivalence.single(W12, 6, 1, MixedCochain.from_cochain(b)))
+    psi = invert(single_stage(W12, 6, 1, MixedCochain.from_cochain(b)))
     for s in range(1, 7):
         want = {}
         for i in W12.indices():
@@ -423,11 +426,12 @@ def test_trivialize_rejects_weight_above_margin():
     # the comparison set is the whole core only for weights |w| <= margin; peeling
     # this trivial deformation with margin 2 used to leave a nonzero layer on the core
     w7 = Window(-7, 7)
-    b = MixedCochain.from_cochain(Cochain(1, 3, w7, ADJOINT, {(4,): 1}))
-    d = conjugate(DeformedBracket.trivial(WITT, w7, 1), Equivalence.single(w7, 1, 1, b))
-    assert set(weight_components(d.layers[0])) == {3}
-    with pytest.raises(BoundaryError, match="order 1 has a weight-3 component.*margin >= 3"):
-        trivialize(d, w7, margin=2)
+    for wt in (3, -3):  # a negative weight prints as "weight -3", not "weight--3"
+        b = MixedCochain.from_cochain(Cochain(1, wt, w7, ADJOINT, {(wt + 1,): 1}))
+        d = conjugate(DeformedBracket.trivial(WITT, w7, 1), single_stage(w7, 1, 1, b))
+        assert set(weight_components(d.layers[0])) == {wt}
+        with pytest.raises(BoundaryError, match=f"^order 1 has a weight {wt} component.*>= 3"):
+            trivialize(d, w7, margin=2)
 
 
 ABELIAN2 = "name: abelian-plane\ngraded: yes\ncentral: no\n"
@@ -443,6 +447,9 @@ def test_obstruction_reported_for_nontrivial_class():
     assert not res.trivialized
     assert res.obstruction_order == 1
     assert res.obstruction is not None and not res.obstruction.is_zero
+    assert str(res) == "obstructed at order 1: no primitive for the weight 0 component"
+    lower = replace(res, obstruction=Cochain(2, -1, w01, ADJOINT, {(0, 1): 1}))
+    assert str(lower) == "obstructed at order 1: no primitive for the weight -1 component"
 
 
 # -- documents -------------------------------------------------------------------------
@@ -467,7 +474,7 @@ def test_deformation_document_refuses_omitted_pairs():
     # conjugating by b(e_2) = 1/2 e_3, b(e_-3) = 3 e_-2 loses pairs at the window
     # edge; read back from a document they would count as zero brackets
     b = MixedCochain(1, W8, {(2,): {3: Fraction(1, 2)}, (-3,): {-2: 3}})
-    d = conjugate(DeformedBracket.trivial(WITT, W8, 3), Equivalence.single(W8, 3, 1, b))
+    d = conjugate(DeformedBracket.trivial(WITT, W8, 3), single_stage(W8, 3, 1, b))
     assert len(d.omitted_pairs) == 33 and jacobi_defect(d, W8).clean
     with pytest.raises(ConfigError, match=r"^cannot render a deformation with 33 omitted "
                                           r"pairs \(first \(-8, -7\)\)"):
@@ -517,8 +524,8 @@ def test_trivialize_rejects_a_margin_with_no_core_before_any_work(monkeypatch):
     d = DeformedBracket.trivial(WITT, W8, 1)
     # the widest margin leaves the one-index core [0,0]
     assert trivialize(d, W8, margin=8).verification_core == Window(0, 0)
-    calls = []
-    monkeypatch.setattr(deformation, "jacobi_defect", lambda *a: calls.append(a))
+    calls = []  # the table build is trivialize's first work, before the Jacobi check
+    monkeypatch.setattr(deformation, "_layer_tables", lambda *a: calls.append(a))
     with pytest.raises(ConfigError, match=r"^margin 9 leaves no core of the window \[-8,8\]"):
         trivialize(d, W8, margin=9)
     with pytest.raises(ConfigError, match=r"^margin -1 leaves no core"):
@@ -562,3 +569,123 @@ def test_composed_equivalence_trivializes_in_one_step(order):
         assert {t: o for t, o in mine.entries.items() if t not in chain.omitted_pairs} == \
             theirs.entries
         assert set(mine.restrict(res.verification_core).entries) <= chain.omitted_pairs
+
+
+# -- primitives on the selected rows ----------------------------------------------------
+
+
+def spy_primitives(monkeypatch):
+    """Record each primitive solve of trivialize as (c, margin, exclude, result,
+    solves), where solves lists the row count of every `solve` the call made."""
+    import wittcoh.cohomology as cohomology
+    import wittcoh.deformation as deformation
+
+    calls, solves = [], []
+    real_primitive, real_solve = deformation.coboundary_primitive, cohomology.solve
+
+    def primitive(alg, c, margin, exclude=frozenset(), **kwargs):
+        first = len(solves)
+        got = real_primitive(alg, c, margin, exclude, **kwargs)
+        calls.append((c, margin, frozenset(exclude), got, solves[first:]))
+        return got
+
+    def counting_solve(m, rhs=None):
+        solves.append(m.n_rows)
+        return real_solve(m, rhs)
+
+    monkeypatch.setattr(deformation, "coboundary_primitive", primitive)
+    monkeypatch.setattr(cohomology, "solve", counting_solve)
+    return calls
+
+
+def benchmark_trials(seed):
+    """(order, bracket) shaped like the `deform` benchmark's trials: the Witt bracket
+    on [-12,12] conjugated at orders 3, 4 and 5 by id + t phi_1 + ..., each phi_s
+    random 1-cochains of two weights at fill 0.2."""
+    rng = Random(seed)
+    trials = []
+    for order in (3, 4, 5):
+        layers = tuple(mixed_coboundary(rng, W12, ((-1, 0), (0, 1), (-1, 1))[(s - 1) % 3], 0.2)
+                       for s in range(1, order + 1))
+        e = Equivalence(order, W12, layers)
+        trials.append((order, conjugate(DeformedBracket.trivial(WITT, W12, order), e)))
+    return trials
+
+
+@pytest.mark.parametrize("seed", [909, 5])
+def test_primitives_on_the_selected_rows_equal_the_all_rows_solve(monkeypatch, seed):
+    calls = spy_primitives(monkeypatch)
+    for order, d in benchmark_trials(seed):
+        assert trivialize(d, W12, margin=max(4, order)).trivialized
+    assert len(calls) > 20 and any(exclude for _, _, exclude, _, _ in calls)
+    for c, margin, exclude, got, solves in calls:
+        assert got == reference_primitive(WITT, c, margin, exclude)
+        assert len(solves) == 1  # the selected rows alone, no all-rows fallback
+
+
+def test_a_selection_that_misses_the_row_space_falls_back(monkeypatch):
+    # as under an unlucky prime, the selected rows miss part of the row space over Q
+    # (here the last one is dropped); the integer check sends the call to all rows
+    import wittcoh.cohomology as cohomology
+
+    calls = spy_primitives(monkeypatch)
+    real_select = cohomology.independent_rows
+    monkeypatch.setattr(cohomology, "independent_rows", lambda rows: real_select(rows)[:-1])
+    e = random_unipotent(Random(12), W9, 2)
+    assert trivialize(conjugate(DeformedBracket.trivial(WITT, W9, 2), e), W9, margin=4).trivialized
+    assert any(len(solves) == 2 for *_, solves in calls)
+    for c, margin, exclude, got, solves in calls:
+        assert got == reference_primitive(WITT, c, margin, exclude)
+        assert len(solves) in (1, 2)
+
+
+def test_an_excluded_selected_row_and_an_inconsistent_right_hand_side(monkeypatch):
+    import wittcoh.cohomology as cohomology
+
+    selections, solves = [], []
+    real_select, real_solve = cohomology.independent_rows, cohomology.solve
+    monkeypatch.setattr(cohomology, "independent_rows",
+                        lambda rows: selections.append(real_select(rows)) or selections[-1])
+    monkeypatch.setattr(cohomology, "solve",
+                        lambda m, rhs=None: solves.append(m.n_rows) or real_solve(m, rhs))
+    c = differential(WITT, random_cochain(Random(13), 1, 0, W8, fill=0.5))
+    comparisons = {}
+    b = cohomology.coboundary_primitive(WITT, c, 2, comparisons=comparisons)
+    assert b == reference_primitive(WITT, c, 2) is not None and solves == [len(selections[0])]
+    # dropping a selected row leaves a new comparison system, selected anew
+    comp = cohomology.comparison_tuples(WITT, 2, 0, W8, 2)[0]
+    exclude = {comp[selections[0][0]]}
+    got = cohomology.coboundary_primitive(WITT, c, 2, exclude, comparisons=comparisons)
+    assert got == reference_primitive(WITT, c, 2, exclude)
+    assert len(selections) == 2 and solves[1:] == [len(selections[1])]
+    # (1,2) -> e_3 alone is no coboundary on the core: the selected rows are always
+    # solvable, the check fails, and the all-rows solve finds the system inconsistent
+    bad = Cochain(2, 0, W8, ADJOINT, {(1, 2): 1})
+    del solves[:]
+    assert cohomology.coboundary_primitive(WITT, bad, 2, comparisons=comparisons) is None
+    assert reference_primitive(WITT, bad, 2) is None
+    assert len(selections) == 2 and len(solves) == 2 and solves[1] > solves[0]
+
+
+def test_trivialize_conjugates_as_the_chain_of_public_conjugates(monkeypatch):
+    # the table chain equals one public conjugate per stage by the recorded primitive,
+    # omitted pairs included
+    calls = iter(spy_primitives(monkeypatch))
+    d = conjugate(DeformedBracket.trivial(WITT, W9, 3), random_unipotent(Random(14), W9, 3))
+    res = trivialize(d, W9, margin=4)
+    assert res.trivialized and d.omitted_pairs
+    current = d
+    for s in range(1, 4):
+        comps = weight_components(current.layers[s - 1])
+        parts = []
+        for wt in sorted(comps):
+            c, _, exclude, got, _ = next(calls)
+            assert c == comps[wt] and exclude == current.omitted_pairs
+            parts.append(got)
+        if parts:
+            b_s = MixedCochain.from_components(1, W9, parts)
+            current = conjugate(current, single_stage(W9, 3, s, b_s))
+    assert next(calls, None) is None
+    assert current.omitted_pairs > d.omitted_pairs
+    assert (current.layers, current.omitted_pairs) == (res.conjugated.layers,
+                                                       res.conjugated.omitted_pairs)

@@ -8,7 +8,7 @@ from wittcoh import linalg
 from wittcoh.algebra import Window, make_witt
 from wittcoh.cochains import delta_matrix
 from wittcoh.cohomology import cocycle_matrix, comparison_tuples, leading_tuples
-from wittcoh.linalg import LinearSolution, SparseMatrix, rank, rank_mod_p, solve
+from wittcoh.linalg import LinearSolution, SparseMatrix, independent_rows, rank, rank_mod_p, solve
 
 from helpers import annihilates, matrix_from_rows as mat, reference_select, reference_solve
 
@@ -296,6 +296,23 @@ def test_rank_mod_p_never_exceeds_the_rank(system, denominators, prime):
     with mock.patch.object(linalg, "_P", prime):
         got = rank_mod_p(m.rows)
         assert rank_mod_p(rational) == got <= rank(m)
+
+
+@given(low_rank_systems(), st.lists(st.sampled_from([None, {}, {0: Fraction(0)}]),
+                                   min_size=TALL, max_size=TALL))
+@settings(max_examples=60, deadline=None)
+def test_independent_rows_index_the_rows_as_given(system, zeros):
+    # zero rows put between the drawn rows are skipped, and the indices point into
+    # the list as given, at rows independent over Q
+    m, _ = system
+    rows = []
+    for row, zero in zip(m, zeros):
+        rows += [row] if zero is None else [zero, row]
+    got = independent_rows(rows)
+    assert got == sorted(set(got)) and all(any(rows[i].values()) for i in got)
+    assert [rows[i] for i in got] == [m.rows[i] for i in independent_rows(m.rows)]
+    assert len(got) == rank_mod_p(rows) == rank_mod_p(m.rows) == rank(m.take_rows(
+        independent_rows(m.rows)))
 
 
 def test_rank_mod_p_reads_a_determinant_divisible_by_p_as_singular():
