@@ -304,6 +304,11 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
     return SparseMatrix._trusted(matrix_rows, len(col)), kept, omitted
 
 
+def bracket_raises(alg: GradedLieAlgebra, window: Window) -> bool:
+    """Whether the window's `_bracket_table` holds an error, which delta raises."""
+    return _bracket_table(alg, window)[3]
+
+
 def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                   coeffs: str = ADJOINT) -> int:
     """len(delta_matrix(alg, q, d, window, coeffs)[2]), building no row if no bracket raises.
@@ -325,13 +330,7 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         return len(delta_matrix(alg, q, d, window, coeffs)[2])
     lo, hi = window.lo, window.hi
     full = (1 << (hi - lo + 1)) - 1
-
-    def shifted(a, c):
-        """The lost pairs [e_a, e_{k + c}] over k, with every k where k + c leaves the window."""
-        if c >= 0:
-            return (rows[a] | ~full) >> c & full
-        return (rows[a] << -c | (1 << -c) - 1) & full
-
+    adjoint = coeffs == ADJOINT
     count = 0
     for prefix in combinations(window.indices(), q):
         total = sum(prefix) + d
@@ -341,11 +340,15 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         if first > last:
             continue
         valid = full >> (hi - last) & ~((1 << (first - lo)) - 1)
-        lost = full if any(found[x][y] is None for x, y in combinations(prefix, 2)) else 0
-        if coeffs == ADJOINT:
-            lost |= cols[total] if lo <= total <= hi else full
+        if q == 2 and found[prefix[0]][prefix[1]] is None:  # every k is lost
+            count += valid.bit_count()
+            continue
+        lost = (cols[total] if lo <= total <= hi else full) if adjoint else 0
         for x in prefix:
-            lost |= rows[x] | (shifted(x, total - x) if coeffs == ADJOINT else 0)
+            row, c = rows[x], total - x
+            lost |= row
+            if adjoint:  # [e_x, e_{k + c}] over k, lost where k + c leaves the window
+                lost |= ((row | ~full) >> c if c >= 0 else row << -c | (1 << -c) - 1) & full
         count += (lost & valid).bit_count()
     return count
 

@@ -26,20 +26,20 @@ closing).  At weight 0 `cohomology_dim` decides by one count on those rows,
 the only rows of delta_q it builds, with no kernel; `omitted_triples` comes
 from `omitted_count` first, so a window whose brackets raise raises before
 any row is built.  Let K = ker delta_q on the n columns and B = delta_{q-1},
-whose rows are those n columns, read from `cocycle_matrix(q - 1)` (its row
-order changes no rank).  Given the Jacobi identity, im B lies in K (the
-hypothesis the nonzero weights use too).  Rows independent mod p are
-independent over Q (`linalg.rank_mod_p`), so if B omits no row and
-rank_p(leading) + rank_p(B) = n, then
-rank_Q(B) >= n - rank_p(leading) >= dim K >= rank_Q(B), hence K = im B:
-every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is the rank of
-the comparison matrix (B's rows on the comparison set), as at d != 0.  The
-count is a certificate whatever rows it reads; these close it on the
-same windows as every row through e_1 or e_2 does.  For the Witt algebra at
-q = 2 the count closes on every window with lo in [-10,-2] and hi in [2,10]
-except the 9 inside [-4,4], and never at the Gelfand-Fuks class (trivial
-coefficients, q = 2).  Where it does not close, `cohomology_by_elimination`
-runs.
+whose rows are those n columns, read from `cocycle_matrix(q - 1)`; its own
+leading rows, B_lead, come first, and the count reads them alone.  Given the
+Jacobi identity, im B lies in K (the hypothesis the nonzero weights use too).
+Rows independent mod p are independent over Q (`linalg.rank_mod_p`), so if B
+omits no row and rank_p(leading) + rank_p(B_lead) = n, then
+rank_Q(B) >= rank_p(B_lead) = n - rank_p(leading) >= dim K >= rank_Q(B), hence
+K = im B: every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is
+the rank of the comparison matrix (B's rows on the comparison set), by
+`solve`.  The count is a certificate whatever rows it reads; these close it
+on the same windows as every row through e_1 or e_2 does.  For the Witt
+algebra at q = 2 the count closes on every window with lo in [-10,-2] and hi
+in [2,10] except the 9 inside [-4,4], and never at the Gelfand-Fuks class
+(trivial coefficients, q = 2).  Where it does not close,
+`cohomology_by_elimination` runs.
 
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
@@ -48,15 +48,16 @@ exactly on each comparison row t, reading the row (0, t) of delta_q (never
 omitted: it needs the indices that row t of delta_{q-1} needs).  Those rows
 alone are expanded, by the expansion that builds all of delta_q
 (`delta_matrix(..., rows=...)`), and `omitted_triples` comes from
-`cochains.omitted_count`, which builds no row unless a bracket on the window
-can raise (a central value, one off the grading); then a full build of
-delta_q counts, or raises its error.  With h = -iota/d, a cocycle z
-has delta z = 0 at the rows (0, t), so z = delta(h z) on the comparison set
-and dim_stable = 0.  Given the Jacobi identity, delta of a (q-1)-cochain
+`cochains.omitted_count`, which builds all of delta_q only where a bracket on
+the window raises.  With h = -iota/d, a cocycle z has delta z = 0 at the rows
+(0, t), so z = delta(h z) on the comparison set and dim_stable = 0.  Given the Jacobi identity, delta of a (q-1)-cochain
 extended by zero to W is a cocycle, equal to the comparison matrix's image on
-its rows (interior for delta_{q-1}), so dim_cocycles is that matrix's rank.
-Where the identity fails (e_0 is not a grading element, as for an abelian
-bracket), `cohomology_by_elimination` decides.
+its rows (interior for delta_{q-1}), so dim_cocycles is that matrix's rank;
+at q = 2 a count gives it (`linalg.rank` with a kernel), against the column
+of delta_0, which lies in the kernel as delta_1 delta_0 = 0 on interior rows
+(the count checks it exactly).  Where the identity fails (e_0 is not a
+grading element, as for an abelian bracket), `cohomology_by_elimination`
+decides.
 
 Alongside the dimension counts the module houses the two constructive moves
 that drive everything downstream: reduction of an arbitrary cocycle to weight
@@ -79,6 +80,7 @@ from .cochains import (
     Cochain,
     MixedCochain,
     basis_tuples,
+    bracket_raises,
     cochain_to_text,
     cocycle_violation,
     delta_matrix,
@@ -155,8 +157,8 @@ def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     ties, broken by row index, favour them, which keeps the fallback's fill
     low.  No answer depends on the order: `solve` returns data of the reduced
     echelon form, a function of the row space alone.  At weight 0 the count
-    reads B = delta_{q-1} from here, and builds the leading rows of delta_q
-    alone; all of delta_q is built by `cohomology_by_elimination`.
+    reads the leading rows of B = delta_{q-1} from here, the first rows, and
+    builds those of delta_q alone; `cohomology_by_elimination` builds delta_q.
     """
     matrix, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
     leads = set(leading_tuples(q, d, window, coeffs))
@@ -174,7 +176,8 @@ def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     comp = basis_tuples(q, d, window.core(margin), coeffs)
     if q == 0:
         return comp, SparseMatrix([{}] * len(comp), 0)
-    omitted_count(alg, q - 1, d, window, coeffs)  # raises what a build of all of delta_{q-1} raises
+    if bracket_raises(alg, window):
+        delta_matrix(alg, q - 1, d, window, coeffs)  # raises what a build of all of delta_{q-1} raises
     matrix, rows, _ = delta_matrix(alg, q - 1, d, window, coeffs, rows=comp)
     return rows, matrix
 
@@ -248,6 +251,7 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     _check_window(window, margin)
     if coeffs == ADJOINT and alg.has_central:
         raise ConfigError(CENTRAL_TARGET)
+    kernel = None  # vectors in the kernel of the comparison matrix, for `rank`'s count
     if d:
         omitted = omitted_count(alg, q, d, window, coeffs)
         comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
@@ -265,16 +269,21 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                 acc[u] = acc.get(u, 0) + sign * v
             if up is None or any(acc.values()):
                 return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
+        if q == 2 and not bracket_raises(alg, window):  # delta_0's one column, in C^1_d's basis
+            below, images, _ = delta_matrix(alg, 0, d, window, coeffs)
+            index = {t: i for i, t in enumerate(basis_tuples(1, d, window, coeffs))}
+            kernel = [{index[t]: v for t, row in zip(images, below) for v in row.values()}]
     elif q:
         omitted = omitted_count(alg, q, d, window, coeffs)  # raises what a build of delta_q raises
         lead = delta_matrix(alg, q, d, window, coeffs, rows=leading_tuples(q, d, window, coeffs))[0]
         bound, _, lost = cocycle_matrix(alg, q - 1, d, window, coeffs)  # rows: delta_q's n columns
-        if lost or rank_mod_p(lead.rows) + rank_mod_p(bound.rows) != bound.n_rows:
+        bound_lead = bound.rows[:len(leading_tuples(q - 1, d, window, coeffs))]  # put first
+        if lost or rank_mod_p(lead.rows) + rank_mod_p(bound_lead) != bound.n_rows:
             return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
         coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)[1]
     else:
         return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
-    n = rank(coboundary)  # every cocycle is a coboundary
+    n = rank(coboundary, kernel=kernel)  # every cocycle is a coboundary
     return CohomologyReport(alg.name, q, d, window, margin, coeffs, n, n, 0,
                             stabilization=((window, 0),), omitted_triples=omitted)
 

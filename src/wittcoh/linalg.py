@@ -8,7 +8,8 @@ tuple of {col: coefficient} rows, stored as given.
 
 `solve(m, rhs=None)` gives the rank, the canonical kernel basis (integer
 vectors) and a particular solution (None when rhs is inconsistent), each
-certified in integer arithmetic; `rank(m)` is `solve(m).rank`.
+certified in integer arithmetic; `rank(m)` is `solve(m).rank`, unless given
+kernel vectors that close a count (`cohomology` at d != 0).
 `independent_rows(rows)` is the selection pass alone, uncertified: the rows it
 lists are independent over Q, and `rank_mod_p(rows)`, their count, is a lower
 bound on the rank over Q, which a caller turns into a certificate by a count
@@ -319,8 +320,23 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
         return _solve_rows(rows, rows, m.n_cols, augmented)
 
 
-def rank(m: SparseMatrix) -> int:
-    """Rank over Q, certified like `solve`; deterministic for a given input."""
+def rank(m: SparseMatrix, *, kernel=None) -> int:
+    """Rank over Q, certified; deterministic for a given input.
+
+    Given `kernel`, {col: int or Fraction} vectors of m's kernel, restricted to
+    the columns the rows read and checked exactly on every row, a count: rank
+    >= low, the rows `_select` picks, and rank <= #read - rank_p(vectors), as
+    the unread unit columns and the vectors lie in the kernel with disjoint
+    supports.  When the two meet, low is the rank; otherwise `solve(m).rank`.
+    """
+    if kernel is not None:
+        rows = [_primitive(r) for r in m.rows if r]
+        read = set().union(*rows)
+        vecs = [_primitive(v) for v in ({c: x for c, x in vec.items() if x and c in read}
+                                        for vec in kernel) if v]
+        low = len(_select(rows))
+        if _first_failure(rows, vecs) is None and low + len(_select(vecs)) == len(read):
+            return low
     return solve(m).rank
 
 

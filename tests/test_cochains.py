@@ -13,6 +13,7 @@ from wittcoh.cochains import (
     Cochain,
     MixedCochain,
     basis_tuples,
+    bracket_raises,
     cocycle_violation,
     delta_matrix,
     differential,
@@ -366,9 +367,12 @@ def test_omitted_count_is_the_builders_count_and_raises_its_errors(alg):
                     got = _count(omitted_count, alg, q, d, window, coeffs)
                     assert got == _count(delta_matrix, alg, q, d, window, coeffs), (window, q, d)
                     outcomes.add(got if isinstance(got, int) else got[0])
-    # every algebra reaches the window edge; only the last two refuse
+    # every algebra reaches the window edge; only the last two refuse, and their
+    # windows are the ones where a bracket raises
     assert any(isinstance(n, int) and n > 0 for n in outcomes)
     assert (alg.name in ("virasoro", "ungraded")) == bool(outcomes & {ConfigError, ValueError})
+    assert {bracket_raises(alg, w) for w in (W8, Window(-9, 5), Window(-12, 12))} == {
+        alg.name in ("virasoro", "ungraded")}
 
 
 def test_a_central_value_read_after_the_window_edge_is_not_an_error():

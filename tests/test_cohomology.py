@@ -400,6 +400,50 @@ def test_large_weight_zero_windows_close_the_count(monkeypatch, h, report):
     assert calls == []
 
 
+def test_the_leading_rows_of_delta_q_minus_one_carry_its_rank_mod_p():
+    # the weight-0 count reads B = delta_{q-1} on its leading rows alone, which
+    # cocycle_matrix puts first; they lose no rank mod p on these 324 windows
+    for q in (1, 2):
+        for coeffs in (ADJOINT, TRIVIAL):
+            for lo in range(-10, -1):
+                for hi in range(2, 11):
+                    window = Window(lo, hi)
+                    bound, _, lost = cocycle_matrix(WITT, q - 1, 0, window, coeffs)
+                    lead = _leading(q - 1, 0, window, coeffs).rows
+                    if not lost:  # the same rows, in cocycle_matrix's order
+                        assert sorted(sorted(r.items()) for r in bound.rows[:len(lead)]) == sorted(
+                            sorted(r.items()) for r in lead)
+                    assert rank_mod_p(lead) == rank_mod_p(bound.rows), (q, coeffs, window)
+
+
+# (dim_cocycles, omitted_triples) of H^2_d on [-h,h], margin 4, for d = -6..6;
+# dim_stable is 0 throughout (the benchmark's rigidity grid)
+RIGIDITY = {
+    8: [(9, 316), (10, 310), (11, 300), (11, 278), (10, 253), (9, 220), (8, 188),
+        (9, 220), (10, 253), (11, 278), (11, 300), (10, 310), (9, 316)],
+    10: [(14, 596), (15, 574), (16, 546), (15, 505), (14, 462), (13, 410), (12, 360),
+         (13, 410), (14, 462), (15, 505), (16, 546), (15, 574), (14, 596)],
+    12: [(18, 985), (19, 940), (20, 890), (19, 826), (18, 761), (17, 686), (16, 614),
+         (17, 686), (18, 761), (19, 826), (20, 890), (19, 940), (18, 985)],
+}
+
+
+def test_the_rigidity_grid_counts_every_nonzero_weight_without_a_solve(monkeypatch):
+    # at d != 0 the comparison rank is a count against delta_0's column; weight 0
+    # keeps the certified solve
+    solves = []
+    real = linalg.solve
+    spy = lambda *args: solves.append(args) or real(*args)  # noqa: E731
+    for module in (linalg, cohomology):
+        monkeypatch.setattr(module, "solve", spy)
+    for h, answers in RIGIDITY.items():
+        for d, (cocycles, omitted) in zip(range(-6, 7), answers):
+            solves.clear()
+            r = cohomology_dim(WITT, 2, d, Window(-h, h), 4)
+            assert (r.dim_cocycles, r.dim_stable, r.omitted_triples) == (cocycles, 0, omitted)
+            assert bool(solves) == (d == 0), (d, h)
+
+
 def test_windows_inside_minus_four_four_fall_back_at_weight_zero(monkeypatch):
     # the window's own cocycles exceed its coboundaries by one exactly when lo >= -4 and
     # hi <= 4; [-2,2] accepts no margin, so it is counted directly

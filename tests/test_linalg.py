@@ -376,6 +376,43 @@ def test_solve_matches_the_reduced_echelon_reference(system):
         assert linalg._back_solve(blind, f) == linalg._back_solve(pivots, f)
 
 
+def _counted_rank(m, kernel):
+    """(rank(m, kernel=kernel), whether it fell back to `solve`)."""
+    with mock.patch.object(linalg, "solve", wraps=linalg.solve) as spy:
+        return rank(m, kernel=kernel), spy.called
+
+
+@given(reference_systems())
+@settings(max_examples=100, deadline=None)
+def test_rank_counts_against_a_kernel_and_falls_back_when_it_is_short_or_wrong(system):
+    m, _ = system
+    solution = solve(m)
+    want = solution.rank
+    basis = [{j: x for j, x in enumerate(vec) if x} for vec in solution.kernel_basis]
+    read = {c for row in m for c in row}
+    # solve's own kernel closes the count, scaled to Fractions too, and a repeated
+    # vector changes nothing
+    assert _counted_rank(m, basis) == (want, False)
+    assert _counted_rank(m, [{j: Fraction(x, 3) for j, x in v.items()} for v in basis]) == (
+        want, False)
+    assert _counted_rank(m, basis + basis[:1]) == (want, False)
+    # a basis vector on a column some row reads, left out: the count is short
+    needed = [k for k, vec in enumerate(basis) if read & vec.keys()]
+    if needed:
+        assert _counted_rank(m, basis[:needed[0]] + basis[needed[0] + 1:]) == (want, True)
+    # a unit vector on a read column is not in the kernel: the check fails
+    if read:
+        assert _counted_rank(m, basis + [{min(read): 1}]) == (want, True)
+
+
+def test_rank_falls_back_where_rank_mod_p_is_short():
+    m = mat([[1, 1], [1, 1 + linalg._P]])  # determinant _P: rank 2, kernel empty
+    assert _counted_rank(m, []) == (2, True)
+    # (1, -1) is in the kernel mod _P only; unchecked, it would close the count at 1
+    assert _counted_rank(m, [{0: 1, 1: -1}]) == (2, True)
+    assert _counted_rank(mat([[1, 1], [1, 2]]), []) == (2, False)
+
+
 def test_back_solve_scales_when_the_pivot_does_not_divide():
     # f = 1: 2*v_0 + 3 = 0 has no integer root, so the vector is scaled by 2 first
     assert linalg._back_solve([(0, {0: 2, 1: 3, 2: 1})], 1) == {1: 2, 0: -3}
