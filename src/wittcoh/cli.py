@@ -174,20 +174,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_cohomology(args) -> int:
-    from .cohomology import cohomology_dim, stability_scan
+    from .cohomology import stability_scan
 
     alg = _resolve_algebra(args.algebra)
-    if args.stabilize is not None:
-        windows = [parse_window(w) for w in args.stabilize.split(",")]
-        report = stability_scan(alg, args.degree, args.weight, windows, args.margin,
-                                coeffs=args.coefficients)
-    else:
-        report = cohomology_dim(alg, args.degree, args.weight, parse_window(args.window),
-                                args.margin, coeffs=args.coefficients)
-    if args.algebra not in BUILTIN:  # dim_cocycles at d != 0 holds only for a Lie bracket
+    texts = [args.window] if args.stabilize is None else args.stabilize.split(",")
+    report = stability_scan(alg, args.degree, args.weight, [parse_window(w) for w in texts],
+                            args.margin, coeffs=args.coefficients)
+    if args.algebra not in BUILTIN:
+        # every count assumes delta o delta = 0 on the brackets the window's delta reads:
+        # order 0 of jacobi_defect, the check trivialize runs, on each window
+        from .deformation import DeformedBracket, jacobi_defect
+
         for window, _ in report.stabilization:
-            if defects := check_jacobi(alg, window, interior=True).defects:
-                raise ConfigError(f"{alg.name} fails the Jacobi identity at {defects[0][0]}")
+            order0 = jacobi_defect(DeformedBracket.trivial(alg, window, 0), window).orders[0]
+            if not order0.clean:
+                raise ConfigError(f"{alg.name} fails the Jacobi identity at {order0.triple}")
     _write(emit_report(report, args.format), args.output)
     return _expect("dim_stable", report.dim_stable, args.expect)
 

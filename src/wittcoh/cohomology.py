@@ -242,7 +242,8 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     by the Cartan homotopy, and weight 0 (q >= 1) by the count mod p of the
     module docstring when it closes; both read a cocycle space spanned by
     coboundaries, so both need a Lie bracket on the window (the built-ins are;
-    the CLI checks a loaded one).  Everything else is `cohomology_by_elimination`.
+    the CLI checks a loaded one by order 0 of `deformation.jacobi_defect`).
+    Everything else is `cohomology_by_elimination`.
     Adjoint coefficients with a central element are refused: cochains neither
     take nor give the central element, so even H^0_0, the center, would read 0.
     """

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from wittcoh import replay
 from wittcoh.cli import emit_report, main
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential
-from wittcoh.cohomology import central_extension_dim
-from wittcoh.algebra import Window, dump_algebra, make_witt
+from wittcoh.cohomology import central_extension_dim, cohomology_by_elimination
+from wittcoh.algebra import Window, dump_algebra, load_algebra, make_witt
 from wittcoh.deformation import DeformedBracket, render_deformation
 from wittcoh.errors import ConfigError
 
@@ -247,6 +248,57 @@ def test_cohomology_refuses_a_loaded_bracket_that_is_not_a_lie_bracket(capsys, t
     code, out, err = run(capsys, *args, str(bad))
     assert (code, out) == (2, "")
     assert err == "error: witt fails the Jacobi identity at (-8, 1, 2)\n"
+
+
+def witt_cut_off(h: int) -> str:
+    """The Witt table on [-h,h] listing only the pairs whose bracket stays in [-h,h]."""
+    return "\n".join(["name: witt", "graded: yes", "central: no"] + [
+        f"{i} {j} -> {i + j}:{j - i}" for i in range(-h, h + 1) for j in range(i + 1, h + 1)
+        if -h <= i + j <= h]) + "\n"
+
+
+def test_cohomology_refuses_a_table_cut_off_at_the_window(capsys, tmp_path):
+    # every triple of degree sums in [-8,8] is clean, yet delta reads [e_-8, e_-7] as 0
+    cut = tmp_path / "trunc8.alg"
+    cut.write_text(witt_cut_off(8))
+    code, out, err = run(capsys, "cohomology", "--algebra", str(cut), "--degree", "2",
+                         "--weight=-2", "--window=-8:8", "--margin", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: witt fails the Jacobi identity at (-8, -7, 7)\n"
+
+
+def test_stabilize_checks_every_window_of_a_loaded_table(capsys, tmp_path):
+    dumped = tmp_path / "witt6.alg"
+    dumped.write_text(dump_algebra(make_witt(), Window(-6, 6)))
+    args = ("cohomology", "--algebra", str(dumped), "--weight", "1", "--margin", "2")
+    assert run(capsys, *args, "--stabilize=-6:6")[0] == 0
+    code, out, err = run(capsys, *args, "--stabilize=-6:6,-8:8")
+    assert (code, out) == (2, "")
+    assert err == "error: witt fails the Jacobi identity at (-6, -2, 0)\n"
+
+
+def test_loaded_tables_the_guard_accepts_agree_with_the_elimination(capsys, tmp_path):
+    tables = {f"dump{h}": dump_algebra(make_witt(), Window(-h, h)) for h in (6, 8, 10)}
+    tables.update({f"cut{h}": witt_cut_off(h) for h in (6, 8)})
+    accepted = set()
+    for name, text in tables.items():
+        path = tmp_path / f"{name}.alg"
+        path.write_text(text)
+        alg = load_algebra(text)
+        for h, q, d in product((6, 8), (1, 2), range(-3, 4)):
+            code, out, err = run(capsys, "cohomology", "--algebra", str(path), "--degree", str(q),
+                                 f"--weight={d}", f"--window=-{h}:{h}", "--margin", "2",
+                                 "--format", "json")
+            if code:
+                assert (code, out) == (2, "") and "fails the Jacobi identity" in err
+                continue
+            accepted.add((name, h))
+            got = json.loads(out)
+            want = cohomology_by_elimination(alg, q, d, Window(-h, h), 2)
+            assert (got["dim_cocycles"], got["dim_stable"], got["omitted_triples"]) == (
+                want.dim_cocycles, want.dim_stable, want.omitted_triples), (name, h, q, d)
+    # a dump is a Lie bracket on every window inside it; a cut-off table on none
+    assert accepted == {("dump6", 6), ("dump8", 6), ("dump8", 8), ("dump10", 6), ("dump10", 8)}
 
 
 def test_jacobi_clean_and_corrupt(capsys, tmp_path):

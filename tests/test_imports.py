@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import wittcoh
+from wittcoh.algebra import Window, dump_algebra, make_witt
 
 SRC = str(Path(wittcoh.__file__).parent.parent)
 
@@ -72,6 +73,14 @@ def test_replay_loads_no_cochain_layer():
 def test_cohomology_loads_neither_replay_nor_deformation(argv):
     assert loaded_by(*argv) == {"wittcoh", "cli", "algebra", "errors", "linalg",
                                 "cochains", "cohomology"}
+
+
+def test_cohomology_of_a_loaded_table_loads_deformation_for_its_jacobi_check(tmp_path):
+    table = tmp_path / "witt.alg"
+    table.write_text(dump_algebra(make_witt(), Window(-6, 6)))
+    assert loaded_by("cohomology", "--algebra", str(table), "--window=-6:6", "--margin", "2",
+                     "--expect", "0") == {"wittcoh", "cli", "algebra", "errors", "linalg",
+                                          "cochains", "cohomology", "deformation"}
 
 
 def test_deform_does_not_load_replay(tmp_path):
