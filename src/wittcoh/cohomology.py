@@ -29,8 +29,9 @@ any row is built.  Let K = ker delta_q on the n columns and B = delta_{q-1},
 whose rows are those n columns, read from `cocycle_matrix(q - 1)`; its own
 leading rows, B_lead, come first, and the count reads them alone.  Given the
 Jacobi identity, im B lies in K (the hypothesis the nonzero weights use too).
-Rows independent mod p are independent over Q (`linalg.rank_mod_p`), so if B
-omits no row and rank_p(leading) + rank_p(B_lead) = n, then
+Rows independent mod p are independent over Q (`SparseMatrix.independent_rows`
+lists them, and rank_p is their count), so if B omits no row and
+rank_p(leading) + rank_p(B_lead) = n, then
 rank_Q(B) >= rank_p(B_lead) = n - rank_p(leading) >= dim K >= rank_Q(B), hence
 K = im B: every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is
 the rank of the comparison matrix (B's rows on the comparison set), by
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from .algebra import BUILTIN, GradedLieAlgebra, Window
 from .cochains import (
@@ -89,7 +89,7 @@ from .cochains import (
     weight_components,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
-from .linalg import SparseMatrix, independent_rows, rank, rank_mod_p, solve
+from .linalg import SparseMatrix, rank, solve
 
 
 @dataclass(frozen=True)
@@ -189,17 +189,8 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
     Tuples in `exclude` carry no trustworthy value of c and are dropped from
     the equation set.  A caller solving many c of one algebra, window, margin
     and degree passes one `comparisons` dict, and each weight's comparison set
-    (`comparison_tuples`) is built once, as is the selection below for each
-    set of kept rows.
-
-    c is solved on the kept rows that `linalg.independent_rows` selects, and
-    the particular solution x is checked on the other kept rows in integers
-    (x and c scaled by one common denominator); if it fails there, all kept
-    rows are solved, which also decides an obstruction.  Either way b is the
-    particular solution `solve` gives on all kept rows: x is zero off the
-    selected rows' pivot columns, a column independent of the columns before
-    it on those rows is so on all kept rows, and the solution supported on
-    the pivot columns of all kept rows is unique.
+    (`comparison_tuples`) is built once, as is the matrix of each set of kept
+    rows, so `solve` selects its independent rows once for every c.
     """
     q, d, window, coeffs = c.degree, c.weight, c.window, c.coeffs
     if q < 1:
@@ -210,18 +201,10 @@ def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude
     comp, matrix, systems = comparisons[d]
     keep = tuple(r for r, t in enumerate(comp) if t not in exclude)
     if keep not in systems:
-        chosen = [keep[k] for k in independent_rows([matrix.rows[r] for r in keep])]
-        systems[keep] = chosen, sorted(set(keep).difference(chosen))
-    chosen, others = systems[keep]
-    rhs = [c.entries.get(t, 0) for t in comp]
-    x = solve(matrix.take_rows(chosen), [rhs[r] for r in chosen]).particular
-    scale = lcm(*(v.denominator for v in x), *(rhs[r].denominator for r in others))
-    xs = [v.numerator * (scale // v.denominator) for v in x]
-    if any(sum(v * xs[j] for j, v in matrix.rows[r].items())
-           != rhs[r].numerator * (scale // rhs[r].denominator) for r in others):
-        x = solve(matrix.take_rows(keep), [rhs[r] for r in keep]).particular
-        if x is None:
-            return None
+        systems[keep] = matrix.take_rows(keep)
+    x = solve(systems[keep], [c.entries.get(comp[r], 0) for r in keep]).particular
+    if x is None:
+        return None
     cols = basis_tuples(q - 1, d, window, coeffs)
     return Cochain(q - 1, d, window, coeffs, {t: x[i] for i, t in enumerate(cols) if x[i]})
 
@@ -278,8 +261,9 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         omitted = omitted_count(alg, q, d, window, coeffs)  # raises what a build of delta_q raises
         lead = delta_matrix(alg, q, d, window, coeffs, rows=leading_tuples(q, d, window, coeffs))[0]
         bound, _, lost = cocycle_matrix(alg, q - 1, d, window, coeffs)  # rows: delta_q's n columns
-        bound_lead = bound.rows[:len(leading_tuples(q - 1, d, window, coeffs))]  # put first
-        if lost or rank_mod_p(lead.rows) + rank_mod_p(bound_lead) != bound.n_rows:
+        n_lead = len(leading_tuples(q - 1, d, window, coeffs))  # cocycle_matrix puts them first
+        bound_lead = bound.take_rows(range(n_lead))
+        if lost or len(lead.independent_rows) + len(bound_lead.independent_rows) != bound.n_rows:
             return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
         coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)[1]
     else:

@@ -83,6 +83,7 @@ from .algebra import (
 from .cochains import ADJOINT, Cochain, MixedCochain, bad_arguments
 from .cohomology import coboundary_primitive
 from .errors import BoundaryError, ConfigError, FormatError, NotACocycleError, OutOfWindowError
+from .linalg import check_coefficient
 
 
 def _check_layers(series, degree: int, mismatch: str):
@@ -165,10 +166,12 @@ def _denominator(c: MixedCochain) -> int:
 
 @lru_cache(maxsize=16)
 def _order0_table(alg: GradedLieAlgebra, window: Window) -> tuple[dict, int]:
-    """(T_0, D0) of `_layer_tables`, built once per algebra and window and only read."""
+    """(T_0, D0) of `_layer_tables`, built once per algebra and window and only read;
+    TypeError for a bracket value that is not an int or a Fraction."""
     keys = alg.generator_keys(window)
     rule = {a: {b: alg.bracket_rule(a, b) for b in keys} for a in keys}
-    d0 = lcm(*(v.denominator for row in rule.values() for out in row.values() for v in out.values()))
+    d0 = lcm(*(check_coefficient(v).denominator
+               for row in rule.values() for out in row.values() for v in out.values()))
     return {a: {b: _LOST if any(k != CENTRAL and k not in window for k in out)
                 else _scaled(out, d0) for b, out in row.items()} for a, row in rule.items()}, d0
 

@@ -1,4 +1,4 @@
-"""Exact rational sparse linear algebra: `solve`, `rank`, `independent_rows`, `rank_mod_p`.
+"""Exact rational sparse linear algebra: `solve`, `rank` and `SparseMatrix.independent_rows`.
 
 A coefficient is an `int` or a `fractions.Fraction`, never converted: a float
 is refused with TypeError, since it is a binary fraction rather than the
@@ -10,23 +10,22 @@ tuple of {col: coefficient} rows, stored as given.
 vectors) and a particular solution (None when rhs is inconsistent), each
 certified in integer arithmetic; `rank(m)` is `solve(m).rank`, unless given
 kernel vectors that close a count (`cohomology` at d != 0).
-`independent_rows(rows)` is the selection pass alone, uncertified: the rows it
-lists are independent over Q, and `rank_mod_p(rows)`, their count, is a lower
-bound on the rank over Q, which a caller turns into a certificate by a count
-of its own (`cohomology` at weight 0).  `cohomology.coboundary_primitive`
-solves on the listed rows and checks the solution on the others itself.
+`m.independent_rows` is the selection pass alone, uncertified and computed
+once per matrix: the rows it lists are independent over Q, so their count is
+a lower bound on the rank over Q, which a caller turns into a certificate by
+a count of its own (`cohomology` at weight 0).  `solve` and `rank` read the
+same selection, so a matrix solved for many right-hand sides is selected once.
 Every row is scaled once to a primitive integer row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
   Markowitz pivoting (the column with the fewest active rows, then its
-  sparsest row; the right-hand side column last; the column from a lazy
-  heap).  The rows that become pivots are independent mod _P, hence
-  independent over Q.
-* Exact pass: an online fraction-free echelon of the selected rows.  Each
-  row in turn is reduced at its leading column by the pivot row already
-  there, with a gcd reduction after every update, until it claims a new
-  pivot column (or only the right-hand side is left); each kernel vector and
-  the particular solution are back-solved from the pivot rows in integers.
+  sparsest row; the column from a lazy heap), on the rows of m alone.  The
+  rows that become pivots are independent mod _P, hence independent over Q.
+* Exact pass: an online fraction-free echelon of the selected rows of
+  [m | rhs]: each row in turn is reduced at its leading column by the pivot
+  row already there, with a gcd reduction after every update, until it claims
+  a new pivot column (or only the right-hand side is left); each kernel
+  vector and the particular solution are back-solved in integers.
   No reduced echelon form is built.
 
 Why the back-solve is exact: for a free column f, the pivot columns left of f
@@ -41,15 +40,16 @@ Certificate: the kernel vectors and the particular solution must give an
 integer dot product of 0 with *every* row, checked in one sweep.  Then the
 kernel of the selected rows is that of m, the row spaces agree, and rank,
 pivot columns, kernel basis and particular solution, functions of the row
-space, are those of m; selected rows that are inconsistent make m
-inconsistent.  If the certificate fails (an unlucky prime, under which the
-selected rows miss part of the row space over Q), every row is eliminated
-instead, and that fallback raises AssertionError on its own failure.
+space, are those of m.  If the certificate fails (an unlucky prime, or an
+inconsistent rhs, which the independent selected rows always solve), every
+row is eliminated instead: its leftover rows decide an inconsistent rhs, and
+it raises AssertionError on its own failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -106,6 +106,18 @@ class SparseMatrix:
         """The submatrix of the rows listed in `keep`, in that order; those rows
         passed `__post_init__` already and are not checked again."""
         return SparseMatrix._trusted((self.rows[r] for r in keep), self.n_cols)
+
+    @cached_property
+    def _primitive_rows(self) -> tuple:
+        """Each row scaled to its primitive integer row (`_primitive`)."""
+        return tuple(_primitive(r) for r in self.rows)
+
+    @cached_property
+    def independent_rows(self) -> tuple:
+        """Sorted indices of the rows `_select` keeps of the primitive integer rows:
+        independent mod _P, hence over Q; uncertified, so their count is a lower
+        bound on the rank over Q."""
+        return tuple(_select(self._primitive_rows))
 
     def apply(self, vec):
         """Matrix-vector product, exact."""
@@ -222,9 +234,9 @@ def _select(rows):
 
     Markowitz-style elimination mod _P on a column -> rows index: each step
     pivots on the remaining column with the fewest active rows, and in it on
-    the row with the fewest entries (ties by index); the _AUG column comes
-    last.  The rows chosen as pivots are independent mod _P, hence over Q.
-    The column comes from a lazy heap of (is _AUG, active count, column):
+    the row with the fewest entries (ties by index).  The rows chosen as
+    pivots are independent mod _P, hence over Q.
+    The column comes from a lazy heap of (active count, column):
     only the pivot row's columns change their counts in a step, so only they
     are pushed again, and a popped entry whose count is stale is dropped.
     """
@@ -235,11 +247,11 @@ def _select(rows):
             active[i] = r
             for c in r:
                 by_col.setdefault(c, set()).add(i)
-    heap = [(c == _AUG, len(hits), c) for c, hits in by_col.items()]
+    heap = [(len(hits), c) for c, hits in by_col.items()]
     heapify(heap)
     chosen = []
     while heap:
-        _, count, col = heappop(heap)
+        count, col = heappop(heap)
         if len(by_col.get(col, ())) != count:
             continue  # stale: the column's count changed, or it has emptied
         idx = min(by_col[col], key=lambda i: (len(active[i]), i))
@@ -263,7 +275,7 @@ def _select(rows):
                 del active[i]
         for c in piv:
             if by_col[c]:
-                heappush(heap, (c == _AUG, len(by_col[c]), c))
+                heappush(heap, (len(by_col[c]), c))
             else:
                 del by_col[c]
         chosen.append(idx)
@@ -298,25 +310,24 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     column, first nonzero entry positive.  When rhs is inconsistent the
     particular solution is None.
 
-    The rows `_select` picks are forward-eliminated and each vector is
-    back-solved from the echelon rows.  Every answer is certified against every
-    row before it is returned: each integer row of [m | rhs] is a nonzero
-    rational multiple of an input row, so an integer dot product of 0 with it
-    is the identity m*v = 0 (or m*x = rhs).  The kernel vectors are independent,
-    each nonzero on its own free column and zero on every other.  If that
-    certificate fails, every row is eliminated.  The rows of m are used as
-    stored; a row is copied only to append its right-hand side.
+    The rows of [m | rhs] at `m.independent_rows` are forward-eliminated and each
+    vector is back-solved from the echelon rows.  Every answer is certified
+    against every row before it is returned: each integer row of [m | rhs] is a
+    nonzero rational multiple of an input row, so an integer dot product of 0
+    with it is the identity m*v = 0 (or m*x = rhs).  The kernel vectors are
+    independent, each nonzero on its own free column and zero on every other.
+    If that certificate fails, every row is eliminated.
     """
-    rows = m.rows
+    rows = m._primitive_rows
     if rhs is not None:
         if len(rhs) != len(rows):
             raise ValueError("rhs length mismatch")
-        rows = [{**row, _AUG: -b} if check_coefficient(b) else row for row, b in zip(rows, rhs)]
-    rows = [_primitive(r) for r in rows]
+        rows = [_primitive({**row, _AUG: -b}) if check_coefficient(b) else r
+                for row, r, b in zip(m.rows, rows, rhs)]
     augmented = rhs is not None
     try:
-        return _solve_rows([rows[i] for i in _select(rows)], rows, m.n_cols, augmented)
-    except AssertionError:  # the rows independent mod _P miss part of the row space over Q
+        return _solve_rows([rows[i] for i in m.independent_rows], rows, m.n_cols, augmented)
+    except AssertionError:  # the selection misses part of the row space, or rhs is inconsistent
         return _solve_rows(rows, rows, m.n_cols, augmented)
 
 
@@ -325,33 +336,16 @@ def rank(m: SparseMatrix, *, kernel=None) -> int:
 
     Given `kernel`, {col: int or Fraction} vectors of m's kernel, restricted to
     the columns the rows read and checked exactly on every row, a count: rank
-    >= low, the rows `_select` picks, and rank <= #read - rank_p(vectors), as
+    >= low = len(m.independent_rows), and rank <= #read - rank_p(vectors), as
     the unread unit columns and the vectors lie in the kernel with disjoint
     supports.  When the two meet, low is the rank; otherwise `solve(m).rank`.
     """
     if kernel is not None:
-        rows = [_primitive(r) for r in m.rows if r]
+        rows = m._primitive_rows
         read = set().union(*rows)
         vecs = [_primitive(v) for v in ({c: x for c, x in vec.items() if x and c in read}
                                         for vec in kernel) if v]
-        low = len(_select(rows))
+        low = len(m.independent_rows)
         if _first_failure(rows, vecs) is None and low + len(_select(vecs)) == len(read):
             return low
     return solve(m).rank
-
-
-def independent_rows(rows) -> list:
-    """Sorted indices into `rows`, a list of {col: int or Fraction} rows, of rows
-    independent modulo _P: `_select` on the primitive integer rows, zero rows skipped.
-
-    No certificate: rows independent mod _P are independent over Q, so their
-    count is a lower bound on the rank over Q, equal to it unless _P divides a
-    minor that decides the rank.
-    """
-    nonzero = [i for i, r in enumerate(rows) if any(r.values())]
-    return [nonzero[k] for k in _select([_primitive(rows[i]) for i in nonzero])]
-
-
-def rank_mod_p(rows) -> int:
-    """Rank modulo _P of {col: int or Fraction} rows: len(independent_rows(rows))."""
-    return len(independent_rows(rows))

@@ -17,9 +17,9 @@ the equivalence id + t^s phi_s of one trivialize stage, `annihilates`,
 the per-vector reference for the one-sweep certificate of `linalg.solve`,
 `reference_solve`, the reduced-echelon-form reference for `linalg.solve`,
 `reference_select`, the min-scan reference for the heap in `linalg._select`,
-`reference_primitive`, the all-rows solve that `coboundary_primitive` must
-reproduce, and `reference_delta_matrix`, the term-by-term reference for
-`delta_matrix`.
+`reference_primitive`, the all-rows `reference_solve` that
+`coboundary_primitive` must reproduce, and `reference_delta_matrix`, the
+term-by-term reference for `delta_matrix`.
 """
 
 from fractions import Fraction
@@ -33,7 +33,7 @@ from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, basis_tuples, delta
 from wittcoh.cohomology import comparison_tuples
 from wittcoh.deformation import DefectReport, DeformedBracket, Equivalence, OrderDefect
 from wittcoh.errors import BoundaryError, ConfigError, ContradictionError, OutOfWindowError
-from wittcoh.linalg import LinearSolution, SparseMatrix, solve
+from wittcoh.linalg import LinearSolution, SparseMatrix
 from wittcoh.replay import RelationSet, SymbolicValue
 
 
@@ -96,7 +96,8 @@ def reference_primitive(alg, c: Cochain, margin: int, exclude=frozenset()):
     delta(b) = c on every comparison row whose tuple is not excluded, or None."""
     comp, matrix = comparison_tuples(alg, c.degree, c.weight, c.window, margin, c.coeffs)
     keep = [r for r, t in enumerate(comp) if t not in exclude]
-    x = solve(matrix.take_rows(keep), [c.entries.get(comp[r], 0) for r in keep]).particular
+    rhs = [c.entries.get(comp[r], 0) for r in keep]
+    x = reference_solve(matrix.take_rows(keep), rhs).particular
     if x is None:
         return None
     cols = basis_tuples(c.degree - 1, c.weight, c.window, c.coeffs)
@@ -107,7 +108,7 @@ def reference_primitive(alg, c: Cochain, margin: int, exclude=frozenset()):
 def reference_select(rows):
     """Reference for `linalg._select`: the same Markowitz elimination mod P, with each
     step's pivot column found by a `min` over every remaining column."""
-    p, aug = linalg._P, linalg._AUG
+    p = linalg._P
     active, by_col = {}, {}
     for i, row in enumerate(rows):
         r = {c: v % p for c, v in row.items() if v % p}
@@ -117,7 +118,7 @@ def reference_select(rows):
                 by_col.setdefault(c, set()).add(i)
     chosen = []
     while by_col:
-        col = min(by_col, key=lambda c: (c == aug, len(by_col[c]), c))
+        col = min(by_col, key=lambda c: (len(by_col[c]), c))
         idx = min(by_col[col], key=lambda i: (len(active[i]), i))
         piv = active.pop(idx)
         for c in piv:

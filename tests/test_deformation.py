@@ -5,7 +5,9 @@ from random import Random
 
 import pytest
 
-from wittcoh.algebra import CENTRAL, Window, load_algebra, make_virasoro, make_witt
+from wittcoh import linalg
+from wittcoh.algebra import (CENTRAL, GradedLieAlgebra, Window, load_algebra, make_virasoro,
+                             make_witt)
 from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential, weight_components
 from wittcoh.deformation import (
     DeformedBracket,
@@ -422,6 +424,15 @@ def test_trivialize_rejects_jacobi_unclean():
         trivialize(d, W12, margin=4)
 
 
+def test_a_float_bracket_coefficient_is_refused_by_the_order_zero_table():
+    # 0.5 is a binary fraction, not the rational 1/2: refused as cohomology_dim refuses it
+    halved = GradedLieAlgebra("halved", lambda a, b: {a + b: 0.5 * (b - a)} if a != b else {})
+    d = DeformedBracket.trivial(halved, W8, 1)
+    for compute in (lambda: jacobi_defect(d, W8), lambda: trivialize(d, W8, margin=2)):
+        with pytest.raises(TypeError, match="coefficient 0.5 is not an int or a Fraction"):
+            compute()
+
+
 def test_trivialize_rejects_weight_above_margin():
     # the comparison set is the whole core only for weights |w| <= margin; peeling
     # this trivial deformation with margin 2 used to leave a nonzero layer on the core
@@ -574,14 +585,23 @@ def test_composed_equivalence_trivializes_in_one_step(order):
 # -- primitives on the selected rows ----------------------------------------------------
 
 
+def spy_eliminations(monkeypatch):
+    """Record the row count of every elimination (`linalg._solve_rows`): the selected
+    rows of a `solve`, then all of them when the certificate fails."""
+    solves = []
+    real = linalg._solve_rows
+    monkeypatch.setattr(linalg, "_solve_rows",
+                        lambda sub, *args: solves.append(len(sub)) or real(sub, *args))
+    return solves
+
+
 def spy_primitives(monkeypatch):
     """Record each primitive solve of trivialize as (c, margin, exclude, result,
-    solves), where solves lists the row count of every `solve` the call made."""
-    import wittcoh.cohomology as cohomology
+    solves), where solves lists the row count of every elimination the call made."""
     import wittcoh.deformation as deformation
 
-    calls, solves = [], []
-    real_primitive, real_solve = deformation.coboundary_primitive, cohomology.solve
+    calls, solves = [], spy_eliminations(monkeypatch)
+    real_primitive = deformation.coboundary_primitive
 
     def primitive(alg, c, margin, exclude=frozenset(), **kwargs):
         first = len(solves)
@@ -589,12 +609,7 @@ def spy_primitives(monkeypatch):
         calls.append((c, margin, frozenset(exclude), got, solves[first:]))
         return got
 
-    def counting_solve(m, rhs=None):
-        solves.append(m.n_rows)
-        return real_solve(m, rhs)
-
     monkeypatch.setattr(deformation, "coboundary_primitive", primitive)
-    monkeypatch.setattr(cohomology, "solve", counting_solve)
     return calls
 
 
@@ -625,12 +640,10 @@ def test_primitives_on_the_selected_rows_equal_the_all_rows_solve(monkeypatch, s
 
 def test_a_selection_that_misses_the_row_space_falls_back(monkeypatch):
     # as under an unlucky prime, the selected rows miss part of the row space over Q
-    # (here the last one is dropped); the integer check sends the call to all rows
-    import wittcoh.cohomology as cohomology
-
+    # (here the last one is dropped); the certificate sends the call to all rows
     calls = spy_primitives(monkeypatch)
-    real_select = cohomology.independent_rows
-    monkeypatch.setattr(cohomology, "independent_rows", lambda rows: real_select(rows)[:-1])
+    real_select = linalg._select
+    monkeypatch.setattr(linalg, "_select", lambda rows: real_select(rows)[:-1])
     e = random_unipotent(Random(12), W9, 2)
     assert trivialize(conjugate(DeformedBracket.trivial(WITT, W9, 2), e), W9, margin=4).trivialized
     assert any(len(solves) == 2 for *_, solves in calls)
@@ -642,29 +655,54 @@ def test_a_selection_that_misses_the_row_space_falls_back(monkeypatch):
 def test_an_excluded_selected_row_and_an_inconsistent_right_hand_side(monkeypatch):
     import wittcoh.cohomology as cohomology
 
-    selections, solves = [], []
-    real_select, real_solve = cohomology.independent_rows, cohomology.solve
-    monkeypatch.setattr(cohomology, "independent_rows",
-                        lambda rows: selections.append(real_select(rows)) or selections[-1])
-    monkeypatch.setattr(cohomology, "solve",
-                        lambda m, rhs=None: solves.append(m.n_rows) or real_solve(m, rhs))
     c = differential(WITT, random_cochain(Random(13), 1, 0, W8, fill=0.5))
+    bad = Cochain(2, 0, W8, ADJOINT, {(1, 2): 1})
+    comp, matrix = cohomology.comparison_tuples(WITT, 2, 0, W8, 2)
+    exclude = {comp[matrix.independent_rows[0]]}
+    expected = [reference_primitive(WITT, c, 2), reference_primitive(WITT, c, 2, exclude)]
+    assert None not in expected and reference_primitive(WITT, bad, 2) is None
+    selections = []
+    real_select = linalg._select
+    monkeypatch.setattr(linalg, "_select",
+                        lambda rows: selections.append(real_select(rows)) or selections[-1])
+    solves = spy_eliminations(monkeypatch)
     comparisons = {}
-    b = cohomology.coboundary_primitive(WITT, c, 2, comparisons=comparisons)
-    assert b == reference_primitive(WITT, c, 2) is not None and solves == [len(selections[0])]
+    assert cohomology.coboundary_primitive(WITT, c, 2, comparisons=comparisons) == expected[0]
+    assert selections == [list(matrix.independent_rows)] and solves == [len(selections[0])]
     # dropping a selected row leaves a new comparison system, selected anew
-    comp = cohomology.comparison_tuples(WITT, 2, 0, W8, 2)[0]
-    exclude = {comp[selections[0][0]]}
     got = cohomology.coboundary_primitive(WITT, c, 2, exclude, comparisons=comparisons)
-    assert got == reference_primitive(WITT, c, 2, exclude)
+    assert got == expected[1]
     assert len(selections) == 2 and solves[1:] == [len(selections[1])]
     # (1,2) -> e_3 alone is no coboundary on the core: the selected rows are always
-    # solvable, the check fails, and the all-rows solve finds the system inconsistent
-    bad = Cochain(2, 0, W8, ADJOINT, {(1, 2): 1})
+    # solvable, the certificate fails, and the all-rows elimination finds the system
+    # inconsistent, with no new selection
     del solves[:]
     assert cohomology.coboundary_primitive(WITT, bad, 2, comparisons=comparisons) is None
-    assert reference_primitive(WITT, bad, 2) is None
-    assert len(selections) == 2 and len(solves) == 2 and solves[1] > solves[0]
+    assert len(selections) == 2 and solves == [len(selections[0]), matrix.n_rows]
+
+
+def test_trivialize_selects_each_comparison_system_once(monkeypatch):
+    # every primitive of one trivialize run reads the selection of its comparison
+    # system (a weight's comparison rows less those of omitted pairs), made once
+    import wittcoh.deformation as deformation
+
+    selections, calls = [], []
+    real_select, real_primitive = linalg._select, deformation.coboundary_primitive
+    monkeypatch.setattr(linalg, "_select",
+                        lambda rows: selections.append(len(rows)) or real_select(rows))
+
+    def primitive(alg, c, margin, exclude=frozenset(), *, comparisons):
+        calls.append(comparisons)
+        return real_primitive(alg, c, margin, exclude, comparisons=comparisons)
+
+    monkeypatch.setattr(deformation, "coboundary_primitive", primitive)
+    d = conjugate(DeformedBracket.trivial(WITT, W9, 3), random_unipotent(Random(14), W9, 3))
+    assert trivialize(d, W9, margin=4).trivialized and d.omitted_pairs
+    (comparisons,) = {id(got): got for got in calls}.values()  # one dict for the run
+    kept = [keep for _, _, by_keep in comparisons.values() for keep in by_keep]
+    assert len(selections) == len(kept) < len(calls)
+    assert any(len(keep) < len(comp) for comp, _, by_keep in comparisons.values()
+               for keep in by_keep)
 
 
 def test_trivialize_conjugates_as_the_chain_of_public_conjugates(monkeypatch):

@@ -8,7 +8,7 @@ from wittcoh import linalg
 from wittcoh.algebra import Window, make_witt
 from wittcoh.cochains import delta_matrix
 from wittcoh.cohomology import cocycle_matrix, comparison_tuples, leading_tuples
-from wittcoh.linalg import LinearSolution, SparseMatrix, independent_rows, rank, rank_mod_p, solve
+from wittcoh.linalg import LinearSolution, SparseMatrix, rank, solve
 
 from helpers import annihilates, matrix_from_rows as mat, reference_select, reference_solve
 
@@ -113,16 +113,32 @@ def _perturb_first_pivot(monkeypatch, col):
     monkeypatch.setattr(linalg, "_eliminate", perturbed)
 
 
+def _spy_eliminations(monkeypatch):
+    """Record the number of rows that every elimination (`linalg._solve_rows`) reduces."""
+    seen = []
+    real = linalg._solve_rows
+
+    def spy(sub, *args):
+        seen.append(len(sub))
+        return real(sub, *args)
+
+    monkeypatch.setattr(linalg, "_solve_rows", spy)
+    return seen
+
+
 def test_kernel_certificate_fires(monkeypatch):
-    small, tall = (mat([[1, 2, 3], [0, 1, 1]] * copies) for copies in (1, TALL // 2))
-    for m in (small, tall):
+    def systems():  # new matrices, whose selections are not yet made
+        return [mat([[1, 2, 3], [0, 1, 1]] * copies) for copies in (1, TALL // 2)]
+
+    for m in systems():
         assert solve(m).kernel_basis == ((Fraction(1), Fraction(1), Fraction(-1)),)
-    seen = _spy_select(monkeypatch)
+    seen, eliminated = _spy_select(monkeypatch), _spy_eliminations(monkeypatch)
     _perturb_first_pivot(monkeypatch, 2)  # column 2 is free
-    for m in (small, tall):
+    for m in systems():
         with pytest.raises(AssertionError, match="kernel vector"):
             solve(m)
-    assert seen == [2, TALL]  # each fails on its selected rows, then on all of them
+    assert seen == [2, TALL]
+    assert eliminated == [2, 2, 2, TALL]  # each fails on its selected rows, then on all of them
 
 
 def test_particular_certificate_fires(monkeypatch):
@@ -173,10 +189,12 @@ def test_one_sweep_certificate_matches_the_per_vector_reference(case):
 def test_only_the_last_row_fails_only_the_last_kernel_vector(monkeypatch):
     # row (1, 0, 0, P) is (1, 0, 0, 0) mod P, so _select keeps only the first two
     # rows; their kernel e_2, e_3 meets that last row only through e_3
-    m = mat([[1, 0, 0, 0], [0, 1, 0, 0]] * (TALL // 2) + [[1, 0, 0, linalg._P]])
+    def system():  # a new matrix, whose selection is not yet made
+        return mat([[1, 0, 0, 0], [0, 1, 0, 0]] * (TALL // 2) + [[1, 0, 0, linalg._P]])
+
     full = LinearSolution(rank=3, pivot_columns=(0, 1, 3), kernel_basis=((0, 0, 1, 0),))
     with mock.patch.object(linalg, "_select", lambda rows: list(range(len(rows)))):
-        assert solve(m) == full
+        assert solve(system()) == full
     checks = []
     real = linalg._first_failure
 
@@ -187,7 +205,7 @@ def test_only_the_last_row_fails_only_the_last_kernel_vector(monkeypatch):
 
     seen = _spy_select(monkeypatch)
     monkeypatch.setattr(linalg, "_first_failure", spy)
-    assert solve(m) == full
+    assert solve(system()) == full
     assert seen == [TALL + 1]
     assert checks == [{(TALL, 1)}, set()]  # selected rows fail; the full-row fallback holds
 
@@ -198,12 +216,13 @@ def _weight_zero_cocycle_matrix(h):
 
 @pytest.mark.parametrize("prime", [2, 3])
 def test_unlucky_prime_falls_back_to_the_same_solution(monkeypatch, prime):
-    m = _weight_zero_cocycle_matrix(8)
-    expected = solve(m)
+    expected = solve(_weight_zero_cocycle_matrix(8))
     monkeypatch.setattr(linalg, "_P", prime)
-    rows = [linalg._primitive(r) for r in m]
-    assert len(linalg._select(rows)) < expected.rank  # so the certificate must fail
+    m = _weight_zero_cocycle_matrix(8)  # selected under the patched prime
+    assert len(m.independent_rows) < expected.rank  # so the certificate must fail
+    eliminated = _spy_eliminations(monkeypatch)
     assert solve(m) == expected
+    assert eliminated == [len(m.independent_rows), m.n_rows]  # the all-rows fallback ran
     assert rank(m) == expected.rank
 
 
@@ -215,14 +234,9 @@ def test_cocycle_matrices_take_the_selection_path(monkeypatch):
     assert seen == [m.n_rows]
 
 
-def _with_rhs(rows):
-    """The rows with a right-hand side column, row k's value k % 3 + 1."""
-    return [{**row, linalg._AUG: -(k % 3 + 1)} for k, row in enumerate(rows)]
-
-
 def test_the_heap_selects_the_rows_of_the_min_scan_on_the_grid():
     # the rigidity grid's cocycle matrices (all rows and the count's leading rows) and
-    # comparison matrices, with and without a right-hand side
+    # comparison matrices
     witt = make_witt()
     for h in (8, 10, 12):
         for d in range(-6, 7):
@@ -230,7 +244,7 @@ def test_the_heap_selects_the_rows_of_the_min_scan_on_the_grid():
             m = cocycle_matrix(witt, 2, d, window)[0]
             lead = delta_matrix(witt, 2, d, window, rows=leading_tuples(2, d, window))[0]
             coboundary = comparison_tuples(witt, 2, d, window, 4)[1]
-            for rows in (m.rows, lead.rows, coboundary.rows, _with_rhs(coboundary.rows)):
+            for rows in (m.rows, lead.rows, coboundary.rows):
                 rows = [linalg._primitive(r) for r in rows if r]
                 assert linalg._select(rows) == reference_select(rows), (h, d)
 
@@ -244,10 +258,9 @@ def sparse_rows(draw):
     return [row for row in ({j: v for j, v in enumerate(r) if v} for r in dense) if row]
 
 
-@given(sparse_rows(), st.booleans())
+@given(sparse_rows())
 @settings(max_examples=100, deadline=None)
-def test_the_heap_selects_the_rows_of_the_min_scan(rows, rhs):
-    rows = _with_rhs(rows) if rhs else rows
+def test_the_heap_selects_the_rows_of_the_min_scan(rows):
     assert linalg._select(rows) == reference_select(rows)
 
 
@@ -280,9 +293,9 @@ def low_rank_systems(draw):
 def test_selected_rows_give_the_full_elimination_answer(system):
     m, rhs = system
     selected = solve(m, rhs)
-    # selecting every row is the full elimination
+    # selecting every row is the full elimination; a new matrix is selected anew
     with mock.patch.object(linalg, "_select", lambda rows: list(range(len(rows)))):
-        assert solve(m, rhs) == selected
+        assert solve(SparseMatrix(m.rows, m.n_cols), rhs) == selected
 
 
 @given(low_rank_systems(), st.lists(st.integers(1, 12), min_size=TALL, max_size=TALL),
@@ -294,8 +307,8 @@ def test_rank_mod_p_never_exceeds_the_rank(system, denominators, prime):
     m, _ = system
     rational = [{c: Fraction(v, k) for c, v in row.items()} for row, k in zip(m, denominators)]
     with mock.patch.object(linalg, "_P", prime):
-        got = rank_mod_p(m.rows)
-        assert rank_mod_p(rational) == got <= rank(m)
+        got = len(SparseMatrix(m.rows, m.n_cols).independent_rows)
+        assert len(SparseMatrix(rational, m.n_cols).independent_rows) == got <= rank(m)
 
 
 @given(low_rank_systems(), st.lists(st.sampled_from([None, {}, {0: Fraction(0)}]),
@@ -308,21 +321,21 @@ def test_independent_rows_index_the_rows_as_given(system, zeros):
     rows = []
     for row, zero in zip(m, zeros):
         rows += [row] if zero is None else [zero, row]
-    got = independent_rows(rows)
-    assert got == sorted(set(got)) and all(any(rows[i].values()) for i in got)
-    assert [rows[i] for i in got] == [m.rows[i] for i in independent_rows(m.rows)]
-    assert len(got) == rank_mod_p(rows) == rank_mod_p(m.rows) == rank(m.take_rows(
-        independent_rows(m.rows)))
+    got = SparseMatrix(rows, m.n_cols).independent_rows
+    assert list(got) == sorted(set(got)) and all(any(rows[i].values()) for i in got)
+    assert [rows[i] for i in got] == [m.rows[i] for i in m.independent_rows]
+    assert len(got) == rank(m.take_rows(m.independent_rows))
 
 
 def test_rank_mod_p_reads_a_determinant_divisible_by_p_as_singular():
     m = mat([[1, 1], [1, 1 + linalg._P]])  # determinant _P
-    assert (rank_mod_p(m.rows), rank(m)) == (1, 2)
+    assert (len(m.independent_rows), rank(m)) == (1, 2)
 
 
 def test_rank_mod_p_ignores_zero_rows():
-    assert rank_mod_p([{}, {0: 0}, {1: Fraction(0)}, {0: 2, 1: 0}, {0: -1}]) == 1
-    assert rank_mod_p([]) == 0
+    m = SparseMatrix([{}, {0: 0}, {1: Fraction(0)}, {0: 2, 1: 0}, {0: -1}], 2)
+    assert m.independent_rows == (3,)
+    assert SparseMatrix([], 0).independent_rows == ()
 
 
 @given(low_rank_systems(), st.randoms(use_true_random=False))
@@ -411,6 +424,15 @@ def test_rank_falls_back_where_rank_mod_p_is_short():
     # (1, -1) is in the kernel mod _P only; unchecked, it would close the count at 1
     assert _counted_rank(m, [{0: 1, 1: -1}]) == (2, True)
     assert _counted_rank(mat([[1, 1], [1, 2]]), []) == (2, False)
+
+
+def test_a_count_that_falls_back_selects_the_rows_once(monkeypatch):
+    # (1, 0, 0) is off the kernel, so the count fails its check and `solve` decides,
+    # reading the selection that the count made
+    m = mat([[1, 1, 0], [0, 1, 1]] * (TALL // 2))
+    seen = _spy_select(monkeypatch)
+    assert _counted_rank(m, [{0: 1}]) == (2, True)
+    assert seen == [TALL]
 
 
 def test_back_solve_scales_when_the_pivot_does_not_divide():
