@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_coefficient
 
 # key used for the central generator inside bracket values and documents
 CENTRAL = "c"
@@ -316,14 +316,21 @@ def check_jacobi(alg: GradedLieAlgebra, window: Window) -> JacobiReport:
     An empty report certifies that the bracket rule is a Lie bracket on the
     window; central contributions are included when the algebra has one.
     """
-    rule = alg.bracket_rule
+    rule, table = alg.bracket_rule, {}
+
+    def bracket(a, b):  # read once per call, its coefficients checked
+        out = table.get((a, b))
+        if out is None:
+            out = table[a, b] = {k: check_coefficient(v) for k, v in rule(a, b).items()}
+        return out
+
     keys = sorted(alg.generator_keys(window), key=_key_order)
     defects = []
     for x, y, z in combinations(keys, 3):
         total = {}
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-            for k, v in rule(a, b).items():
-                for out, w in rule(k, c).items():
+            for k, v in bracket(a, b).items():
+                for out, w in bracket(k, c).items():
                     total[out] = total.get(out, 0) + v * w
         defect = {k: v for k, v in total.items() if v}
         if defect:

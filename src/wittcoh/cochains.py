@@ -57,8 +57,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .algebra import CENTRAL, GradedLieAlgebra, Window
-from .errors import ConfigError, OutOfWindowError
-from .linalg import SparseMatrix, check_coefficient
+from .errors import ConfigError, OutOfWindowError, check_coefficient
+from .linalg import SparseMatrix
 
 ADJOINT = "adjoint"
 TRIVIAL = "trivial"

@@ -54,11 +54,12 @@ the window raises.  With h = -iota/d, a cocycle z has delta z = 0 at the rows
 (0, t), so z = delta(h z) on the comparison set and dim_stable = 0.  Given the Jacobi identity, delta of a (q-1)-cochain
 extended by zero to W is a cocycle, equal to the comparison matrix's image on
 its rows (interior for delta_{q-1}), so dim_cocycles is that matrix's rank;
-at q = 2 a count gives it (`linalg.rank` with a kernel), against the column
-of delta_0, which lies in the kernel as delta_1 delta_0 = 0 on interior rows
-(the count checks it exactly).  Where the identity fails (e_0 is not a
-grading element, as for an abelian bracket), `cohomology_by_elimination`
-decides.
+at q = 2 it is #read - 1 (#read: the columns its rows read) when delta_0's
+column, in the kernel as delta_1 delta_0 = 0 on interior rows, passes an
+exact check and fixing b_0's column fixes every read column, so dim ker <= 1
+(`_fixed_from`: the row (0, u) reads b_u times -d); `solve` decides where it
+stalls (a core without 0).  Where the identity fails (e_0 is not a grading
+element, as for an abelian bracket), `cohomology_by_elimination` decides.
 
 Alongside the dimension counts the module houses the two constructive moves
 that drive everything downstream: reduction of an arbitrary cocycle to weight
@@ -215,6 +216,30 @@ def _iota(tuples):
             for u in tuples]
 
 
+def _fixed_from(rows, seed):
+    """The columns fixed from `seed`: it, then each column that is a row's one unfixed entry."""
+    rows_of = {}
+    for row in rows:
+        for c in row:
+            rows_of.setdefault(c, []).append(row)
+    queue = list(fixed := {seed}.union(*(row for row in rows if len(row) == 1)))
+    while queue:
+        for row in rows_of.get(queue.pop(), ()):
+            new = row.keys() - fixed
+            if len(new) == 1:
+                fixed |= new
+                queue += new
+    return fixed
+
+
+def _rank_from_seed(m: SparseMatrix, seed, column) -> int:
+    """m's rank: #read - 1 by the q = 2 count (module docstring), else `solve(m).rank`."""
+    read = set().union(*m.rows)
+    exact = column and not any(sum(v * column.get(c, 0) for c, v in row.items()) for row in m)
+    closes = exact and any(column.get(c) for c in read) and read <= _fixed_from(m.rows, seed)
+    return len(read) - 1 if closes else solve(m).rank
+
+
 def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                    margin: int, coeffs: str = ADJOINT) -> CohomologyReport:
     """Stable dimension of H^q_d on the window, with surviving representatives.
@@ -235,7 +260,7 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     _check_window(window, margin)
     if coeffs == ADJOINT and alg.has_central:
         raise ConfigError(CENTRAL_TARGET)
-    kernel = None  # vectors in the kernel of the comparison matrix, for `rank`'s count
+    column = seed = None  # delta_0's column, in the comparison matrix's kernel, and b_0's
     if d:
         omitted = omitted_count(alg, q, d, window, coeffs)
         comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
@@ -256,7 +281,8 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         if q == 2 and not bracket_raises(alg, window):  # delta_0's one column, in C^1_d's basis
             below, images, _ = delta_matrix(alg, 0, d, window, coeffs)
             index = {t: i for i, t in enumerate(basis_tuples(1, d, window, coeffs))}
-            kernel = [{index[t]: v for t, row in zip(images, below) for v in row.values()}]
+            column = {index[t]: v for t, row in zip(images, below) for v in row.values()}
+            seed = index.get((0,))  # a row (0, u) reads b_0 and -d b_u
     elif q:
         omitted = omitted_count(alg, q, d, window, coeffs)  # raises what a build of delta_q raises
         lead = delta_matrix(alg, q, d, window, coeffs, rows=leading_tuples(q, d, window, coeffs))[0]
@@ -268,7 +294,7 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)[1]
     else:
         return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
-    n = rank(coboundary, kernel=kernel)  # every cocycle is a coboundary
+    n = _rank_from_seed(coboundary, seed, column)  # every cocycle is a coboundary
     return CohomologyReport(alg.name, q, d, window, margin, coeffs, n, n, 0,
                             stabilization=((window, 0),), omitted_triples=omitted)
 

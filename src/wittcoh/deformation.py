@@ -82,8 +82,8 @@ from .algebra import (
 )
 from .cochains import ADJOINT, Cochain, MixedCochain, bad_arguments
 from .cohomology import coboundary_primitive
-from .errors import BoundaryError, ConfigError, FormatError, NotACocycleError, OutOfWindowError
-from .linalg import check_coefficient
+from .errors import (BoundaryError, ConfigError, FormatError, NotACocycleError,
+                     OutOfWindowError, check_coefficient)
 
 
 def _check_layers(series, degree: int, mismatch: str):

@@ -1,4 +1,13 @@
-"""Shared exception types."""
+"""Shared exception types, and the check that a coefficient is exact."""
+
+from fractions import Fraction
+
+
+def check_coefficient(v):
+    """v itself when it is an int or a Fraction; TypeError for anything else."""
+    if not isinstance(v, (int, Fraction)):
+        raise TypeError(f"coefficient {v!r} is not an int or a Fraction")
+    return v
 
 
 class OutOfWindowError(Exception):

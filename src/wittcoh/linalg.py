@@ -8,13 +8,11 @@ tuple of {col: coefficient} rows, stored as given.
 
 `solve(m, rhs=None)` gives the rank, the canonical kernel basis (integer
 vectors) and a particular solution (None when rhs is inconsistent), each
-certified in integer arithmetic; `rank(m)` is `solve(m).rank`, unless given
-kernel vectors that close a count (`cohomology` at d != 0).
-`m.independent_rows` is the selection pass alone, uncertified and computed
-once per matrix: the rows it lists are independent over Q, so their count is
-a lower bound on the rank over Q, which a caller turns into a certificate by
-a count of its own (`cohomology` at weight 0).  `solve` and `rank` read the
-same selection, so a matrix solved for many right-hand sides is selected once.
+certified in integer arithmetic; `rank(m)` is `solve(m).rank`.  The selection
+pass alone, `m.independent_rows`, is uncertified and computed once per matrix:
+its rows are independent over Q, so their count is a lower bound on the rank,
+which the weight-0 count of `cohomology` turns into a certificate.  `solve`
+reads it too, so a matrix solved for many right-hand sides is selected once.
 Every row is scaled once to a primitive integer row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
@@ -54,15 +52,10 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
+from .errors import check_coefficient
+
 _AUG = -1  # virtual column index used for the right-hand side
 _P = 1073741789  # prime below 2**30: every residue mod _P is one 30-bit int digit
-
-
-def check_coefficient(v):
-    """v itself when it is an int or a Fraction; TypeError for anything else."""
-    if not isinstance(v, (int, Fraction)):
-        raise TypeError(f"coefficient {v!r} is not an int or a Fraction")
-    return v
 
 
 @dataclass(frozen=True)
@@ -331,21 +324,6 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
         return _solve_rows(rows, rows, m.n_cols, augmented)
 
 
-def rank(m: SparseMatrix, *, kernel=None) -> int:
-    """Rank over Q, certified; deterministic for a given input.
-
-    Given `kernel`, {col: int or Fraction} vectors of m's kernel, restricted to
-    the columns the rows read and checked exactly on every row, a count: rank
-    >= low = len(m.independent_rows), and rank <= #read - rank_p(vectors), as
-    the unread unit columns and the vectors lie in the kernel with disjoint
-    supports.  When the two meet, low is the rank; otherwise `solve(m).rank`.
-    """
-    if kernel is not None:
-        rows = m._primitive_rows
-        read = set().union(*rows)
-        vecs = [_primitive(v) for v in ({c: x for c, x in vec.items() if x and c in read}
-                                        for vec in kernel) if v]
-        low = len(m.independent_rows)
-        if _first_failure(rows, vecs) is None and low + len(_select(vecs)) == len(read):
-            return low
+def rank(m: SparseMatrix) -> int:
+    """Rank over Q, certified: `solve(m).rank`."""
     return solve(m).rank

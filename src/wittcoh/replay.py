@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import BoundaryError, ConfigError, ContradictionError
-from .linalg import SparseMatrix, check_coefficient, rank, solve
+from .errors import BoundaryError, ConfigError, ContradictionError, check_coefficient
+from .linalg import SparseMatrix, rank, solve
 
 TAGS = ("Eq1", "Eq5", "Eq7", "Diag", "Antisym", "Sec5", "Sec9")
 

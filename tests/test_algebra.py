@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittcoh.algebra import (
     CENTRAL,
+    GradedLieAlgebra,
     Window,
     check_jacobi,
     dump_algebra,
@@ -77,6 +78,13 @@ def test_jacobi_witt_window_10():
 
 def test_jacobi_virasoro_window_10():
     assert check_jacobi(VIR, Window(-10, 10)).is_clean
+
+
+def test_jacobi_refuses_a_float_bracket():
+    # 0.1 is a binary fraction, not 1/10: summed, it would report rounding residue as defects
+    g = GradedLieAlgebra("g", lambda a, b: {a + b: 0.1 * (b - a)} if a != b else {})
+    with pytest.raises(TypeError, match="coefficient 0.1 is not an int or a Fraction"):
+        check_jacobi(g, Window(-6, 6))
 
 
 def test_jacobi_detects_corruption():

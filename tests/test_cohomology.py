@@ -1,5 +1,6 @@
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -433,19 +434,34 @@ RIGIDITY = {
 
 
 def test_the_rigidity_grid_counts_every_nonzero_weight_without_a_solve(monkeypatch):
-    # at d != 0 the comparison rank is a count against delta_0's column; weight 0
-    # keeps the certified solve
-    solves = []
-    real = linalg.solve
+    # at d != 0 the comparison rank is fixed from e_0's column, with no row selection
+    # mod p; weight 0 keeps the certified solve
+    solves, selections = [], []
+    real, real_select = linalg.solve, linalg._select
     spy = lambda *args: solves.append(args) or real(*args)  # noqa: E731
     for module in (linalg, cohomology):
         monkeypatch.setattr(module, "solve", spy)
+    monkeypatch.setattr(linalg, "_select", lambda rows: selections.append(rows) or real_select(rows))
     for h, answers in RIGIDITY.items():
         for d, (cocycles, omitted) in zip(range(-6, 7), answers):
             solves.clear()
+            selections.clear()
             r = cohomology_dim(WITT, 2, d, Window(-h, h), 4)
             assert (r.dim_cocycles, r.dim_stable, r.omitted_triples) == (cocycles, 0, omitted)
             assert bool(solves) == (d == 0), (d, h)
+            assert bool(selections) == (d == 0), (d, h)
+
+
+def test_a_core_without_zero_stalls_the_propagation_and_solve_decides(monkeypatch):
+    # [-10,2] at margin 3 has core [-7,-1]: no comparison row reads b_0, the propagation
+    # stalls, and the comparison rank comes from `solve`
+    window = Window(-10, 2)
+    expected = cohomology_by_elimination(WITT, 2, -2, window, 3).to_json_dict()
+    calls = _spy_elimination(monkeypatch)
+    with mock.patch.object(cohomology, "solve", wraps=solve) as spy:
+        got = cohomology_dim(WITT, 2, -2, window, 3).to_json_dict()
+    assert (got, calls, spy.call_count) == (expected, [], 1)
+    assert got["dim_cocycles"] == 4
 
 
 def test_windows_inside_minus_four_four_fall_back_at_weight_zero(monkeypatch):

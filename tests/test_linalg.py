@@ -4,7 +4,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittcoh import linalg
+from wittcoh import cohomology, linalg
 from wittcoh.algebra import Window, make_witt
 from wittcoh.cochains import delta_matrix
 from wittcoh.cohomology import cocycle_matrix, comparison_tuples, leading_tuples
@@ -389,49 +389,83 @@ def test_solve_matches_the_reduced_echelon_reference(system):
         assert linalg._back_solve(blind, f) == linalg._back_solve(pivots, f)
 
 
-def _counted_rank(m, kernel):
-    """(rank(m, kernel=kernel), whether it fell back to `solve`)."""
-    with mock.patch.object(linalg, "solve", wraps=linalg.solve) as spy:
-        return rank(m, kernel=kernel), spy.called
+def _counted_rank(m, seed, column):
+    """(cohomology's q = 2 count of m's rank from `seed` against `column`, whether it
+    fell back to `solve`)."""
+    with mock.patch.object(cohomology, "solve", wraps=linalg.solve) as spy:
+        return cohomology._rank_from_seed(m, seed, column), spy.called
 
 
-@given(reference_systems())
+@st.composite
+def chained_systems(draw):
+    """(m, x): every column j > 0 is fixed from column 0 by a row on j and an earlier
+    column, x (no zero entry) is in m's kernel, so rank(m) = n - 1; extra rows are
+    integer combinations of those, and the rows are shuffled."""
+    n = draw(st.integers(2, 7))
+    x = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n))
+    rows = []
+    for j in range(1, n):
+        i, a = draw(st.integers(0, j - 1)), draw(st.integers(1, 3))
+        rows.append({i: a * x[j], j: -a * x[i]})
+    for _ in range(draw(st.integers(0, 4))):
+        coefs = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+        combo = {}
+        for a, row in zip(coefs, rows[:n - 1]):
+            for c, v in row.items():
+                combo[c] = combo.get(c, 0) + a * v
+        rows.append(combo)
+    return SparseMatrix(draw(st.permutations(rows)), n), x
+
+
+@given(chained_systems(), st.integers(1, 5))
 @settings(max_examples=100, deadline=None)
-def test_rank_counts_against_a_kernel_and_falls_back_when_it_is_short_or_wrong(system):
-    m, _ = system
-    solution = solve(m)
-    want = solution.rank
-    basis = [{j: x for j, x in enumerate(vec) if x} for vec in solution.kernel_basis]
-    read = {c for row in m for c in row}
-    # solve's own kernel closes the count, scaled to Fractions too, and a repeated
-    # vector changes nothing
-    assert _counted_rank(m, basis) == (want, False)
-    assert _counted_rank(m, [{j: Fraction(x, 3) for j, x in v.items()} for v in basis]) == (
-        want, False)
-    assert _counted_rank(m, basis + basis[:1]) == (want, False)
-    # a basis vector on a column some row reads, left out: the count is short
-    needed = [k for k, vec in enumerate(basis) if read & vec.keys()]
-    if needed:
-        assert _counted_rank(m, basis[:needed[0]] + basis[needed[0] + 1:]) == (want, True)
-    # a unit vector on a read column is not in the kernel: the check fails
-    if read:
-        assert _counted_rank(m, basis + [{min(read): 1}]) == (want, True)
+def test_rank_counts_against_a_kernel_and_falls_back_when_it_is_short_or_wrong(system, k):
+    m, x = system
+    n = m.n_cols
+    column = dict(enumerate(x))
+    # a true kernel vector closes the count, scaled to Fractions too
+    assert _counted_rank(m, 0, column) == (n - 1, False)
+    assert _counted_rank(m, 0, {c: Fraction(v, k) for c, v in column.items()}) == (n - 1, False)
+    # a vector off the kernel fails the exact check
+    assert _counted_rank(m, 0, {**column, n - 1: x[-1] + k}) == (n - 1, True)
+    # a seed no row reads: no row has a single entry, so the propagation stalls
+    wide = SparseMatrix(m.rows, n + 1)
+    assert _counted_rank(wide, n, column) == (n - 1, True)
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-3, 3).filter(bool),
+                                min_size=1, max_size=3), max_size=8),
+       st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_a_propagation_that_fixes_every_read_column_bounds_the_rank(rows, seed):
+    # a kernel vector is fixed by its value at the seed, so dim ker <= 1 on the read columns
+    read = set().union(*rows)
+    if read <= cohomology._fixed_from(rows, seed):
+        assert solve(SparseMatrix(rows, 6)).rank >= len(read) - 1
 
 
 def test_rank_falls_back_where_rank_mod_p_is_short():
     m = mat([[1, 1], [1, 1 + linalg._P]])  # determinant _P: rank 2, kernel empty
-    assert _counted_rank(m, []) == (2, True)
-    # (1, -1) is in the kernel mod _P only; unchecked, it would close the count at 1
-    assert _counted_rank(m, [{0: 1, 1: -1}]) == (2, True)
-    assert _counted_rank(mat([[1, 1], [1, 2]]), []) == (2, False)
+    assert _counted_rank(m, 0, {}) == (2, True)
+    # (1, -1) is in the kernel mod _P only; every column is fixed from column 0, so
+    # unchecked, the count would close at 1
+    assert _counted_rank(m, 0, {0: 1, 1: -1}) == (2, True)
+    # the same with no prime: an unchecked count reads rank 1 where the rank is 2
+    assert _counted_rank(SparseMatrix([{0: 1}, {0: 1, 1: 1}], 2), 0, {0: 1, 1: -1}) == (2, True)
+    # a column that no read column carries passes the check vacuously: rank 1, not 0
+    assert _counted_rank(SparseMatrix([{0: 1}], 2), 0, {1: 1}) == (1, True)
+    assert _counted_rank(mat([[1, -1], [2, -2]]), 0, {0: 1, 1: 1}) == (1, False)
 
 
 def test_a_count_that_falls_back_selects_the_rows_once(monkeypatch):
     # (1, 0, 0) is off the kernel, so the count fails its check and `solve` decides,
-    # reading the selection that the count made
+    # selecting the rows once; a count that closes selects none
     m = mat([[1, 1, 0], [0, 1, 1]] * (TALL // 2))
     seen = _spy_select(monkeypatch)
-    assert _counted_rank(m, [{0: 1}]) == (2, True)
+    assert _counted_rank(m, 0, {0: 1}) == (2, True)
+    assert seen == [TALL]
+    assert _counted_rank(mat([[1, 1, 0], [0, 1, 1]] * (TALL // 2)), 0, {0: 1, 1: -1, 2: 1}) == (
+        2, False)
     assert seen == [TALL]
 
 
