@@ -19,28 +19,28 @@ window through `_check_window`: lo < 0 < hi, margin >= 2, 2*margin < hi - lo.
 
 Weight 0 is the paper's argument: eq. (4), the six-term equation, at k = 1 is
 eq. (5), and the replay adds a few k = 2 equations (`replay.k2_specializations`,
-at i = -2 and -3), so these should determine a cocycle.  `leading_tuples`
-lists their rows: the rows whose tuple holds 1, and those whose tuple holds 2
-with one of 0, -1, -2, -3 (0 and -1 keep the smallest windows' count
-closing).  At weight 0 `cohomology_dim` decides by one count on those rows,
-the only rows of delta_q it builds, with no kernel; `omitted_triples` comes
-from `omitted_count` first, so a window whose brackets raise raises before
-any row is built.  Let K = ker delta_q on the n columns and B = delta_{q-1},
-whose rows are those n columns, read from `cocycle_matrix(q - 1)`; its own
-leading rows, B_lead, come first, and the count reads them alone.  Given the
-Jacobi identity, im B lies in K (the hypothesis the nonzero weights use too).
-Rows independent mod p are independent over Q (`SparseMatrix.independent_rows`
-lists them, and rank_p is their count), so if B omits no row and
-rank_p(leading) + rank_p(B_lead) = n, then
-rank_Q(B) >= rank_p(B_lead) = n - rank_p(leading) >= dim K >= rank_Q(B), hence
-K = im B: every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is
-the rank of the comparison matrix (B's rows on the comparison set), by
-`solve`.  The count is a certificate whatever rows it reads; these close it
-on the same windows as every row through e_1 or e_2 does.  For the Witt
-algebra at q = 2 the count closes on every window with lo in [-10,-2] and hi
-in [2,10] except the 9 inside [-4,4], and never at the Gelfand-Fuks class
-(trivial coefficients, q = 2).  Where it does not close,
-`cohomology_by_elimination` runs.
+at i = -2 and -3), so these determine a cocycle once section 2's normalization
+fixes c_{i,1} and c_{-2,2}.  `leading_tuples` lists their rows: the rows whose
+tuple holds 1, and those whose tuple holds 2 with -2 or -3.  At weight 0
+`cohomology_dim` decides by one count on them, with no kernel and no prime;
+`omitted_triples` comes from `omitted_count` first, so a window whose brackets
+raise raises before any row is built.  If a propagation from seed columns S
+fixes the columns F of a matrix (a row with one unfixed entry fixes it,
+`_fixed_from`), a kernel vector is determined by its values on S and on the
+unfixed columns, so the rank over Q is at least |F| - |S|.  For p = q, q - 1
+let F_p be fixed over delta_p's leading rows from S_p, the columns whose tuple
+holds 1 and (-2,2).  Let K = ker delta_q on the n columns and B = delta_{q-1},
+whose rows are those n columns when `omitted_count` finds none omitted; given
+the Jacobi identity, im B lies in K (the hypothesis the nonzero weights use
+too).  If sum_p (|F_p| - |S_p|) = n, then rank(B) >= |F_{q-1}| - |S_{q-1}| =
+n - (|F_q| - |S_q|) >= n - rank(delta_q) = dim K >= rank(B), hence K = im B:
+every cocycle is a coboundary, dim_stable = 0 and dim_cocycles is the rank of
+the comparison matrix (B's rows on the comparison set), fixed at q = 2 from
+b_1's column as below.  The propagation fixes as much over these rows as over
+every row through e_1 or e_2.  For the Witt algebra at q = 2 the count closes
+on every window with lo in [-10,-2] and hi in [2,10] except the 24 with
+lo >= -7 and hi <= 5, and never at the Gelfand-Fuks class (trivial
+coefficients, q = 2).  Where it does not close, `cohomology_by_elimination` runs.
 
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
@@ -51,15 +51,17 @@ alone are expanded, by the expansion that builds all of delta_q
 (`delta_matrix(..., rows=...)`), and `omitted_triples` comes from
 `cochains.omitted_count`, which builds all of delta_q only where a bracket on
 the window raises.  With h = -iota/d, a cocycle z has delta z = 0 at the rows
-(0, t), so z = delta(h z) on the comparison set and dim_stable = 0.  Given the Jacobi identity, delta of a (q-1)-cochain
-extended by zero to W is a cocycle, equal to the comparison matrix's image on
-its rows (interior for delta_{q-1}), so dim_cocycles is that matrix's rank;
-at q = 2 it is #read - 1 (#read: the columns its rows read) when delta_0's
-column, in the kernel as delta_1 delta_0 = 0 on interior rows, passes an
-exact check and fixing b_0's column fixes every read column, so dim ker <= 1
-(`_fixed_from`: the row (0, u) reads b_u times -d); `solve` decides where it
-stalls (a core without 0).  Where the identity fails (e_0 is not a grading
-element, as for an abelian bracket), `cohomology_by_elimination` decides.
+(0, t), so z = delta(h z) on the comparison set and dim_stable = 0.  Given the
+Jacobi identity, delta of a (q-1)-cochain extended by zero to W is a cocycle,
+equal to the comparison matrix's image on its rows (interior for
+delta_{q-1}), so dim_cocycles is that matrix's rank; at q = 2 it is #read - 1
+(#read: the columns its rows read) when delta_0's column, in the kernel as
+delta_1 delta_0 = 0 on interior rows, passes an exact check and fixing b_0's
+column fixes every read column, so dim ker <= 1 (`_fixed_from`: the row
+(0, u) reads b_u times -d; at d = 0 the seed is b_1, as the row (i, 1) reads
+b_{i+1}); `solve` decides where it stalls (a core without 0).  Where the
+identity fails (e_0 is not a grading element, as for an abelian bracket),
+`cohomology_by_elimination` decides.
 
 Alongside the dimension counts the module houses the two constructive moves
 that drive everything downstream: reduction of an arbitrary cocycle to weight
@@ -137,9 +139,9 @@ def _check_window(window: Window, margin: int):
 def leading_tuples(q: int, d: int, window: Window, coeffs: str = ADJOINT):
     """The tuples of delta_q's leading rows (module docstring) in basis order, each
     listed from the tuples of its other indices: those through 1, eq. (5), and
-    through 2 with one of 0, -1, -2, -3, the k = 2 rows."""
+    through 2 with -2 or -3, the k = 2 rows."""
     found = set()
-    for fixed in ((1,), (0, 2), (-1, 2), (-2, 2), (-3, 2)):
+    for fixed in ((1,), (-2, 2), (-3, 2)):
         if len(fixed) <= q + 1 and all(a in window for a in fixed):
             found.update(tuple(sorted(fixed + rest)) for rest in
                          basis_tuples(q + 1 - len(fixed), d + sum(fixed), window, coeffs)
@@ -157,9 +159,8 @@ def cocycle_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     equations through e_0, e_{+-1}, e_{+-2} come early.  In `solve` the pivot
     ties, broken by row index, favour them, which keeps the fallback's fill
     low.  No answer depends on the order: `solve` returns data of the reduced
-    echelon form, a function of the row space alone.  At weight 0 the count
-    reads the leading rows of B = delta_{q-1} from here, the first rows, and
-    builds those of delta_q alone; `cohomology_by_elimination` builds delta_q.
+    echelon form, a function of the row space alone.  The weight-0 count
+    builds the leading rows alone; `cohomology_by_elimination` builds delta_q.
     """
     matrix, rows, omitted = delta_matrix(alg, q, d, window, coeffs)
     leads = set(leading_tuples(q, d, window, coeffs))
@@ -216,19 +217,21 @@ def _iota(tuples):
             for u in tuples]
 
 
-def _fixed_from(rows, seed):
-    """The columns fixed from `seed`: it, then each column that is a row's one unfixed entry."""
-    rows_of = {}
-    for row in rows:
+def _fixed_from(rows, *seeds):
+    """The columns fixed from `seeds`: they, then each column that is a row's one unfixed
+    entry, with a count of unfixed entries kept per row."""
+    rows_of, unfixed = {}, [len(row) for row in rows]
+    for r, row in enumerate(rows):
         for c in row:
-            rows_of.setdefault(c, []).append(row)
-    queue = list(fixed := {seed}.union(*(row for row in rows if len(row) == 1)))
+            rows_of.setdefault(c, []).append(r)
+    fixed, queue = set(), [*seeds, *(c for row in rows if len(row) == 1 for c in row)]
     while queue:
-        for row in rows_of.get(queue.pop(), ()):
-            new = row.keys() - fixed
-            if len(new) == 1:
-                fixed |= new
-                queue += new
+        if (c := queue.pop()) not in fixed:
+            fixed.add(c)
+            for r in rows_of.get(c, ()):
+                unfixed[r] -= 1
+                if unfixed[r] == 1:
+                    queue += rows[r].keys() - fixed
     return fixed
 
 
@@ -247,8 +250,10 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     dim_cocycles and dim_coboundaries are both measured on the core comparison
     set; dim_stable is their difference, so it counts cocycle classes whose
     core restriction no coboundary can reproduce.  A nonzero weight is decided
-    by the Cartan homotopy, and weight 0 (q >= 1) by the count mod p of the
-    module docstring when it closes; both read a cocycle space spanned by
+    by the Cartan homotopy, and weight 0 (q >= 1), when it closes, by the
+    count of the module docstring: a propagation over the leading rows of
+    delta_q and delta_{q-1} from the seeds of the paper's normalization, the
+    columns through 1 and (-2,2).  Both read a cocycle space spanned by
     coboundaries, so both need a Lie bracket on the window (the built-ins are;
     the CLI checks a loaded one by order 0 of `deformation.jacobi_defect`).
     Everything else is `cohomology_by_elimination`.
@@ -260,7 +265,6 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     _check_window(window, margin)
     if coeffs == ADJOINT and alg.has_central:
         raise ConfigError(CENTRAL_TARGET)
-    column = seed = None  # delta_0's column, in the comparison matrix's kernel, and b_0's
     if d:
         omitted = omitted_count(alg, q, d, window, coeffs)
         comp, coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)
@@ -278,22 +282,26 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                 acc[u] = acc.get(u, 0) + sign * v
             if up is None or any(acc.values()):
                 return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
-        if q == 2 and not bracket_raises(alg, window):  # delta_0's one column, in C^1_d's basis
-            below, images, _ = delta_matrix(alg, 0, d, window, coeffs)
-            index = {t: i for i, t in enumerate(basis_tuples(1, d, window, coeffs))}
-            column = {index[t]: v for t, row in zip(images, below) for v in row.values()}
-            seed = index.get((0,))  # a row (0, u) reads b_0 and -d b_u
     elif q:
         omitted = omitted_count(alg, q, d, window, coeffs)  # raises what a build of delta_q raises
-        lead = delta_matrix(alg, q, d, window, coeffs, rows=leading_tuples(q, d, window, coeffs))[0]
-        bound, _, lost = cocycle_matrix(alg, q - 1, d, window, coeffs)  # rows: delta_q's n columns
-        n_lead = len(leading_tuples(q - 1, d, window, coeffs))  # cocycle_matrix puts them first
-        bound_lead = bound.take_rows(range(n_lead))
-        if lost or len(lead.independent_rows) + len(bound_lead.independent_rows) != bound.n_rows:
+        fixed = 0  # the sum over p of |F_p| - |S_p| (module docstring)
+        for p in (q, q - 1):
+            seeds = [j for j, t in enumerate(basis_tuples(p, d, window, coeffs))
+                     if 1 in t or t == (-2, 2)]
+            lead = delta_matrix(alg, p, d, window, coeffs, rows=leading_tuples(p, d, window, coeffs))[0]
+            fixed += len(_fixed_from(lead.rows, *seeds)) - len(seeds)
+        lost = omitted_count(alg, q - 1, d, window, coeffs)  # rows of B, columns of delta_q
+        if lost or fixed != len(basis_tuples(q, d, window, coeffs)):
             return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
         coboundary = comparison_tuples(alg, q, d, window, margin, coeffs)[1]
     else:
         return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
+    column = seed = None  # delta_0's one column in C^1_d's basis, in the comparison matrix's kernel
+    if q == 2 and not bracket_raises(alg, window):
+        below, images, _ = delta_matrix(alg, 0, d, window, coeffs)
+        index = {t: i for i, t in enumerate(basis_tuples(1, d, window, coeffs))}
+        column = {index[t]: v for t, row in zip(images, below) for v in row.values()}
+        seed = index.get((0,) if d else (1,))  # a row (0, u) reads b_0 and -d b_u; b_1 at d = 0
     n = _rank_from_seed(coboundary, seed, column)  # every cocycle is a coboundary
     return CohomologyReport(alg.name, q, d, window, margin, coeffs, n, n, 0,
                             stabilization=((window, 0),), omitted_triples=omitted)

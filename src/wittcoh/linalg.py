@@ -10,9 +10,9 @@ tuple of {col: coefficient} rows, stored as given.
 vectors) and a particular solution (None when rhs is inconsistent), each
 certified in integer arithmetic; `rank(m)` is `solve(m).rank`.  The selection
 pass alone, `m.independent_rows`, is uncertified and computed once per matrix:
-its rows are independent over Q, so their count is a lower bound on the rank,
-which the weight-0 count of `cohomology` turns into a certificate.  `solve`
-reads it too, so a matrix solved for many right-hand sides is selected once.
+its rows are independent over Q, so their count is a lower bound on the rank.
+Only `solve` reads it, so a matrix solved for many right-hand sides is
+selected once; no count in `cohomology` reads a rank mod p.
 Every row is scaled once to a primitive integer row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
@@ -109,7 +109,7 @@ class SparseMatrix:
     def independent_rows(self) -> tuple:
         """Sorted indices of the rows `_select` keeps of the primitive integer rows:
         independent mod _P, hence over Q; uncertified, so their count is a lower
-        bound on the rank over Q."""
+        bound on the rank over Q.  `solve` alone reads them."""
         return tuple(_select(self._primitive_rows))
 
     def apply(self, vec):
