@@ -5,16 +5,23 @@ Emits the fact table at the pre-recurrence stage, the derivation log, the
 solved diagonal relations, and the final verdict.
 
 Usage: python scripts/replay_proof.py [K]
+
+Exits 0 when every unknown is forced to zero, 1 otherwise, and 2 with one
+`error: ...` line on standard error for a malformed K or one below 6.
 """
 
 import sys
 
 from wittcoh import RelationSet, run_replay
+from wittcoh.errors import ConfigError
 
 
-def main():
-    K = int(sys.argv[1]) if len(sys.argv) > 1 else 12
-    result = run_replay(K=K)
+def main(argv):
+    try:
+        result = run_replay(K=int(argv[0]) if argv else 12)
+    except (ConfigError, ValueError) as exc:  # a malformed K, or one the table refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print("fact table after the nonpositive fill:\n")
     print(result.section5_table)
@@ -34,4 +41,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -74,6 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import BUILTIN, GradedLieAlgebra, Window
 from .cochains import (
@@ -184,27 +185,34 @@ def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     return rows, matrix
 
 
-def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude=frozenset(),
-                         *, comparisons=None):
+@lru_cache(maxsize=32)
+def _comparisons(*key):
+    """`comparison_tuples(*key)`, built once per key for every primitive."""
+    return comparison_tuples(*key)
+
+
+@lru_cache(maxsize=64)
+def _system(key: tuple, keep: tuple) -> SparseMatrix:
+    """The rows `keep` of `_comparisons(*key)`'s matrix: one matrix, so one selection
+    and one certified kernel in `solve`, for every right-hand side of a system."""
+    return _comparisons(*key)[1].take_rows(keep)
+
+
+def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude=frozenset()):
     """Solve delta(b) = c on the core comparison tuples; None when obstructed.
 
     Tuples in `exclude` carry no trustworthy value of c and are dropped from
-    the equation set.  A caller solving many c of one algebra, window, margin
-    and degree passes one `comparisons` dict, and each weight's comparison set
-    (`comparison_tuples`) is built once, as is the matrix of each set of kept
-    rows, so `solve` selects its independent rows once for every c.
+    the equation set.  Each comparison set, and each matrix of its kept rows,
+    is built once per algebra, degree, weight, window, margin and coefficients
+    in a bounded cache, which every call on one window shares.
     """
     q, d, window, coeffs = c.degree, c.weight, c.window, c.coeffs
     if q < 1:
         raise ValueError("0-cochains have no primitives")
-    comparisons = {} if comparisons is None else comparisons
-    if d not in comparisons:
-        comparisons[d] = (*comparison_tuples(alg, q, d, window, margin, coeffs), {})
-    comp, matrix, systems = comparisons[d]
+    key = (alg, q, d, window, margin, coeffs)
+    comp = _comparisons(*key)[0]
     keep = tuple(r for r, t in enumerate(comp) if t not in exclude)
-    if keep not in systems:
-        systems[keep] = matrix.take_rows(keep)
-    x = solve(systems[keep], [c.entries.get(comp[r], 0) for r in keep]).particular
+    x = solve(_system(key, keep), [c.entries.get(comp[r], 0) for r in keep]).particular
     if x is None:
         return None
     cols = basis_tuples(q - 1, d, window, coeffs)

@@ -462,7 +462,8 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
     changes nothing below order s; each cleared order therefore stays cleared,
     and on success the conjugated layers vanish exactly on the margin core
     (verified entry by entry).  A component with no primitive aborts with the
-    obstruction representative instead.
+    obstruction representative instead.  Every stage, and every call on one
+    window and margin, reads `coboundary_primitive`'s cached comparison systems.
 
     The comparison set is all of the core only for weights |w| <= margin, so a
     component of larger weight raises BoundaryError; a margin that leaves no
@@ -486,7 +487,6 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
     N = d.order
     omitted = set(d.omitted_pairs)
     total_eq = Equivalence.identity(d.window, N)
-    comparisons = {}  # comparison data by weight, built once for every order of this call
     for s in range(1, N + 1):
         comps = {}  # mu_s's weight components, read from T_s
         for t, outs in _pairs(tables[s], scales[s], d.window):
@@ -501,8 +501,7 @@ def trivialize(d: DeformedBracket, window: Window, margin: int) -> Trivializatio
                     f"order {s} has a weight {wt} component; trivializing it "
                     f"needs margin >= {abs(wt)}, got {margin}")
             part = Cochain._trusted(2, wt, d.window, ADJOINT, comps[wt])
-            prim = coboundary_primitive(d.algebra, part, margin, comparisons=comparisons,
-                                        exclude=omitted)
+            prim = coboundary_primitive(d.algebra, part, margin, exclude=omitted)
             if prim is None:
                 return TrivializationResult(
                     trivialized=False, equivalence=None, conjugated=None,

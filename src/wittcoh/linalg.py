@@ -8,22 +8,22 @@ tuple of {col: coefficient} rows, stored as given.
 
 `solve(m, rhs=None)` gives the rank, the canonical kernel basis (integer
 vectors) and a particular solution (None when rhs is inconsistent), each
-certified in integer arithmetic; `rank(m)` is `solve(m).rank`.  The selection
-pass alone, `m.independent_rows`, is uncertified and computed once per matrix:
-its rows are independent over Q, so their count is a lower bound on the rank.
-Only `solve` reads it, so a matrix solved for many right-hand sides is
-selected once; no count in `cohomology` reads a rank mod p.
+certified exactly; `rank(m)` is `solve(m).rank`.  Once per matrix it selects
+rows, `m.independent_rows` (uncertified: independent over Q, so their count
+is a lower bound on the rank; no count in `cohomology` reads it), and solves
+and certifies the rank, pivot columns and kernel basis, `m._solution`.  A
+right-hand side adds one elimination, one back-solve and its own check.
 Every row is scaled once to a primitive integer row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
   Markowitz pivoting (the column with the fewest active rows, then its
   sparsest row; the column from a lazy heap), on the rows of m alone.  The
   rows that become pivots are independent mod _P, hence independent over Q.
-* Exact pass: an online fraction-free echelon of the selected rows of
-  [m | rhs]: each row in turn is reduced at its leading column by the pivot
+* Exact pass: an online fraction-free echelon of the selected rows of m, or
+  of [m | rhs]: each row in turn is reduced at its leading column by the pivot
   row already there, with a gcd reduction after every update, until it claims
   a new pivot column (or only the right-hand side is left); each kernel
-  vector and the particular solution are back-solved in integers.
+  vector, or the particular solution alone, is back-solved in integers.
   No reduced echelon form is built.
 
 Why the back-solve is exact: for a free column f, the pivot columns left of f
@@ -34,19 +34,22 @@ returns the vector the reduced form would give.  The particular solution is
 that vector for the right-hand side column, which counts as right of every
 column, divided by its entry there.
 
-Certificate: the kernel vectors and the particular solution must give an
-integer dot product of 0 with *every* row, checked in one sweep.  Then the
-kernel of the selected rows is that of m, the row spaces agree, and rank,
-pivot columns, kernel basis and particular solution, functions of the row
-space, are those of m.  If the certificate fails (an unlucky prime, or an
-inconsistent rhs, which the independent selected rows always solve), every
-row is eliminated instead: its leftover rows decide an inconsistent rhs, and
-it raises AssertionError on its own failure.
+Certificates: the kernel vectors must give an integer dot product of 0 with
+*every* row, checked in one sweep; then the selected rows span m's row space,
+and rank, pivot columns and kernel basis, functions of the row space, are m's.
+Otherwise (an unlucky prime) every row is eliminated, which raises
+AssertionError on its own failure.  The particular solution, (x, den) in
+integers, must satisfy sum_c v_c x_c = b den on every row of m.  It is zero on
+the selected rows' free columns, which include m's (a column that depends on
+those before it in m does so in any rows of m), so it is the one solution that
+is zero on m's free columns, whatever the selection.  Otherwise (an
+inconsistent rhs, which the independent selected rows always solve) every row
+of [m | rhs] is eliminated, and its leftover rows decide.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -111,6 +114,15 @@ class SparseMatrix:
         independent mod _P, hence over Q; uncertified, so their count is a lower
         bound on the rank over Q.  `solve` alone reads them."""
         return tuple(_select(self._primitive_rows))
+
+    @cached_property
+    def _solution(self) -> "LinearSolution":
+        """`solve(self)`: rank, pivot columns and kernel basis, certified once."""
+        rows = self._primitive_rows
+        try:
+            return _solve_rows([rows[i] for i in self.independent_rows], rows, self.n_cols)
+        except AssertionError:  # the selection misses part of the row space
+            return _solve_rows(rows, rows, self.n_cols)
 
     def apply(self, vec):
         """Matrix-vector product, exact."""
@@ -275,7 +287,18 @@ def _select(rows):
     return sorted(chosen)
 
 
-def _solve_rows(sub, rows, n_cols, augmented):
+def _particular(x, n_cols):
+    """The rational solution scaled from an integer vector x with x[_AUG] != 0."""
+    return tuple(Fraction(x[j], x[_AUG]) if j in x else 0 for j in range(n_cols))
+
+
+def _augmented(m, rhs, keep):
+    """The primitive integer rows of [m | rhs] at the row indices `keep`."""
+    rows = m._primitive_rows
+    return [_primitive({**m.rows[i], _AUG: -rhs[i]}) if rhs[i] else rows[i] for i in keep]
+
+
+def _solve_rows(sub, rows, n_cols, augmented=False):
     """Exact solution data from the rows `sub`; AssertionError unless it holds on all `rows`."""
     pivots, leftovers = _eliminate(sub)
     free = sorted(set(range(n_cols)).difference(c for c, _ in pivots))
@@ -289,41 +312,30 @@ def _solve_rows(sub, rows, n_cols, augmented):
     for vec in vecs[:len(free)]:
         sign = 1 if vec[min(vec)] > 0 else -1
         kernel.append(tuple(sign * vec.get(j, 0) for j in range(n_cols)))
-    x = vecs[-1] if consistent else None
-    particular = x and tuple(Fraction(x[j], x[_AUG]) if j in x else 0 for j in range(n_cols))
-
+    particular = _particular(vecs[-1], n_cols) if consistent else None
     return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
                           kernel_basis=tuple(kernel), particular=particular)
 
 
 def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
-    """Eliminate m (augmented by rhs if given) and return the full solution data.
-
-    The kernel basis is canonical: primitive integer vectors, one per free
-    column, first nonzero entry positive.  When rhs is inconsistent the
-    particular solution is None.
-
-    The rows of [m | rhs] at `m.independent_rows` are forward-eliminated and each
-    vector is back-solved from the echelon rows.  Every answer is certified
-    against every row before it is returned: each integer row of [m | rhs] is a
-    nonzero rational multiple of an input row, so an integer dot product of 0
-    with it is the identity m*v = 0 (or m*x = rhs).  The kernel vectors are
-    independent, each nonzero on its own free column and zero on every other.
-    If that certificate fails, every row is eliminated.
-    """
-    rows = m._primitive_rows
-    if rhs is not None:
-        if len(rhs) != len(rows):
-            raise ValueError("rhs length mismatch")
-        rows = [_primitive({**row, _AUG: -b}) if check_coefficient(b) else r
-                for row, r, b in zip(m.rows, rows, rhs)]
-    augmented = rhs is not None
-    try:
-        return _solve_rows([rows[i] for i in m.independent_rows], rows, m.n_cols, augmented)
-    except AssertionError:  # the selection misses part of the row space, or rhs is inconsistent
-        return _solve_rows(rows, rows, m.n_cols, augmented)
+    """Rank, pivot columns, kernel basis and, if rhs is given, the particular solution
+    of m*x = rhs (None when rhs is inconsistent), as the module docstring computes
+    and certifies them.  The kernel basis is canonical: primitive integer vectors,
+    one per free column, first nonzero entry positive."""
+    if rhs is None:
+        return m._solution
+    if len(rhs) != len(m.rows):
+        raise ValueError("rhs length mismatch")
+    for b in rhs:
+        check_coefficient(b)
+    x = _back_solve(_eliminate(_augmented(m, rhs, m.independent_rows))[0], _AUG)  # (x, 1) scaled
+    if all(sum(v * x[c] for c, v in row.items() if c in x) == b * x[_AUG]
+           for row, b in zip(m.rows, rhs)):
+        return replace(m._solution, particular=_particular(x, m.n_cols))
+    rows = _augmented(m, rhs, range(len(rhs)))
+    return _solve_rows(rows, rows, m.n_cols, True)
 
 
 def rank(m: SparseMatrix) -> int:
-    """Rank over Q, certified: `solve(m).rank`."""
+    """Rank over Q, certified: `solve(m).rank`, computed once per matrix."""
     return solve(m).rank

@@ -350,22 +350,26 @@ def test_the_weight_zero_survey_on_small_windows_equals_the_elimination(monkeypa
             fallbacks.count((2, ADJOINT))) == (260, 106, 65, 41)
 
 
+def _fixed(p, d, window, coeffs=ADJOINT, rows=leading_tuples):
+    """|F_p| - |S_p|: the columns beyond S_p, the columns of the paper's normalization
+    (through 1, and (-2,2)), that the propagation from S_p fixes over the rows of delta_p
+    that `rows` lists (the leading rows by default)."""
+    seeds = [j for j, t in enumerate(basis_tuples(p, d, window, coeffs)) if 1 in t or t == (-2, 2)]
+    matrix = delta_matrix(WITT, p, d, window, coeffs, rows=rows(p, d, window, coeffs))[0]
+    return len(cohomology._fixed_from(matrix.rows, *seeds)) - len(seeds)
+
+
 def _count(q, window, coeffs=ADJOINT, rows=leading_tuples):
-    """(the sum of |F_p| - |S_p| over p = q, q - 1, n), weight 0: F_p the columns that the
-    propagation from S_p, the columns of the paper's normalization, fixes over the rows of
-    delta_p that `rows` lists (the leading rows by default), n the column count of delta_q."""
-    total = 0
-    for p in (q, q - 1):
-        seeds = [j for j, t in enumerate(basis_tuples(p, 0, window, coeffs)) if 1 in t or t == (-2, 2)]
-        matrix = delta_matrix(WITT, p, 0, window, coeffs, rows=rows(p, 0, window, coeffs))[0]
-        total += len(cohomology._fixed_from(matrix.rows, *seeds)) - len(seeds)
+    """(the sum of `_fixed` over p = q, q - 1 at weight 0, n), n the column count of delta_q."""
+    total = sum(_fixed(p, 0, window, coeffs, rows) for p in (q, q - 1))
     return total, len(basis_tuples(q, 0, window, coeffs))
 
 
 def test_the_leading_rows_close_the_count_where_the_rows_through_one_or_two_do():
     # eq. (5) and the k = 2 rows read fewer rows than every row through e_1 or e_2, and the
-    # propagation fixes as many columns over them as over those rows, or over every row:
-    # the count closes on the same 219 of these 324 cases
+    # propagation fixes as many columns over them as over those rows, or over every row,
+    # for delta_q and for delta_{q-1} alike: the count closes on the same 219 of these
+    # 324 cases
     def through(p, d, window, coeffs):
         return [t for t in basis_tuples(p + 1, d, window, coeffs) if 1 in t or 2 in t]
 
@@ -380,10 +384,10 @@ def test_the_leading_rows_close_the_count_where_the_rows_through_one_or_two_do()
                     window = Window(lo, hi)
                     assert not omitted_count(WITT, q - 1, 0, window, coeffs)
                     assert len(leading_tuples(q, 0, window, coeffs)) <= len(through(q, 0, window, coeffs))
-                    total, n = _count(q, window, coeffs)
-                    assert total == _count(q, window, coeffs, through)[0] == _count(
-                        q, window, coeffs, every)[0], (q, coeffs, window)
-                    closed.append(total == n)
+                    counts = [tuple(_fixed(p, 0, window, coeffs, rows) for p in (q, q - 1))
+                              for rows in (leading_tuples, through, every)]
+                    assert counts[0] == counts[1] == counts[2], (q, coeffs, window)
+                    closed.append(sum(counts[0]) == len(basis_tuples(q, 0, window, coeffs)))
     assert (sum(closed), len(closed)) == (219, 324)
 
 
@@ -599,12 +603,12 @@ def test_a_float_bracket_coefficient_is_refused_before_any_work(d):
 
 
 def test_the_elimination_selects_from_every_row(monkeypatch):
-    # at d = 3 on [-8,8] the 59 leading rows have rank 56 of the 75 the cocycle matrix
-    # has, so they do not span: the weight-0 count is for d = 0 only
+    # at d = 3 on [-8,8] the propagation over the 59 leading rows fixes 1 of the 100
+    # columns beyond its 13 seeds, where the cocycle matrix has rank 75: the weight-0
+    # count is for d = 0 only
     m = cocycle_matrix(WITT, 2, 3, Window(-8, 8))[0]
-    lead = _leading(2, 3, Window(-8, 8))
-    spanning = lead.n_rows
-    assert (spanning, len(lead.independent_rows), solve(m).rank) == (59, 56, 75)
+    spanning = _leading(2, 3, Window(-8, 8)).n_rows
+    assert (spanning, _fixed(2, 3, Window(-8, 8)), m.n_cols, solve(m).rank) == (59, 1, 100, 75)
     seen = []
     real = linalg._select
     monkeypatch.setattr(linalg, "_select", lambda rows: seen.append(len(rows)) or real(rows))

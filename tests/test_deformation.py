@@ -45,6 +45,21 @@ def mixed_coboundary(rng, window, weights, order_fill=0.35):
     return phi
 
 
+@pytest.fixture
+def fresh_systems():
+    """Empty `coboundary_primitive`'s caches of comparison sets and systems before and
+    after the test, so that a count sees every build and no matrix selected under a
+    patched `_select` outlives the test."""
+    import wittcoh.cohomology as cohomology
+
+    caches = (cohomology._comparisons, cohomology._system)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
 def random_unipotent(rng, window, order, weight_pool=(-1, 0, 1)):
     layers = []
     for _ in range(order):
@@ -394,7 +409,7 @@ def test_roundtrip_trivialization_order_three():
         assert res.verification_core == Window(-8, 8)
 
 
-def test_trivialize_builds_each_weight_comparison_once(monkeypatch):
+def test_trivialize_builds_each_weight_comparison_once(monkeypatch, fresh_systems):
     import wittcoh.cohomology as cohomology
     import wittcoh.deformation as deformation
 
@@ -586,12 +601,12 @@ def test_composed_equivalence_trivializes_in_one_step(order):
 
 
 def spy_eliminations(monkeypatch):
-    """Record the row count of every elimination (`linalg._solve_rows`): the selected
-    rows of a `solve`, then all of them when the certificate fails."""
+    """Record the row count of every elimination (`linalg._eliminate`): a system's
+    selected rows for its kernel (once per matrix) and for each right-hand side, then
+    all of its rows where a check fails."""
     solves = []
-    real = linalg._solve_rows
-    monkeypatch.setattr(linalg, "_solve_rows",
-                        lambda sub, *args: solves.append(len(sub)) or real(sub, *args))
+    real = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows: solves.append(len(rows)) or real(rows))
     return solves
 
 
@@ -603,9 +618,9 @@ def spy_primitives(monkeypatch):
     calls, solves = [], spy_eliminations(monkeypatch)
     real_primitive = deformation.coboundary_primitive
 
-    def primitive(alg, c, margin, exclude=frozenset(), **kwargs):
+    def primitive(alg, c, margin, exclude=frozenset()):
         first = len(solves)
-        got = real_primitive(alg, c, margin, exclude, **kwargs)
+        got = real_primitive(alg, c, margin, exclude)
         calls.append((c, margin, frozenset(exclude), got, solves[first:]))
         return got
 
@@ -627,32 +642,50 @@ def benchmark_trials(seed):
     return trials
 
 
+def spy_systems(monkeypatch):
+    """Record the (key, kept rows) of every comparison system a primitive reads."""
+    import wittcoh.cohomology as cohomology
+
+    systems, real = [], cohomology._system
+    monkeypatch.setattr(cohomology, "_system",
+                        lambda key, keep: systems.append((key, keep)) or real(key, keep))
+    return systems
+
+
 @pytest.mark.parametrize("seed", [909, 5])
-def test_primitives_on_the_selected_rows_equal_the_all_rows_solve(monkeypatch, seed):
-    calls = spy_primitives(monkeypatch)
+def test_primitives_on_the_selected_rows_equal_the_all_rows_solve(monkeypatch, fresh_systems,
+                                                                   seed):
+    systems, calls = spy_systems(monkeypatch), spy_primitives(monkeypatch)
     for order, d in benchmark_trials(seed):
         assert trivialize(d, W12, margin=max(4, order)).trivialized
     assert len(calls) > 20 and any(exclude for _, _, exclude, _, _ in calls)
     for c, margin, exclude, got, solves in calls:
         assert got == reference_primitive(WITT, c, margin, exclude)
-        assert len(solves) == 1  # the selected rows alone, no all-rows fallback
+        # the selected rows alone: for the right-hand side, and for the kernel on
+        # the system's first call; no all-rows fallback
+        assert len(solves) in (1, 2) and len(set(solves)) == 1
+    assert sum(len(solves) for *_, solves in calls) == len(calls) + len(set(systems))
+    assert len(set(systems)) < len(calls)
 
 
-def test_a_selection_that_misses_the_row_space_falls_back(monkeypatch):
+def test_a_selection_that_misses_the_row_space_falls_back(monkeypatch, fresh_systems):
     # as under an unlucky prime, the selected rows miss part of the row space over Q
-    # (here the last one is dropped); the certificate sends the call to all rows
+    # (here the last one is dropped); the kernel's certificate sends each system to all
+    # rows, and a particular solution that fails its check does too
     calls = spy_primitives(monkeypatch)
     real_select = linalg._select
     monkeypatch.setattr(linalg, "_select", lambda rows: real_select(rows)[:-1])
     e = random_unipotent(Random(12), W9, 2)
     assert trivialize(conjugate(DeformedBracket.trivial(WITT, W9, 2), e), W9, margin=4).trivialized
-    assert any(len(solves) == 2 for *_, solves in calls)
+    assert any(len(set(solves)) == 2 for *_, solves in calls)  # selected rows, then all
     for c, margin, exclude, got, solves in calls:
         assert got == reference_primitive(WITT, c, margin, exclude)
-        assert len(solves) in (1, 2)
+        # at most the kernel's and the right-hand side's, each on the selected rows and all
+        assert len(solves) <= 4
 
 
-def test_an_excluded_selected_row_and_an_inconsistent_right_hand_side(monkeypatch):
+def test_an_excluded_selected_row_and_an_inconsistent_right_hand_side(monkeypatch,
+                                                                     fresh_systems):
     import wittcoh.cohomology as cohomology
 
     c = differential(WITT, random_cochain(Random(13), 1, 0, W8, fill=0.5))
@@ -666,43 +699,57 @@ def test_an_excluded_selected_row_and_an_inconsistent_right_hand_side(monkeypatc
     monkeypatch.setattr(linalg, "_select",
                         lambda rows: selections.append(real_select(rows)) or selections[-1])
     solves = spy_eliminations(monkeypatch)
-    comparisons = {}
-    assert cohomology.coboundary_primitive(WITT, c, 2, comparisons=comparisons) == expected[0]
-    assert selections == [list(matrix.independent_rows)] and solves == [len(selections[0])]
+    assert cohomology.coboundary_primitive(WITT, c, 2) == expected[0]
+    # the selected rows, for the kernel and then for the right-hand side
+    assert selections == [list(matrix.independent_rows)] and solves == [len(selections[0])] * 2
     # dropping a selected row leaves a new comparison system, selected anew
-    got = cohomology.coboundary_primitive(WITT, c, 2, exclude, comparisons=comparisons)
-    assert got == expected[1]
-    assert len(selections) == 2 and solves[1:] == [len(selections[1])]
+    assert cohomology.coboundary_primitive(WITT, c, 2, exclude) == expected[1]
+    assert len(selections) == 2 and solves[2:] == [len(selections[1])] * 2
     # (1,2) -> e_3 alone is no coboundary on the core: the selected rows are always
-    # solvable, the certificate fails, and the all-rows elimination finds the system
-    # inconsistent, with no new selection
+    # solvable, the particular fails its check, and the all-rows elimination finds the
+    # system inconsistent, with no new selection
     del solves[:]
-    assert cohomology.coboundary_primitive(WITT, bad, 2, comparisons=comparisons) is None
+    assert cohomology.coboundary_primitive(WITT, bad, 2) is None
     assert len(selections) == 2 and solves == [len(selections[0]), matrix.n_rows]
 
 
-def test_trivialize_selects_each_comparison_system_once(monkeypatch):
+def test_trivialize_selects_each_comparison_system_once(monkeypatch, fresh_systems):
     # every primitive of one trivialize run reads the selection of its comparison
     # system (a weight's comparison rows less those of omitted pairs), made once
-    import wittcoh.deformation as deformation
+    import wittcoh.cohomology as cohomology
 
-    selections, calls = [], []
-    real_select, real_primitive = linalg._select, deformation.coboundary_primitive
+    selections = []
+    real_select = linalg._select
     monkeypatch.setattr(linalg, "_select",
                         lambda rows: selections.append(len(rows)) or real_select(rows))
-
-    def primitive(alg, c, margin, exclude=frozenset(), *, comparisons):
-        calls.append(comparisons)
-        return real_primitive(alg, c, margin, exclude, comparisons=comparisons)
-
-    monkeypatch.setattr(deformation, "coboundary_primitive", primitive)
+    systems = spy_systems(monkeypatch)
     d = conjugate(DeformedBracket.trivial(WITT, W9, 3), random_unipotent(Random(14), W9, 3))
     assert trivialize(d, W9, margin=4).trivialized and d.omitted_pairs
-    (comparisons,) = {id(got): got for got in calls}.values()  # one dict for the run
-    kept = [keep for _, _, by_keep in comparisons.values() for keep in by_keep]
-    assert len(selections) == len(kept) < len(calls)
-    assert any(len(keep) < len(comp) for comp, _, by_keep in comparisons.values()
-               for keep in by_keep)
+    assert len(selections) == len(set(systems)) < len(systems)
+    assert any(len(keep) < len(cohomology._comparisons(*key)[0]) for key, keep in systems)
+
+
+def test_two_trivialize_calls_on_one_window_build_each_system_once(monkeypatch,
+                                                                   fresh_systems):
+    # the comparison sets and systems outlive a call: a second deformation on the same
+    # window and margin reads those the first one built
+    import wittcoh.cohomology as cohomology
+
+    built, selections = [], []
+    real_build, real_select = cohomology.comparison_tuples, linalg._select
+    monkeypatch.setattr(cohomology, "comparison_tuples",
+                        lambda alg, q, d, *args: built.append(d) or real_build(alg, q, d, *args))
+    monkeypatch.setattr(linalg, "_select",
+                        lambda rows: selections.append(len(rows)) or real_select(rows))
+    systems = spy_systems(monkeypatch)
+    runs = []
+    for seed in (14, 15):
+        first = len(systems)
+        e = random_unipotent(Random(seed), W9, 3)
+        assert trivialize(conjugate(DeformedBracket.trivial(WITT, W9, 3), e), W9, 4).trivialized
+        runs.append(set(systems[first:]))
+    assert runs[0] & runs[1]  # the second run reads systems of the first
+    assert len(built) == len(set(built)) and len(selections) == len(runs[0] | runs[1])
 
 
 def test_trivialize_conjugates_as_the_chain_of_public_conjugates(monkeypatch):

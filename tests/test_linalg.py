@@ -114,7 +114,9 @@ def _perturb_first_pivot(monkeypatch, col):
 
 
 def _spy_eliminations(monkeypatch):
-    """Record the number of rows that every elimination (`linalg._solve_rows`) reduces."""
+    """Record the number of rows of every `linalg._solve_rows` call: a matrix's kernel
+    elimination and every all-rows fallback (a right-hand side's selected rows are
+    eliminated outside it)."""
     seen = []
     real = linalg._solve_rows
 
@@ -387,6 +389,58 @@ def test_solve_matches_the_reduced_echelon_reference(system):
     for f in sorted(set(range(m.n_cols)).difference(c for c, _ in pivots)):
         blind = [(c, r if c < f else None) for c, r in pivots]
         assert linalg._back_solve(blind, f) == linalg._back_solve(pivots, f)
+
+
+@given(reference_systems(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_one_matrix_answers_each_right_hand_side_in_turn(system, data):
+    # the kernel is certified on the first call and read by every later one; each
+    # particular solution is checked on its own
+    m, _ = system
+    entry = st.integers(-9, 9) | st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    kinds = st.sampled_from(["consistent", "random", "zero"])
+    for kind in data.draw(st.lists(kinds, min_size=2, max_size=4)):
+        if kind == "consistent":
+            rhs = list(m.apply(data.draw(st.lists(entry, min_size=m.n_cols, max_size=m.n_cols))))
+        elif kind == "random":  # almost always inconsistent
+            rhs = data.draw(st.lists(entry, min_size=m.n_rows, max_size=m.n_rows))
+        else:
+            rhs = [0] * m.n_rows
+        assert solve(m, rhs) == reference_solve(m, rhs)
+    assert solve(m) == reference_solve(m)
+
+
+def test_a_second_right_hand_side_reuses_the_selection_and_the_kernel(monkeypatch):
+    m = mat([[1, 2, 3, 0], [0, 1, 1, 1]] * (TALL // 2))  # pivots 0, 1; free columns 2, 3
+    seen, back_solved = _spy_select(monkeypatch), []
+    real = linalg._back_solve
+    monkeypatch.setattr(linalg, "_back_solve",
+                        lambda pivots, f: back_solved.append(f) or real(pivots, f))
+    first = [1, 2] * (TALL // 2)
+    assert solve(m, first) == reference_solve(m, first)
+    assert seen == [TALL] and back_solved == [linalg._AUG, 2, 3]
+    # consistent, zero, then inconsistent in the last two rows: no new selection, and
+    # the particular alone is back-solved; the inconsistent one goes to all rows
+    for rhs, vectors in (([3, -1] * (TALL // 2), [linalg._AUG]), ([0] * TALL, [linalg._AUG]),
+                         (first[:-1] + [3], [linalg._AUG, 2, 3])):
+        del back_solved[:]
+        assert solve(m, rhs) == reference_solve(m, rhs)
+        assert seen == [TALL] and back_solved == vectors
+    assert solve(m, first[:-1] + [3]).particular is None
+
+
+def test_a_short_selection_falls_back_or_meets_the_canonical_particular(monkeypatch):
+    # the selection keeps rows 0 and 1; with row 1 dropped the kernel's certificate
+    # fails, and the particular of row 0 alone either fails its check (rhs 1, 2:
+    # every row of [m | rhs] is eliminated) or is the canonical one (rhs 1, 0)
+    real = linalg._select
+    monkeypatch.setattr(linalg, "_select", lambda rows: real(rows)[:-1])
+    eliminated = _spy_eliminations(monkeypatch)
+    for rhs, expected in (([1, 2] * (TALL // 2), [TALL]), ([1, 0] * (TALL // 2), [1, TALL])):
+        m = mat([[1, 2, 3, 0], [0, 1, 1, 1]] * (TALL // 2))  # a new matrix, selected anew
+        del eliminated[:]
+        assert solve(m, rhs) == reference_solve(m, rhs)
+        assert eliminated == expected  # [1, TALL]: the kernel on row 0, then on all rows
 
 
 def _counted_rank(m, seed, column):
