@@ -3,8 +3,8 @@
 Generators are indexed by integers (deg e_n = n) plus an optional central
 generator of degree 0.  Brackets come from a rule, so an algebra holds no
 table and fixes no window: the built-in algebras are infinite dimensional.
-The layers that read a window's brackets many times tabulate them there, once
-per algebra and window (`cochains` and `deformation`, in bounded caches).
+The layers that read a window's brackets many times read them once per algebra
+and window, into one context in one bounded cache (`cochains.window_context`).
 
 Built-ins, `BUILTIN` by name:
 

@@ -42,10 +42,13 @@ first fails) reads `differential`.  It expands the formula above in one loop
 over the (q+1)-tuples (or the rows asked for), summing each row's terms into
 one dict keyed by the column of the referenced q-tuple, and leaves a row at
 the first bracket it reads that is lost.  Each bracket it reads comes from
-`_bracket_table`, which reads the rule at every pair of the window once per
-algebra and window (a bounded cache) and refuses a coefficient that is not an
-int or a Fraction there, so the matrix is built unchecked; `omitted_count`
-counts from the table's masks of lost pairs, or by a build if a bracket raises.
+`window_context`, one object per algebra and window (one bounded cache), which
+reads the rule at every pair of the window's generator keys once and refuses a
+coefficient that is not an int or a Fraction there, so the matrix is built
+unchecked; `omitted_count` counts from its masks of lost pairs, or by a build
+if a bracket raises.  The layers above keep what they derive from a window in
+its context too (`deformation`'s T_0 and order-0 Jacobi checks, the comparison
+systems of `cohomology.coboundary_primitive`): one cache holds it all.
 """
 
 from __future__ import annotations
@@ -204,48 +207,72 @@ class Cochain:
 # -- the differential ------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _bracket_table(alg: GradedLieAlgebra, window: Window):
-    """(found, rows, cols, raises): what the expansion of delta finds at each
-    [e_a, e_b], read once per algebra and window.
+class _Lost:
+    """The value of a pair whose bracket leaves the window; iterating it raises."""
 
-    found[a][b], for a and b in the window, is the rule's {key: coefficient}
-    dict; None when a key lies outside the window, so the row reading it is
-    omitted; or the error the expansion raises, ConfigError for a central key
-    and ValueError for one off the grading.  The rule's terms are read in
-    order and the first such event decides; a b outside the window has no
-    entry and reads as None.  rows[a] and cols[b] are the bit masks of the
-    lost pairs, where found[a][b] is None, over b and over a, bit index - lo;
-    raises says whether any entry is an error.  The tables are shared by every
-    caller, so they are only read, and each error read is raised as a fresh
-    exception of its type and message.  Every coefficient the rule returns
-    must be an int or a Fraction (TypeError otherwise), so the matrices built
-    from the table need no check of their own.
+    def __iter__(self):
+        raise OutOfWindowError("a bracket term leaves the window")
+
+
+LOST = _Lost()
+
+
+class _Context:
+    """One algebra's bracket on one window: the rule read once at every pair of the
+    generator keys, and a bounded memo of what the layers derive from that read.
+
+    terms[a][b] is the rule's {key: coefficient} dict.  found[a][b], for a and b
+    in the window, is what the expansion of delta finds there: terms[a][b]; LOST
+    when a key lies outside the window, so the row reading it is omitted; or the
+    error the expansion raises, ConfigError for a central key and ValueError for
+    one off the grading (the terms are read in order; the first event decides).
+    rows[a] and cols[b] mask the lost pairs over b and over a, bit index - lo;
+    raises says whether found holds an error.  Each coefficient of found's pairs
+    is checked here (TypeError unless an int or a Fraction), so delta's matrices
+    need none; a central pair's is checked by what derives from it.  All of it
+    is shared and only read; an error is raised afresh, same type and message.
     """
-    rule, lo, hi = alg.bracket_rule, window.lo, window.hi
-    found = {a: {} for a in window.indices()}
-    rows = dict.fromkeys(window.indices(), 0)
-    cols = dict.fromkeys(window.indices(), 0)
-    for a in window.indices():
-        for b in window.indices():
-            got = terms = rule(a, b)
-            for v in terms.values():
-                check_coefficient(v)
-            for key in terms:
-                if key == CENTRAL:
-                    got = ConfigError(CENTRAL_TARGET)
-                elif key != a + b:
-                    got = ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
-                elif lo <= key <= hi:
+
+    def __init__(self, alg: GradedLieAlgebra, window: Window):
+        keys, rule, lo, hi = alg.generator_keys(window), alg.bracket_rule, window.lo, window.hi
+        self.terms, self.found = {a: {} for a in keys}, {a: {} for a in window.indices()}
+        self.rows = dict.fromkeys(window.indices(), 0)
+        self.cols = dict(self.rows)
+        self.raises, self.derived = False, {}
+        for a in keys:
+            for b in keys:
+                got = self.terms[a][b] = rule(a, b)
+                if CENTRAL in (a, b):
                     continue
-                else:
-                    got = None
-                    rows[a] |= 1 << (b - lo)
-                    cols[b] |= 1 << (a - lo)
-                break
-            found[a][b] = got
-    return found, rows, cols, any(isinstance(got, Exception)
-                                  for row in found.values() for got in row.values())
+                for v in got.values():
+                    check_coefficient(v)
+                for key in got:
+                    if key == CENTRAL:
+                        got = ConfigError(CENTRAL_TARGET)
+                    elif key != a + b:
+                        got = ValueError(f"bracket is not graded: [e_{a}, e_{b}] hit e_{key}")
+                    elif lo <= key <= hi:
+                        continue
+                    else:
+                        got = LOST
+                        self.rows[a] |= 1 << (b - lo)
+                        self.cols[b] |= 1 << (a - lo)
+                    self.raises |= got is not LOST
+                    break
+                self.found[a][b] = got
+
+    def derive(self, key, build):
+        """build(), kept under `key` (T_0, a Jacobi check window, a comparison set or
+        system); the 64 keys read last are kept, so many keys keep memory bounded."""
+        derived = self.derived
+        value = derived[key] = derived.pop(key) if key in derived else build()
+        if len(derived) > 64:
+            del derived[next(iter(derived))]
+        return value
+
+
+# the one `_Context` of an algebra and a window, kept for the 16 read last
+window_context = lru_cache(maxsize=16)(_Context)
 
 
 def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: str = ADJOINT,
@@ -263,7 +290,7 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
     col = {t: i for i, t in enumerate(basis_tuples(q, d, window, coeffs))}
-    found = _bracket_table(alg, window)[0]
+    found = window_context(alg, window).found
     # bracket-composition terms (-1)^{s+t-1} c([x_s,x_t], rest), 1-indexed s < t
     pairs = [(s, t, 1 if (s + t) % 2 else -1) for s in range(q + 1) for t in range(s + 1, q + 1)]
     sides = range(q + 1) if coeffs == ADJOINT else ()  # trivial coefficients have no action terms
@@ -297,36 +324,32 @@ def delta_matrix(alg: GradedLieAlgebra, q: int, d: int, window: Window, coeffs: 
                 matrix_rows.append({c: v for c, v in row.items() if v})
                 kept.append(xs)
                 continue
-        # a break: the bracket `got` is lost (None), or the table's error
-        if got is not None:
+        # a break: the bracket `got` is lost (LOST, or None beyond the window), or an error
+        if isinstance(got, Exception):
             raise type(got)(*got.args)  # a fresh exception of its type and message
         omitted.append(xs)
     return SparseMatrix._trusted(matrix_rows, len(col)), kept, omitted
-
-
-def bracket_raises(alg: GradedLieAlgebra, window: Window) -> bool:
-    """Whether the window's `_bracket_table` holds an error, which delta raises."""
-    return _bracket_table(alg, window)[3]
 
 
 def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
                   coeffs: str = ADJOINT) -> int:
     """len(delta_matrix(alg, q, d, window, coeffs)[2]), building no row if no bracket raises.
 
-    A window whose table (`_bracket_table`) holds an error, a central key or
+    A window whose context (`window_context`) finds an error, a central key or
     one off the grading, is counted by that build, which raises the error or
     gives the count.  Otherwise a (q+1)-tuple is omitted when a bracket its
-    expansion reads is lost.  The table's masks run over the tuple's last
+    expansion reads is lost.  The context's masks run over the tuple's last
     index k, bit k - lo, and one pass over the q-tuple prefixes counts all
-    tuples: [e_x, e_k] is a row of the table, the action [e_x, e_{out - x}] a
+    tuples: [e_x, e_k] is a row of the masks, the action [e_x, e_{out - x}] a
     row shifted by k, and the action [e_k, e_{out - k}] a column, since
     out - k does not depend on k.
     """
     if not 0 <= q <= 2:
         raise ValueError("differential supports cochain degrees 0..2")
     vlo, vhi = _value_range(window, coeffs)
-    found, rows, cols, raises = _bracket_table(alg, window)
-    if raises:
+    context = window_context(alg, window)
+    found, rows, cols = context.found, context.rows, context.cols
+    if context.raises:
         return len(delta_matrix(alg, q, d, window, coeffs)[2])
     lo, hi = window.lo, window.hi
     full = (1 << (hi - lo + 1)) - 1
@@ -340,7 +363,7 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
         if first > last:
             continue
         valid = full >> (hi - last) & ~((1 << (first - lo)) - 1)
-        if q == 2 and found[prefix[0]][prefix[1]] is None:  # every k is lost
+        if q == 2 and found[prefix[0]][prefix[1]] is LOST:  # every k is lost
             count += valid.bit_count()
             continue
         lost = (cols[total] if lo <= total <= hi else full) if adjoint else 0
@@ -348,7 +371,8 @@ def omitted_count(alg: GradedLieAlgebra, q: int, d: int, window: Window,
             row, c = rows[x], total - x
             lost |= row
             if adjoint:  # [e_x, e_{k + c}] over k, lost where k + c leaves the window
-                lost |= ((row | ~full) >> c if c >= 0 else row << -c | (1 << -c) - 1) & full
+                # c < 0 needs no fill below: k > x gives k + c > total >= lo, or lost is full
+                lost |= ((row | ~full) >> c if c >= 0 else row << -c) & full
         count += (lost & valid).bit_count()
     return count
 

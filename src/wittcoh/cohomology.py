@@ -74,7 +74,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import BUILTIN, GradedLieAlgebra, Window
 from .cochains import (
@@ -84,13 +83,13 @@ from .cochains import (
     Cochain,
     MixedCochain,
     basis_tuples,
-    bracket_raises,
     cochain_to_text,
     cocycle_violation,
     delta_matrix,
     differential,
     omitted_count,
     weight_components,
+    window_context,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
 from .linalg import SparseMatrix, rank, solve
@@ -179,40 +178,29 @@ def comparison_tuples(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     comp = basis_tuples(q, d, window.core(margin), coeffs)
     if q == 0:
         return comp, SparseMatrix([{}] * len(comp), 0)
-    if bracket_raises(alg, window):
+    if window_context(alg, window).raises:
         delta_matrix(alg, q - 1, d, window, coeffs)  # raises what a build of all of delta_{q-1} raises
     matrix, rows, _ = delta_matrix(alg, q - 1, d, window, coeffs, rows=comp)
     return rows, matrix
-
-
-@lru_cache(maxsize=32)
-def _comparisons(*key):
-    """`comparison_tuples(*key)`, built once per key for every primitive."""
-    return comparison_tuples(*key)
-
-
-@lru_cache(maxsize=64)
-def _system(key: tuple, keep: tuple) -> SparseMatrix:
-    """The rows `keep` of `_comparisons(*key)`'s matrix: one matrix, so one selection
-    and one certified kernel in `solve`, for every right-hand side of a system."""
-    return _comparisons(*key)[1].take_rows(keep)
 
 
 def coboundary_primitive(alg: GradedLieAlgebra, c: Cochain, margin: int, exclude=frozenset()):
     """Solve delta(b) = c on the core comparison tuples; None when obstructed.
 
     Tuples in `exclude` carry no trustworthy value of c and are dropped from
-    the equation set.  Each comparison set, and each matrix of its kept rows,
-    is built once per algebra, degree, weight, window, margin and coefficients
-    in a bounded cache, which every call on one window shares.
+    the equation set.  Each comparison set, and each system of its kept rows (one
+    matrix: one selection and one certified kernel in `solve` for every right-hand
+    side), is built once in the window's context (`cochains.window_context`).
     """
     q, d, window, coeffs = c.degree, c.weight, c.window, c.coeffs
     if q < 1:
         raise ValueError("0-cochains have no primitives")
-    key = (alg, q, d, window, margin, coeffs)
-    comp = _comparisons(*key)[0]
+    context, key = window_context(alg, window), (q, d, margin, coeffs)
+    comp, matrix = context.derive(("comparisons", *key),
+                                  lambda: comparison_tuples(alg, q, d, window, margin, coeffs))
     keep = tuple(r for r, t in enumerate(comp) if t not in exclude)
-    x = solve(_system(key, keep), [c.entries.get(comp[r], 0) for r in keep]).particular
+    system = context.derive(("system", *key, keep), lambda: matrix.take_rows(keep))
+    x = solve(system, [c.entries.get(comp[r], 0) for r in keep]).particular
     if x is None:
         return None
     cols = basis_tuples(q - 1, d, window, coeffs)
@@ -305,7 +293,7 @@ def cohomology_dim(alg: GradedLieAlgebra, q: int, d: int, window: Window,
     else:
         return cohomology_by_elimination(alg, q, d, window, margin, coeffs)
     column = seed = None  # delta_0's one column in C^1_d's basis, in the comparison matrix's kernel
-    if q == 2 and not bracket_raises(alg, window):
+    if q == 2 and not window_context(alg, window).raises:
         below, images, _ = delta_matrix(alg, 0, d, window, coeffs)
         index = {t: i for i, t in enumerate(basis_tuples(1, d, window, coeffs))}
         column = {index[t]: v for t, row in zip(images, below) for v in row.values()}

@@ -38,34 +38,34 @@ first stage to the last: it builds them once, reads each mu_s's weight
 components from T_s, runs the core at each stage, and converts once at the
 end.
 
-Window bookkeeping is strictly honest, and `_layer_tables` (with
-`_order0_table`, which builds T_0 once per algebra and window; the core never
-writes it) is the only place it is checked: an order-0 bracket whose target
-lies outside the window, or a layer value at a pair lost to the window edge,
-is a _LOST table value, and reading one raises OutOfWindowError.  The defect
-and conjugation routines skip the triple or pair that needed it (and record
-the drop), so every stored value is the exact global one.
+Window bookkeeping is strictly honest, and `_layer_tables` is the only place
+it is checked: an order-0 bracket whose target lies outside the window, or a
+layer value at a pair lost to the window edge, is a `cochains.LOST` table
+value, and reading one raises OutOfWindowError.  T_0 is derived from the one
+read of the rule in `cochains.window_context`, once per algebra and window,
+and kept in that context; the core never writes it.  The defect and
+conjugation routines skip the triple or pair that needed it (and record the
+drop), so every stored value is the exact global one.
 
 Both routines leave out work that cannot change their output.  The order-s
 Jacobi sum holds mu_s(mu_0(a, b), c) for each rotation (a, b, c), so a triple
 with a lost order-0 bracket is skipped at every order: jacobi_defect lists
 the other triples once and counts the lost ones per row, adding those of the
 rows up to the first defect's.  That list, those counts and the order-0
-defect read T_0 alone, so `_order0_defect` keeps them per algebra and pair
-of windows.  conjugate sums the B_m = sum_{r+v+w=m} mu_r(phi_v x, phi_w y)
-of a pair over the nonzero images phi_v x, phi_w y only.  Below m0, the
-first order with phi_{m0} != 0, phi_u = 0 for 0 < u < m0, so those layers
-are d's, minus the pairs newly omitted; a stage id + t^s b_s of trivialize
-has m0 = s.  The conversion builds the result layers with
-`MixedCochain._trusted`, without re-checking values that come from checked
-tables or layers; the central-target check stays.
+defect read T_0 alone, so the window's context keeps them per check window.
+conjugate sums the B_m = sum_{r+v+w=m} mu_r(phi_v x, phi_w y) of a pair over
+the nonzero images phi_v x, phi_w y only.  Below m0, the first order with
+phi_{m0} != 0, phi_u = 0 for 0 < u < m0, so those layers are d's, minus the
+pairs newly omitted; a stage id + t^s b_s of trivialize has m0 = s.  The
+conversion builds the result layers with `MixedCochain._trusted`, without
+re-checking values that come from checked tables or layers; the central-target
+check stays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
@@ -80,7 +80,7 @@ from .algebra import (
     parse_window,
     read_document,
 )
-from .cochains import ADJOINT, Cochain, MixedCochain, bad_arguments
+from .cochains import ADJOINT, LOST, Cochain, MixedCochain, bad_arguments, window_context
 from .cohomology import coboundary_primitive
 from .errors import (BoundaryError, ConfigError, FormatError, NotACocycleError,
                      OutOfWindowError, check_coefficient)
@@ -144,16 +144,6 @@ class Equivalence:
 # -- integer layer tables ----------------------------------------------------------
 
 
-class _Lost:
-    """Table value of a pair whose bracket would leave the window; reading it raises."""
-
-    def __iter__(self):
-        raise OutOfWindowError("a bracket term leaves the window")
-
-
-_LOST = _Lost()
-
-
 def _scaled(outs: dict, scale: int) -> tuple:
     """scale * outs as ((key, int), ...); scale is a multiple of every denominator."""
     return tuple((k, v.numerator * (scale // v.denominator)) for k, v in outs.items())
@@ -164,16 +154,13 @@ def _denominator(c: MixedCochain) -> int:
     return lcm(*(v.denominator for outs in c.entries.values() for v in outs.values()))
 
 
-@lru_cache(maxsize=16)
-def _order0_table(alg: GradedLieAlgebra, window: Window) -> tuple[dict, int]:
-    """(T_0, D0) of `_layer_tables`, built once per algebra and window and only read;
-    TypeError for a bracket value that is not an int or a Fraction."""
-    keys = alg.generator_keys(window)
-    rule = {a: {b: alg.bracket_rule(a, b) for b in keys} for a in keys}
-    d0 = lcm(*(check_coefficient(v).denominator
-               for row in rule.values() for out in row.values() for v in out.values()))
-    return {a: {b: _LOST if any(k != CENTRAL and k not in window for k in out)
-                else _scaled(out, d0) for b, out in row.items()} for a, row in rule.items()}, d0
+def _order0(terms: dict, window: Window) -> tuple[dict, int]:
+    """(T_0, D0) of `_layer_tables` from a window context's `terms`; TypeError for a
+    central pair's value that is not an int or a Fraction (the context checks the rest)."""
+    d0 = lcm(*((check_coefficient(v) if CENTRAL in (a, b) else v).denominator
+               for a, row in terms.items() for b, out in row.items() for v in out.values()))
+    return {a: {b: LOST if any(k != CENTRAL and k not in window for k in out)
+                else _scaled(out, d0) for b, out in row.items()} for a, row in terms.items()}, d0
 
 
 def _layer_tables(d: DeformedBracket) -> tuple[list, list]:
@@ -181,11 +168,12 @@ def _layer_tables(d: DeformedBracket) -> tuple[list, list]:
     _scaled pairs and S_r the lcm of mu_r's denominators (S_0 = D0).
 
     Both orientations are stored; an order-0 target outside the window and an
-    omitted pair map to _LOST, and a pair missing from a row of T_r (r >= 1)
-    brackets to zero.  T_0 and D0 come from `_order0_table`; the other tables
-    are new, and `_conjugate_tables` rewrites them.
+    omitted pair map to LOST, and a pair missing from a row of T_r (r >= 1)
+    brackets to zero.  T_0 and D0 are derived once in the window's context and
+    only read; the other tables are new, and `_conjugate_tables` rewrites them.
     """
-    t0, d0 = _order0_table(d.algebra, d.window)
+    context = window_context(d.algebra, d.window)
+    t0, d0 = context.derive(("T0",), lambda: _order0(context.terms, d.window))
     tables, scales = [t0], [d0]
     for mu in d.layers:
         table, scale = {a: {} for a in t0}, _denominator(mu)
@@ -193,7 +181,7 @@ def _layer_tables(d: DeformedBracket) -> tuple[list, list]:
             table[i][j] = _scaled(outs, scale)
             table[j][i] = tuple((k, -v) for k, v in table[i][j])
         for i, j in d.omitted_pairs:
-            table[i][j] = table[j][i] = _LOST
+            table[i][j] = table[j][i] = LOST
         tables.append(table)
         scales.append(scale)
     return tables, scales
@@ -203,7 +191,7 @@ def _pairs(table: dict, scale: int, window: Window):
     """((i, j), {key: value}) for each pair i < j that T_r = scale * mu_r holds."""
     for i in window.indices():
         for j, outs in table[i].items():
-            if j > i and outs is not _LOST:
+            if j > i and outs is not LOST:
                 yield (i, j), {k: Fraction(c, scale) if c % scale else c // scale
                                for k, c in outs}
 
@@ -279,28 +267,27 @@ def _order_defect(s: int, terms: list, scale: int, live: list, lost_in_row: dict
     return OrderDefect(s, True, skipped=skipped)
 
 
-@lru_cache(maxsize=16)
-def _order0_defect(alg: GradedLieAlgebra, bracket_window: Window, window: Window):
-    """(order-0 OrderDefect, live triples, lost triples by row) of `jacobi_defect` on
-    `window`; they read T_0 alone, so they are built once per algebra and windows,
-    and only read."""
-    t0, d0 = _order0_table(alg, bracket_window)
-    # the term mu_s(mu_0(a, b), c) of every order reads mu_0(a, b) for each rotation,
-    # so a triple with a lost order-0 bracket is skipped at every order
-    live, lost_in_row = [], {}
-    for x, y, z in combinations(window.indices(), 3):
-        if t0[x][y] is _LOST or t0[y][z] is _LOST or t0[z][x] is _LOST:
-            lost_in_row[x] = lost_in_row.get(x, 0) + 1
-        else:
-            live.append((x, y, z))
-    return _order_defect(0, [(t0, t0, 1)], d0 * d0, live, lost_in_row, window), live, lost_in_row
-
-
 def _jacobi(d: DeformedBracket, window: Window, tables: list, scales: list) -> DefectReport:
     """`jacobi_defect` on d's tables and scales (`_layer_tables`)."""
     if window.lo < d.window.lo or window.hi > d.window.hi:
         raise BoundaryError(f"check window {window} exceeds bracket window {d.window}")
-    order0, live, lost_in_row = _order0_defect(d.algebra, d.window, window)
+    t0, d0 = tables[0], scales[0]
+
+    # the order-0 verdict, the live triples and the lost ones by row read T_0 alone, so
+    # the context keeps them per check window; mu_s(mu_0(a, b), c) of every order reads
+    # mu_0(a, b) for each rotation, so a triple with a lost order-0 bracket is skipped
+    def check_order0():
+        live, lost_in_row = [], {}
+        for x, y, z in combinations(window.indices(), 3):
+            if t0[x][y] is LOST or t0[y][z] is LOST or t0[z][x] is LOST:
+                lost_in_row[x] = lost_in_row.get(x, 0) + 1
+            else:
+                live.append((x, y, z))
+        return (_order_defect(0, [(t0, t0, 1)], d0 * d0, live, lost_in_row, window),
+                live, lost_in_row)
+
+    context = window_context(d.algebra, d.window)
+    order0, live, lost_in_row = context.derive(("jacobi", window), check_order0)
     orders = [order0]
     for s in range(1, d.order + 1):
         # mu_{s-p}(mu_p(a, b), c) carries S_{s-p} S_p; its cofactor brings it to the lcm
@@ -335,7 +322,7 @@ def _conjugate_tables(tables: list, scales: list, omitted: set, window: Window, 
     phi_u(mu'_{m-u}); a term's cofactor is applied once per image coefficient
     or outer term.  Each rewritten T_m is divided by the gcd of W_m and its
     entries, so S_m is again the lcm of mu'_m's denominators.  A pair newly
-    lost is added to `omitted` and is _LOST at every order from 1; T_0 is
+    lost is added to `omitted` and is LOST at every order from 1; T_0 is
     never written.  A nonzero central target raises ConfigError.
     """
     N = len(tables) - 1
@@ -414,7 +401,7 @@ def _conjugate_tables(tables: list, scales: list, omitted: set, window: Window, 
                     table[j][i] = tuple((k, -c) for k, c in row)
             tables[m], scales[m] = table, work[m] // g
         for i, j in omitted:
-            tables[m][i][j] = tables[m][j][i] = _LOST
+            tables[m][i][j] = tables[m][j][i] = LOST
 
 
 def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:

@@ -13,12 +13,12 @@ from wittcoh.cochains import (
     Cochain,
     MixedCochain,
     basis_tuples,
-    bracket_raises,
     cocycle_violation,
     delta_matrix,
     differential,
     omitted_count,
     weight_components,
+    window_context,
 )
 from wittcoh.errors import ConfigError, OutOfWindowError
 
@@ -371,7 +371,7 @@ def test_omitted_count_is_the_builders_count_and_raises_its_errors(alg):
     # windows are the ones where a bracket raises
     assert any(isinstance(n, int) and n > 0 for n in outcomes)
     assert (alg.name in ("virasoro", "ungraded")) == bool(outcomes & {ConfigError, ValueError})
-    assert {bracket_raises(alg, w) for w in (W8, Window(-9, 5), Window(-12, 12))} == {
+    assert {window_context(alg, w).raises for w in (W8, Window(-9, 5), Window(-12, 12))} == {
         alg.name in ("virasoro", "ungraded")}
 
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -5,10 +6,12 @@ from random import Random
 
 import pytest
 
-from wittcoh import linalg
+from wittcoh import cochains, linalg
 from wittcoh.algebra import (CENTRAL, GradedLieAlgebra, Window, load_algebra, make_virasoro,
                              make_witt)
-from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential, weight_components
+from wittcoh.cochains import (ADJOINT, TRIVIAL, Cochain, MixedCochain, delta_matrix,
+                              differential, omitted_count, weight_components, window_context)
+from wittcoh.cohomology import coboundary_primitive, cohomology_dim, comparison_tuples
 from wittcoh.deformation import (
     DeformedBracket,
     Equivalence,
@@ -47,17 +50,12 @@ def mixed_coboundary(rng, window, weights, order_fill=0.35):
 
 @pytest.fixture
 def fresh_systems():
-    """Empty `coboundary_primitive`'s caches of comparison sets and systems before and
-    after the test, so that a count sees every build and no matrix selected under a
-    patched `_select` outlives the test."""
-    import wittcoh.cohomology as cohomology
-
-    caches = (cohomology._comparisons, cohomology._system)
-    for cache in caches:
-        cache.cache_clear()
+    """Empty the window contexts, which hold `coboundary_primitive`'s comparison sets
+    and systems, before and after the test, so that a count sees every build and no
+    matrix selected under a patched `_select` outlives the test."""
+    window_context.cache_clear()
     yield
-    for cache in caches:
-        cache.cache_clear()
+    window_context.cache_clear()
 
 
 def random_unipotent(rng, window, order, weight_pool=(-1, 0, 1)):
@@ -643,13 +641,23 @@ def benchmark_trials(seed):
 
 
 def spy_systems(monkeypatch):
-    """Record the (key, kept rows) of every comparison system a primitive reads."""
-    import wittcoh.cohomology as cohomology
+    """Record the (key, kept rows) of every comparison system a primitive reads from a
+    window context, the key being (context, q, d, margin, coeffs)."""
+    systems, real = [], cochains._Context.derive
 
-    systems, real = [], cohomology._system
-    monkeypatch.setattr(cohomology, "_system",
-                        lambda key, keep: systems.append((key, keep)) or real(key, keep))
+    def derive(context, key, build):
+        if key[0] == "system":
+            systems.append(((context, *key[1:-1]), key[-1]))
+        return real(context, key, build)
+
+    monkeypatch.setattr(cochains._Context, "derive", derive)
     return systems
+
+
+def comparison_set(key):
+    """The comparison tuples that the context of a `spy_systems` key holds."""
+    context, *shape = key
+    return context.derived["comparisons", *shape][0]
 
 
 @pytest.mark.parametrize("seed", [909, 5])
@@ -716,8 +724,6 @@ def test_an_excluded_selected_row_and_an_inconsistent_right_hand_side(monkeypatc
 def test_trivialize_selects_each_comparison_system_once(monkeypatch, fresh_systems):
     # every primitive of one trivialize run reads the selection of its comparison
     # system (a weight's comparison rows less those of omitted pairs), made once
-    import wittcoh.cohomology as cohomology
-
     selections = []
     real_select = linalg._select
     monkeypatch.setattr(linalg, "_select",
@@ -726,7 +732,7 @@ def test_trivialize_selects_each_comparison_system_once(monkeypatch, fresh_syste
     d = conjugate(DeformedBracket.trivial(WITT, W9, 3), random_unipotent(Random(14), W9, 3))
     assert trivialize(d, W9, margin=4).trivialized and d.omitted_pairs
     assert len(selections) == len(set(systems)) < len(systems)
-    assert any(len(keep) < len(cohomology._comparisons(*key)[0]) for key, keep in systems)
+    assert any(len(keep) < len(comparison_set(key)) for key, keep in systems)
 
 
 def test_two_trivialize_calls_on_one_window_build_each_system_once(monkeypatch,
@@ -750,6 +756,52 @@ def test_two_trivialize_calls_on_one_window_build_each_system_once(monkeypatch,
         runs.append(set(systems[first:]))
     assert runs[0] & runs[1]  # the second run reads systems of the first
     assert len(built) == len(set(built)) and len(selections) == len(runs[0] | runs[1])
+
+
+def counting(alg):
+    """(a copy of alg whose rule counts its reads, the Counter of (a, b) reads)."""
+    reads = Counter()
+
+    def rule(a, b):
+        reads[a, b] += 1
+        return alg.bracket_rule(a, b)
+
+    return replace(alg, bracket_rule=rule), reads
+
+
+def test_every_layer_reads_each_bracket_of_a_window_once():
+    # the conjugate, the Jacobi check, the primitives of trivialize and the report
+    # read one context per algebra and window, which reads the rule once per pair
+    alg, reads = counting(WITT)
+    d = conjugate(DeformedBracket.trivial(alg, W9, 3), random_unipotent(Random(14), W9, 3))
+    assert jacobi_defect(d, W8).clean and trivialize(d, W9, margin=4).trivialized
+    assert cohomology_dim(alg, 2, 0, W9, 4).dim_stable == 0
+    assert cohomology_dim(alg, 1, 3, W9, 4).dim_stable == 0
+    assert omitted_count(alg, 2, 2, W9) == len(delta_matrix(alg, 2, 2, W9)[2]) > 0
+    assert reads == {(a, b): 1 for a in W9.indices() for b in W9.indices()}
+    # with a central element: every pair of generator keys, the center's too
+    vir, reads = counting(make_virasoro())
+    keys = vir.generator_keys(W8)
+    assert jacobi_defect(DeformedBracket.trivial(vir, W8, 1), W8).clean
+    assert cohomology_dim(vir, 1, 5, W8, 2, TRIVIAL).dim_stable == 0
+    assert reads == {(a, b): 1 for a in keys for b in keys}
+
+
+def test_many_excluded_sets_on_one_window_keep_its_context_bounded(fresh_systems):
+    # each exclude set is a new comparison system; the context keeps the 64 values
+    # read last, so the first systems are dropped and the last ones kept
+    c = differential(WITT, random_cochain(Random(13), 1, 0, W12, fill=0.5))
+    comp = comparison_tuples(WITT, 2, 0, W12, 4)[0]
+    assert len(comp) > 80
+    excludes = [frozenset(comp[:k]) for k in range(80)]
+    for exclude in excludes:
+        got = coboundary_primitive(WITT, c, 4, exclude)
+    assert got == reference_primitive(WITT, c, 4, excludes[-1])
+    derived = window_context(WITT, W12).derived
+    systems = [key[-1] for key in derived if key[0] == "system"]
+    assert len(derived) == 64 and len(systems) == 63
+    assert systems == [tuple(r for r, t in enumerate(comp) if t not in exclude)
+                       for exclude in excludes[-63:]]
 
 
 def test_trivialize_conjugates_as_the_chain_of_public_conjugates(monkeypatch):

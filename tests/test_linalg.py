@@ -303,7 +303,7 @@ def test_selected_rows_give_the_full_elimination_answer(system):
 @given(low_rank_systems(), st.lists(st.integers(1, 12), min_size=TALL, max_size=TALL),
        st.sampled_from([linalg._P, 2, 3]))
 @settings(max_examples=60, deadline=None)
-def test_rank_mod_p_never_exceeds_the_rank(system, denominators, prime):
+def test_independent_rows_never_exceed_the_rank(system, denominators, prime):
     # rows independent mod p are independent over Q, for every prime; a Fraction
     # row reads as its primitive integer row
     m, _ = system
@@ -473,7 +473,7 @@ def chained_systems(draw):
 
 @given(chained_systems(), st.integers(1, 5))
 @settings(max_examples=100, deadline=None)
-def test_rank_counts_against_a_kernel_and_falls_back_when_it_is_short_or_wrong(system, k):
+def test_rank_from_seed_counts_against_a_kernel_and_falls_back_when_short_or_wrong(system, k):
     m, x = system
     n = m.n_cols
     column = dict(enumerate(x))
@@ -500,7 +500,7 @@ def test_a_propagation_that_fixes_every_read_column_bounds_the_rank(rows, seeds)
     assert solve(SparseMatrix(rows, 6)).rank >= len(fixed) - len(seeds)
 
 
-def test_rank_falls_back_where_rank_mod_p_is_short():
+def test_rank_from_seed_falls_back_unless_its_column_is_a_kernel_vector_it_reads():
     m = mat([[1, 1], [1, 1 + linalg._P]])  # determinant _P: rank 2, kernel empty
     assert _counted_rank(m, 0, {}) == (2, True)
     # (1, -1) is in the kernel mod _P only; every column is fixed from column 0, so
