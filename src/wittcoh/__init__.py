@@ -15,7 +15,7 @@ read from its home module on first use (PEP 562), and is not cached here, so
 from importlib import import_module
 
 _HOMES = {
-    "linalg": ("LinearSolution", "SparseMatrix", "rank", "solve"),
+    "linalg": ("LinearSolution", "SparseMatrix", "solve"),
     "algebra": ("CENTRAL", "GradedLieAlgebra", "Window", "check_jacobi", "dump_algebra",
                 "load_algebra", "make_virasoro", "make_witt"),
     "cochains": ("ADJOINT", "TRIVIAL", "Cochain", "MixedCochain", "differential",

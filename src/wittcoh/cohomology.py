@@ -92,7 +92,7 @@ from .cochains import (
     window_context,
 )
 from .errors import BoundaryError, ConfigError, NotACocycleError
-from .linalg import SparseMatrix, rank, solve
+from .linalg import SparseMatrix, solve
 
 
 @dataclass(frozen=True)
@@ -313,7 +313,7 @@ def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Win
     # each cocycle on the comparison set (a subset of cols), as a column
     col_of = {t: i for i, t in enumerate(cols)}
     z_rows = [{j: vec[i] for j, vec in enumerate(kernel) if vec[i]} for i in map(col_of.get, comp)]
-    dim_v = rank(SparseMatrix(z_rows, len(kernel)))
+    dim_v = solve(SparseMatrix(z_rows, len(kernel))).rank
     # one elimination of [coboundaries | cocycles]: a pivot column is independent
     # of every column before it, so the cocycle pivots are the surviving classes
     n_w = coboundary.n_cols

@@ -1,4 +1,4 @@
-"""Exact rational sparse linear algebra: `solve`, `rank` and `SparseMatrix.independent_rows`.
+"""Exact rational sparse linear algebra: `solve` and `SparseMatrix.independent_rows`.
 
 A coefficient is an `int` or a `fractions.Fraction`, never converted: a float
 is refused with TypeError, since it is a binary fraction rather than the
@@ -8,31 +8,30 @@ tuple of {col: coefficient} rows, stored as given.
 
 `solve(m, rhs=None)` gives the rank, the canonical kernel basis (integer
 vectors) and a particular solution (None when rhs is inconsistent), each
-certified exactly; `rank(m)` is `solve(m).rank`.  Once per matrix it selects
-rows, `m.independent_rows` (uncertified: independent over Q, so their count
-is a lower bound on the rank; no count in `cohomology` reads it), and solves
-and certifies the rank, pivot columns and kernel basis, `m._solution`.  A
-right-hand side adds one elimination, one back-solve and its own check.
-Every row is scaled once to a primitive integer row.  Two passes:
+certified exactly.  Once per matrix it selects rows, `m.independent_rows`
+(uncertified: independent over Q, so their count is a lower bound on the
+rank; no count in `cohomology` reads it), and solves and certifies the rank,
+pivot columns and kernel basis, `m._solution`.  A right-hand side is one more
+column, n = m.n_cols, of the rows [m | -rhs]; it adds one elimination, one
+back-solve and its own check.  Every row is scaled once to a primitive
+integer row.  Two passes:
 
 * Selection: the rows are eliminated modulo the prime _P = 1073741789, with
   Markowitz pivoting (the column with the fewest active rows, then its
   sparsest row; the column from a lazy heap), on the rows of m alone.  The
   rows that become pivots are independent mod _P, hence independent over Q.
 * Exact pass: an online fraction-free echelon of the selected rows of m, or
-  of [m | rhs]: each row in turn is reduced at its leading column by the pivot
-  row already there, with a gcd reduction after every update, until it claims
-  a new pivot column (or only the right-hand side is left); each kernel
-  vector, or the particular solution alone, is back-solved in integers.
-  No reduced echelon form is built.
+  of [m | -rhs]: each row in turn is reduced at its leading column by the
+  pivot row already there, with a gcd reduction after every update, until it
+  claims a new pivot column; each kernel vector, or the particular solution
+  alone, is back-solved in integers.  No reduced echelon form is built.
 
 Why the back-solve is exact: for a free column f, the pivot columns left of f
 are independent and column f depends on them, so the kernel holds exactly one
 primitive vector supported on f and those pivot columns, positive at f.  The
 echelon rows span the row space just as the reduced rows do, so the back-solve
 returns the vector the reduced form would give.  The particular solution is
-that vector for the right-hand side column, which counts as right of every
-column, divided by its entry there.
+that vector for column n, right of every column of m, divided by its entry there.
 
 Certificates: the kernel vectors must give an integer dot product of 0 with
 *every* row, checked in one sweep; then the selected rows span m's row space,
@@ -44,8 +43,8 @@ the selected rows' free columns, which include m's (a column that depends on
 those before it in m does so in any rows of m), so it is the one solution that
 is zero on m's free columns, whatever the selection.  Otherwise (an
 inconsistent rhs, which the independent selected rows always solve) every row
-of [m | rhs] is eliminated, and its leftover rows decide.
-"""
+of [m | -rhs] is eliminated: a row reduced to column n alone, 0 = b != 0, is
+the certificate that rhs is inconsistent, and m's own kernel is returned."""
 
 from __future__ import annotations
 
@@ -57,7 +56,6 @@ from math import gcd, lcm
 
 from .errors import check_coefficient
 
-_AUG = -1  # virtual column index used for the right-hand side
 _P = 1073741789  # prime below 2**30: every residue mod _P is one 30-bit int digit
 
 
@@ -172,55 +170,50 @@ def _combine(r, piv, col):
 
 
 def _eliminate(rows):
-    """Echelon form of primitive integer rows; returns (pivot list, leftover rows).
+    """Echelon form of primitive integer rows: the pivots (col, row), sorted by column.
 
     `rows` is a list of {col: int} dicts, taken in order: a row is reduced at
-    its leading column (the virtual _AUG column never leads) by the pivot row
-    there until it claims a free column or only _AUG is left.  Pivots are
-    (col, row) in increasing column order, each row zero left of its column;
-    leftovers are the rows reduced to _AUG alone.
+    its leading column by the pivot row there until it claims a free column.
+    Each pivot row is zero left of its column.  In the rows of [m | -rhs] the
+    right-hand side is column n = m.n_cols, right of every column of m, so it
+    leads only a row reduced to it alone, 0 = b != 0: a pivot at n.
     """
-    pivots, leftovers = {}, []
+    pivots = {}
     for r in rows:
         while r:
-            col = min((c for c in r if c != _AUG), default=_AUG)
-            if col == _AUG:
-                leftovers.append(r)
-            elif col in pivots:
-                r = _combine(r, pivots[col], col)
-                continue
-            else:
+            col = min(r)
+            if col not in pivots:
                 pivots[col] = r
-            break
-    return sorted(pivots.items()), leftovers
+                break
+            r = _combine(r, pivots[col], col)
+    return sorted(pivots.items())
 
 
-def _first_failure(rows, vecs):
-    """Index of the first integer vector {col: int} not orthogonal to every row, or None."""
+def _annihilates(rows, vecs):
+    """Whether every integer vector {col: int} is orthogonal to every row, in one sweep."""
     by_col = {}
     for k, vec in enumerate(vecs):
         for c, x in vec.items():
             by_col.setdefault(c, []).append((k, x))
-    failed = []
     for row in rows:
         dots = [0] * len(vecs)
         for c, a in row.items():
             for k, x in by_col.get(c, ()):
                 dots[k] += a * x
         if any(dots):
-            failed.append(next(k for k, s in enumerate(dots) if s))
-    return min(failed, default=None)
+            return False
+    return True
 
 
 def _back_solve(pivots, f):
     """The primitive integer vector, positive at f, on f and the pivot columns left
-    of f, that the echelon pivot rows (c, r) annihilate; f is a free column or _AUG,
-    which stands right of every column.  Rows go in decreasing pivot column, those
-    right of f (zero on that support) skipped; a nonzero partial sum fixes the
-    pivot's entry, the whole vector scaled up first if the pivot does not divide it."""
+    of f, that the echelon pivot rows (c, r) annihilate; f is a free column, or the
+    right-hand side's column n.  Rows go in decreasing pivot column, those right of f
+    (zero on that support) skipped; a nonzero partial sum fixes the pivot's entry,
+    the whole vector scaled up first if the pivot does not divide it."""
     vec = {f: 1}
     for c, r in reversed(pivots):
-        if f != _AUG and c > f:
+        if c > f:
             continue
         s = sum(r[j] * vec[j] for j in vec.keys() & r.keys())
         if s:
@@ -287,34 +280,20 @@ def _select(rows):
     return sorted(chosen)
 
 
-def _particular(x, n_cols):
-    """The rational solution scaled from an integer vector x with x[_AUG] != 0."""
-    return tuple(Fraction(x[j], x[_AUG]) if j in x else 0 for j in range(n_cols))
-
-
-def _augmented(m, rhs, keep):
-    """The primitive integer rows of [m | rhs] at the row indices `keep`."""
-    rows = m._primitive_rows
-    return [_primitive({**m.rows[i], _AUG: -rhs[i]}) if rhs[i] else rows[i] for i in keep]
-
-
-def _solve_rows(sub, rows, n_cols, augmented=False):
-    """Exact solution data from the rows `sub`; AssertionError unless it holds on all `rows`."""
-    pivots, leftovers = _eliminate(sub)
+def _solve_rows(sub, rows, n_cols):
+    """Rank, pivots and kernel from the rows `sub`; AssertionError unless the kernel
+    annihilates all `rows`."""
+    pivots = _eliminate(sub)
     free = sorted(set(range(n_cols)).difference(c for c, _ in pivots))
-    consistent = augmented and not leftovers
-    vecs = [_back_solve(pivots, f) for f in free + [_AUG] * consistent]  # _AUG: (x, 1)
-    bad = _first_failure(rows, vecs)
-    if bad is not None:
-        raise AssertionError("kernel vector fails m*v = 0" if bad < len(free)
-                             else "particular solution fails m*x = rhs")
+    vecs = [_back_solve(pivots, f) for f in free]
+    if not _annihilates(rows, vecs):
+        raise AssertionError("kernel vector fails m*v = 0")
     kernel = []
-    for vec in vecs[:len(free)]:
+    for vec in vecs:
         sign = 1 if vec[min(vec)] > 0 else -1
         kernel.append(tuple(sign * vec.get(j, 0) for j in range(n_cols)))
-    particular = _particular(vecs[-1], n_cols) if consistent else None
     return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
-                          kernel_basis=tuple(kernel), particular=particular)
+                          kernel_basis=tuple(kernel))
 
 
 def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
@@ -328,14 +307,15 @@ def solve(m: SparseMatrix, rhs=None) -> LinearSolution:
         raise ValueError("rhs length mismatch")
     for b in rhs:
         check_coefficient(b)
-    x = _back_solve(_eliminate(_augmented(m, rhs, m.independent_rows))[0], _AUG)  # (x, 1) scaled
-    if all(sum(v * x[c] for c, v in row.items() if c in x) == b * x[_AUG]
-           for row, b in zip(m.rows, rhs)):
-        return replace(m._solution, particular=_particular(x, m.n_cols))
-    rows = _augmented(m, rhs, range(len(rhs)))
-    return _solve_rows(rows, rows, m.n_cols, True)
-
-
-def rank(m: SparseMatrix) -> int:
-    """Rank over Q, certified: `solve(m).rank`, computed once per matrix."""
-    return solve(m).rank
+    n, rows = m.n_cols, m._primitive_rows
+    for keep in (m.independent_rows, range(len(rows))):
+        pivots = _eliminate([_primitive({**m.rows[i], n: -rhs[i]}) if rhs[i] else rows[i]
+                             for i in keep])
+        if pivots and pivots[-1][0] == n:  # 0 = b != 0
+            return replace(m._solution, particular=None)
+        x = _back_solve(pivots, n)  # (x, 1) scaled
+        if all(sum(v * x[c] for c, v in row.items() if c in x) == b * x[n]
+               for row, b in zip(m.rows, rhs)):
+            return replace(m._solution, particular=tuple(
+                Fraction(x[j], x[n]) if j in x else 0 for j in range(n)))
+    raise AssertionError("particular solution fails m*x = rhs")

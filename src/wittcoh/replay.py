@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BoundaryError, ConfigError, ContradictionError, check_coefficient
-from .linalg import SparseMatrix, rank, solve
+from .linalg import SparseMatrix, solve
 
 TAGS = ("Eq1", "Eq5", "Eq7", "Diag", "Antisym", "Sec5", "Sec9")
 
@@ -461,7 +461,7 @@ def final_solve(t: FactTable, relations: RelationSet, buffer: int = 3) -> Verdic
         for u, v in form.coeffs:
             rows.setdefault(u, {})[n] = v
     free = sorted(rows)
-    dimension = rank(SparseMatrix([rows[u] for u in free], len(targets)))
+    dimension = solve(SparseMatrix([rows[u] for u in free], len(targets))).rank
     all_zero = dimension == 0 and all(v.is_zero for v in forms.values())
     return Verdict(
         K=K, buffer=buffer, dimension=dimension,

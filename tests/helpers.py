@@ -64,13 +64,17 @@ def reduced_null_vector(pivots, f):
 def reference_solve(m: SparseMatrix, rhs=None) -> LinearSolution:
     """Reference for `linalg.solve`: every row eliminated, the reduced echelon form
     built by back-substitution, and each kernel vector and the particular solution
-    read off its rows; no row selection and no certificate."""
-    aug = linalg._AUG
+    read off its rows; the right-hand side is column n = m.n_cols of [m | -rhs], and a
+    pivot there (0 = b != 0) makes it inconsistent; no row selection and no certificate."""
+    n = m.n_cols
     rows = [dict(row) for row in m]
     for row, b in zip(rows, rhs or ()):
         if b:
-            row[aug] = -b
-    pivots, leftovers = linalg._eliminate([linalg._primitive(r) for r in rows])
+            row[n] = -b
+    pivots = linalg._eliminate([linalg._primitive(r) for r in rows])
+    inconsistent = bool(pivots) and pivots[-1][0] == n
+    if inconsistent:
+        pivots.pop()
     # back-substitute: clear each pivot column from the earlier pivot rows
     for k in range(len(pivots) - 1, -1, -1):
         col, piv = pivots[k]
@@ -84,9 +88,9 @@ def reference_solve(m: SparseMatrix, rhs=None) -> LinearSolution:
         sign = 1 if vec[min(vec)] > 0 else -1
         kernel.append(tuple(sign * vec.get(j, 0) for j in range(m.n_cols)))
     particular = None
-    if rhs is not None and not leftovers:
-        x = reduced_null_vector(pivots, aug)
-        particular = tuple(Fraction(x[j], x[aug]) if j in x else 0 for j in range(m.n_cols))
+    if rhs is not None and not inconsistent:
+        x = reduced_null_vector(pivots, n)
+        particular = tuple(Fraction(x[j], x[n]) if j in x else 0 for j in range(n))
     return LinearSolution(rank=len(pivots), pivot_columns=tuple(c for c, _ in pivots),
                           kernel_basis=tuple(kernel), particular=particular)
 

@@ -735,6 +735,23 @@ def test_trivialize_selects_each_comparison_system_once(monkeypatch, fresh_syste
     assert any(len(keep) < len(comparison_set(key)) for key, keep in systems)
 
 
+def test_repeated_obstructions_certify_their_system_once(monkeypatch, fresh_systems):
+    # (0,1) -> e_1 deforms the abelian plane with no primitive at order 1: its comparison
+    # system is inconsistent, and each repeat reads that system's certified kernel,
+    # computed once, instead of certifying a kernel of its own
+    plane, w01 = load_algebra("name: abelian-plane\ngraded: yes\ncentral: no\n"), Window(0, 1)
+    mu1 = MixedCochain(2, w01, {(0, 1): {1: 1}})
+    d = replace(DeformedBracket.trivial(plane, w01, 1), layers=(mu1,))
+    certified, systems = [], spy_systems(monkeypatch)
+    real = linalg._solve_rows
+    monkeypatch.setattr(linalg, "_solve_rows",
+                        lambda sub, *rest: certified.append(len(sub)) or real(sub, *rest))
+    for _ in range(3):
+        r = trivialize(d, w01, margin=0)
+        assert (r.trivialized, r.obstruction_order) == (False, 1)
+    assert len(set(systems)) == len(certified) == 1
+
+
 def test_two_trivialize_calls_on_one_window_build_each_system_once(monkeypatch,
                                                                    fresh_systems):
     # the comparison sets and systems outlive a call: a second deformation on the same

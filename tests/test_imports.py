@@ -16,7 +16,7 @@ SRC = str(Path(wittcoh.__file__).parent.parent)
 
 # every public name of the package, by home module
 PUBLIC = {
-    "linalg": ["LinearSolution", "SparseMatrix", "rank", "solve"],
+    "linalg": ["LinearSolution", "SparseMatrix", "solve"],
     "algebra": ["CENTRAL", "GradedLieAlgebra", "Window", "check_jacobi", "dump_algebra",
                 "load_algebra", "make_virasoro", "make_witt"],
     "cochains": ["ADJOINT", "TRIVIAL", "Cochain", "MixedCochain", "differential",

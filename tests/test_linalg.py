@@ -8,7 +8,7 @@ from wittcoh import cohomology, linalg
 from wittcoh.algebra import Window, make_witt
 from wittcoh.cochains import delta_matrix
 from wittcoh.cohomology import cocycle_matrix, comparison_tuples, leading_tuples
-from wittcoh.linalg import LinearSolution, SparseMatrix, rank, solve
+from wittcoh.linalg import LinearSolution, SparseMatrix, solve
 
 from helpers import annihilates, matrix_from_rows as mat, reference_select, reference_solve
 
@@ -17,16 +17,16 @@ TALL = 80
 
 
 def test_rank_identity():
-    assert rank(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert solve(mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])).rank == 3
 
 
 def test_rank_zero_matrix():
-    assert rank(SparseMatrix([{}] * 4, 7)) == 0
+    assert solve(SparseMatrix([{}] * 4, 7)).rank == 0
 
 
 def test_rank_proportional_rows():
     # 2x2 determinant 1*4 - 2*2 = 0, so rank must be 1
-    assert rank(mat([[1, 2], [2, 4]])) == 1
+    assert solve(mat([[1, 2], [2, 4]])).rank == 1
 
 
 def test_kernel_injective():
@@ -43,7 +43,7 @@ def test_kernel_proportional_rows():
 def test_kernel_zero_map():
     vecs = solve(SparseMatrix([{}], 3)).kernel_basis
     assert len(vecs) == 3
-    assert rank(mat(vecs)) == 3
+    assert solve(mat(vecs)).rank == 3
 
 
 def test_solve_identity():
@@ -105,26 +105,26 @@ def _perturb_first_pivot(monkeypatch, col):
     real = linalg._eliminate
 
     def perturbed(rows):
-        pivots, leftovers = real(rows)
+        pivots = real(rows)
         pcol, row = pivots[0]
         pivots[0] = (pcol, {**row, col: row.get(col, 0) + 1})
-        return pivots, leftovers
+        return pivots
 
     monkeypatch.setattr(linalg, "_eliminate", perturbed)
 
 
 def _spy_eliminations(monkeypatch):
-    """Record the number of rows of every `linalg._solve_rows` call: a matrix's kernel
-    elimination and every all-rows fallback (a right-hand side's selected rows are
-    eliminated outside it)."""
+    """Record the number of rows of every `linalg._eliminate` call: a matrix's kernel
+    elimination on its selected rows and, where that fails, on all of them; the same
+    for each right-hand side, on the rows of [m | -rhs]."""
     seen = []
-    real = linalg._solve_rows
+    real = linalg._eliminate
 
-    def spy(sub, *args):
-        seen.append(len(sub))
-        return real(sub, *args)
+    def spy(rows):
+        seen.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(linalg, "_solve_rows", spy)
+    monkeypatch.setattr(linalg, "_eliminate", spy)
     return seen
 
 
@@ -145,7 +145,7 @@ def test_kernel_certificate_fires(monkeypatch):
 
 def test_particular_certificate_fires(monkeypatch):
     seen = _spy_select(monkeypatch)
-    _perturb_first_pivot(monkeypatch, linalg._AUG)
+    _perturb_first_pivot(monkeypatch, 2)  # column 2 is the right-hand side's
     for copies in (1, TALL // 2):
         with pytest.raises(AssertionError, match="particular solution"):
             solve(mat([[1, 0], [0, 1]] * copies), [5, 7] * copies)
@@ -184,8 +184,7 @@ def certificate_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_one_sweep_certificate_matches_the_per_vector_reference(case):
     rows, vecs = case
-    expected = next((k for k, vec in enumerate(vecs) if not annihilates(rows, vec)), None)
-    assert linalg._first_failure(rows, vecs) == expected
+    assert linalg._annihilates(rows, vecs) == all(annihilates(rows, vec) for vec in vecs)
 
 
 def test_only_the_last_row_fails_only_the_last_kernel_vector(monkeypatch):
@@ -198,7 +197,7 @@ def test_only_the_last_row_fails_only_the_last_kernel_vector(monkeypatch):
     with mock.patch.object(linalg, "_select", lambda rows: list(range(len(rows)))):
         assert solve(system()) == full
     checks = []
-    real = linalg._first_failure
+    real = linalg._annihilates
 
     def spy(rows, vecs):
         checks.append({(i, k) for i, row in enumerate(rows) for k, vec in enumerate(vecs)
@@ -206,7 +205,7 @@ def test_only_the_last_row_fails_only_the_last_kernel_vector(monkeypatch):
         return real(rows, vecs)
 
     seen = _spy_select(monkeypatch)
-    monkeypatch.setattr(linalg, "_first_failure", spy)
+    monkeypatch.setattr(linalg, "_annihilates", spy)
     assert solve(system()) == full
     assert seen == [TALL + 1]
     assert checks == [{(TALL, 1)}, set()]  # selected rows fail; the full-row fallback holds
@@ -225,7 +224,7 @@ def test_unlucky_prime_falls_back_to_the_same_solution(monkeypatch, prime):
     eliminated = _spy_eliminations(monkeypatch)
     assert solve(m) == expected
     assert eliminated == [len(m.independent_rows), m.n_rows]  # the all-rows fallback ran
-    assert rank(m) == expected.rank
+    assert solve(m).rank == expected.rank
 
 
 def test_cocycle_matrices_take_the_selection_path(monkeypatch):
@@ -310,7 +309,7 @@ def test_independent_rows_never_exceed_the_rank(system, denominators, prime):
     rational = [{c: Fraction(v, k) for c, v in row.items()} for row, k in zip(m, denominators)]
     with mock.patch.object(linalg, "_P", prime):
         got = len(SparseMatrix(m.rows, m.n_cols).independent_rows)
-        assert len(SparseMatrix(rational, m.n_cols).independent_rows) == got <= rank(m)
+        assert len(SparseMatrix(rational, m.n_cols).independent_rows) == got <= solve(m).rank
 
 
 @given(low_rank_systems(), st.lists(st.sampled_from([None, {}, {0: Fraction(0)}]),
@@ -326,12 +325,12 @@ def test_independent_rows_index_the_rows_as_given(system, zeros):
     got = SparseMatrix(rows, m.n_cols).independent_rows
     assert list(got) == sorted(set(got)) and all(any(rows[i].values()) for i in got)
     assert [rows[i] for i in got] == [m.rows[i] for i in m.independent_rows]
-    assert len(got) == rank(m.take_rows(m.independent_rows))
+    assert len(got) == solve(m.take_rows(m.independent_rows)).rank
 
 
 def test_rank_mod_p_reads_a_determinant_divisible_by_p_as_singular():
     m = mat([[1, 1], [1, 1 + linalg._P]])  # determinant _P
-    assert (len(m.independent_rows), rank(m)) == (1, 2)
+    assert (len(m.independent_rows), solve(m).rank) == (1, 2)
 
 
 def test_rank_mod_p_ignores_zero_rows():
@@ -385,7 +384,7 @@ def test_solve_matches_the_reduced_echelon_reference(system):
     m, rhs = system
     assert solve(m, rhs) == reference_solve(m, rhs)
     # the back-solve for a free column f never reads a pivot row right of f
-    pivots, _ = linalg._eliminate([linalg._primitive(r) for r in m])
+    pivots = linalg._eliminate([linalg._primitive(r) for r in m])
     for f in sorted(set(range(m.n_cols)).difference(c for c, _ in pivots)):
         blind = [(c, r if c < f else None) for c, r in pivots]
         assert linalg._back_solve(blind, f) == linalg._back_solve(pivots, f)
@@ -412,35 +411,41 @@ def test_one_matrix_answers_each_right_hand_side_in_turn(system, data):
 
 def test_a_second_right_hand_side_reuses_the_selection_and_the_kernel(monkeypatch):
     m = mat([[1, 2, 3, 0], [0, 1, 1, 1]] * (TALL // 2))  # pivots 0, 1; free columns 2, 3
-    seen, back_solved = _spy_select(monkeypatch), []
-    real = linalg._back_solve
+    seen, back_solved, certified = _spy_select(monkeypatch), [], []
+    real_back, real_rows = linalg._back_solve, linalg._solve_rows
     monkeypatch.setattr(linalg, "_back_solve",
-                        lambda pivots, f: back_solved.append(f) or real(pivots, f))
+                        lambda pivots, f: back_solved.append(f) or real_back(pivots, f))
+    monkeypatch.setattr(linalg, "_solve_rows",
+                        lambda sub, *rest: certified.append(len(sub)) or real_rows(sub, *rest))
     first = [1, 2] * (TALL // 2)
     assert solve(m, first) == reference_solve(m, first)
-    assert seen == [TALL] and back_solved == [linalg._AUG, 2, 3]
-    # consistent, zero, then inconsistent in the last two rows: no new selection, and
-    # the particular alone is back-solved; the inconsistent one goes to all rows
-    for rhs, vectors in (([3, -1] * (TALL // 2), [linalg._AUG]), ([0] * TALL, [linalg._AUG]),
-                         (first[:-1] + [3], [linalg._AUG, 2, 3])):
+    assert seen == [TALL] and back_solved == [4, 2, 3]  # 4: the right-hand side's column
+    # consistent, zero, then inconsistent in the last row: no new selection, the
+    # particular alone is back-solved, and no kernel is certified again; the
+    # inconsistent one goes to all rows, whose echelon has a pivot at column 4
+    for rhs in ([3, -1] * (TALL // 2), [0] * TALL, first[:-1] + [3]):
         del back_solved[:]
         assert solve(m, rhs) == reference_solve(m, rhs)
-        assert seen == [TALL] and back_solved == vectors
-    assert solve(m, first[:-1] + [3]).particular is None
+        assert seen == [TALL] and back_solved == [4] and certified == [2]
+    inconsistent = solve(m, first[:-1] + [3])
+    assert inconsistent.particular is None and inconsistent.kernel_basis == solve(m).kernel_basis
 
 
 def test_a_short_selection_falls_back_or_meets_the_canonical_particular(monkeypatch):
-    # the selection keeps rows 0 and 1; with row 1 dropped the kernel's certificate
-    # fails, and the particular of row 0 alone either fails its check (rhs 1, 2:
-    # every row of [m | rhs] is eliminated) or is the canonical one (rhs 1, 0)
+    # the selection keeps rows 0 and 1; with row 1 dropped the particular of row 0
+    # alone either fails its check (rhs 1, 2: every row of [m | -rhs] is eliminated)
+    # or is the canonical one (rhs 1, 0); then the kernel's certificate fails on row 0
+    # and holds on all rows
     real = linalg._select
     monkeypatch.setattr(linalg, "_select", lambda rows: real(rows)[:-1])
     eliminated = _spy_eliminations(monkeypatch)
-    for rhs, expected in (([1, 2] * (TALL // 2), [TALL]), ([1, 0] * (TALL // 2), [1, TALL])):
+    for rhs, expected in (([1, 2] * (TALL // 2), [1, TALL, 1, TALL]),
+                          ([1, 0] * (TALL // 2), [1, 1, TALL])):
         m = mat([[1, 2, 3, 0], [0, 1, 1, 1]] * (TALL // 2))  # a new matrix, selected anew
+        reference = reference_solve(m, rhs)
         del eliminated[:]
-        assert solve(m, rhs) == reference_solve(m, rhs)
-        assert eliminated == expected  # [1, TALL]: the kernel on row 0, then on all rows
+        assert solve(m, rhs) == reference
+        assert eliminated == expected
 
 
 def _counted_rank(m, seed, column):
