@@ -20,9 +20,8 @@ _HOMES = {
                 "load_algebra", "make_virasoro", "make_witt"),
     "cochains": ("ADJOINT", "TRIVIAL", "Cochain", "MixedCochain", "differential",
                  "weight_components"),
-    "cohomology": ("CohomologyReport", "central_extension_dim", "coboundary_primitive",
-                   "cohomology_dim", "normalize_weight_zero", "reduce_to_weight_zero",
-                   "stability_scan"),
+    "cohomology": ("CohomologyReport", "coboundary_primitive", "cohomology_dim",
+                   "normalize_weight_zero", "reduce_to_weight_zero", "stability_scan"),
     "replay": ("RelationSet", "run_replay"),
     "deformation": ("DefectReport", "DeformedBracket", "Equivalence", "conjugate",
                     "jacobi_defect", "parse_deformation",

@@ -142,6 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--expect", type=int, default=None)
     cen.add_argument("--format", default="text", choices=("json", "csv", "markdown", "text"))
     cen.add_argument("--output", default=None)
+    cen.set_defaults(algebra="witt", degree=2, weight=0, coefficients="trivial", stabilize=None)
 
     rep = sub.add_parser("replay", help="symbolic diagonal-recurrence replay")
     rep.add_argument("--K", type=int, default=12, help="table window half-width")
@@ -189,14 +190,6 @@ def _cmd_cohomology(args) -> int:
             order0 = jacobi_defect(DeformedBracket.trivial(alg, window, 0), window).orders[0]
             if not order0.clean:
                 raise ConfigError(f"{alg.name} fails the Jacobi identity at {order0.triple}")
-    _write(emit_report(report, args.format), args.output)
-    return _expect("dim_stable", report.dim_stable, args.expect)
-
-
-def _cmd_central(args) -> int:
-    from .cohomology import central_extension_dim
-
-    report = central_extension_dim(parse_window(args.window), args.margin)
     _write(emit_report(report, args.format), args.output)
     return _expect("dim_stable", report.dim_stable, args.expect)
 
@@ -288,7 +281,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     handlers = {
         "cohomology": _cmd_cohomology,
-        "central-extension": _cmd_central,
+        "central-extension": _cmd_cohomology,
         "replay": _cmd_replay,
         "jacobi": _cmd_jacobi,
         "deform": _cmd_deform,

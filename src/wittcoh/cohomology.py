@@ -42,6 +42,15 @@ on every window with lo in [-10,-2] and hi in [2,10] except the 24 with
 lo >= -7 and hi <= 5, and never at the Gelfand-Fuks class (trivial
 coefficients, q = 2).  Where it does not close, `cohomology_by_elimination` runs.
 
+So the elimination decides H^2 of witt with trivial coefficients in weight 0
+(the CLI's `central-extension`), which keeps one class.  Its representative is
+proportional to n^3 - n along the antidiagonal (the Gelfand-Fuks cocycle) and
+vanishes at (e_{-1}, e_1) with no renormalization: (-1,1), the last column of
+the cocycle matrix, is always a free one, since the cocycle delta(e_0 -> 1) is
+2n at (e_{-n}, e_n) and so nonzero there; the representative is the canonical
+kernel vector of the free column (-2,2); and a canonical kernel vector is zero
+on every other free column.
+
 A nonzero weight d needs no kernel.  Let iota put e_0 in the first slot
 (`_iota`).  As e_0 acts on C^q_d by d, the Cartan formula reads
 delta_{q-1} iota + iota delta_q = -d I here; `cohomology_dim` checks it
@@ -75,11 +84,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import BUILTIN, GradedLieAlgebra, Window
+from .algebra import GradedLieAlgebra, Window
 from .cochains import (
     ADJOINT,
     CENTRAL_TARGET,
-    TRIVIAL,
     Cochain,
     MixedCochain,
     basis_tuples,
@@ -338,7 +346,8 @@ def cohomology_by_elimination(alg: GradedLieAlgebra, q: int, d: int, window: Win
 
 def stability_scan(alg: GradedLieAlgebra, q: int, d: int, windows, margin: int,
                    coeffs: str = ADJOINT) -> CohomologyReport:
-    """Run cohomology_dim over several windows; report the largest, with the series."""
+    """Run cohomology_dim over the windows in the order given; report the last one,
+    with the series of (window, dim_stable) in that order."""
     series = []
     final = None
     for window in windows:
@@ -431,20 +440,3 @@ def normalize_weight_zero(alg: GradedLieAlgebra, c: Cochain, window: Window):
     if c_norm.component(-2, 2) != 0:
         raise AssertionError("normalization failed to clear (-2,2)")
     return b, c_norm
-
-
-# -- the central extension ------------------------------------------------------
-
-
-def central_extension_dim(window: Window, margin: int) -> CohomologyReport:
-    """H^2 of witt with trivial coefficients in weight 0 on the window.
-
-    The surviving representative is proportional to n^3 - n along the
-    antidiagonal (the Gelfand-Fuks cocycle) and vanishes at (e_{-1}, e_1)
-    with no renormalization: (-1,1), the last column of the cocycle matrix,
-    is always a free one, since the cocycle delta(e_0 -> 1) is 2n at
-    (e_{-n}, e_n) and so nonzero there; the representative is the canonical
-    kernel vector of the free column (-2,2); and a canonical kernel vector is
-    zero on every other free column.
-    """
-    return cohomology_dim(BUILTIN["witt"](), 2, 0, window, margin, coeffs=TRIVIAL)

@@ -31,8 +31,9 @@ when the exact one is, and one exact division by the order's scale gives
 each stored or reported value.
 
 One conjugation core, `_conjugate_tables`, rewrites the tables in place.  It
-divides each rewritten T_s by the gcd of its entries and W_s, so S_s stays
-the lcm of mu'_s's denominators.  `conjugate` is tables, the core, and one
+writes each rewritten T_s once, at scale S_s = W_s, a common multiple of
+mu'_s's denominators (each W_s is an lcm, so scales stay bounded); only a
+fresh layer's S_s is their lcm.  `conjugate` is tables, the core, and one
 conversion to Fractions.  `trivialize` carries one chain of tables from the
 first stage to the last: it builds them once, reads each mu_s's weight
 components from T_s, runs the core at each stage, and converts once at the
@@ -67,7 +68,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import lcm
 
 from .algebra import (
     BUILTIN,
@@ -320,9 +321,10 @@ def _conjugate_tables(tables: list, scales: list, omitted: set, window: Window, 
     order-m sums carry one scale W_m, a multiple of S_r P_v P_w for each term
     mu_r(phi_v x, phi_w y), r + v + w = m, and of P_u W_{m-u} for each term
     phi_u(mu'_{m-u}); a term's cofactor is applied once per image coefficient
-    or outer term.  Each rewritten T_m is divided by the gcd of W_m and its
-    entries, so S_m is again the lcm of mu'_m's denominators.  A pair newly
-    lost is added to `omitted` and is LOST at every order from 1; T_0 is
+    or outer term.  Each rewritten T_m is written once, in the pair loop, with
+    scale S_m = W_m: a common multiple of mu'_m's denominators, not their lcm.
+    A pair newly lost is added to `omitted` and is LOST at every order from 1
+    once the loop is done, since the loop reads the tables below m0; T_0 is
     never written.  A nonzero central target raises ConfigError.
     """
     N = len(tables) - 1
@@ -348,7 +350,8 @@ def _conjugate_tables(tables: list, scales: list, omitted: set, window: Window, 
     # the nonzero images (v, P_v phi_v e_i), phi_0 = id
     images = {i: [(0, ((i, 1),))] + [(v, rows[v][i]) for v in used if i in rows[v]]
               for i in window.indices()}
-    values = [{} for _ in range(N + 1)]  # W_m mu'_m(e_i, e_j) by m and (i, j), for m >= m0
+    # T'_m = W_m mu'_m for m >= m0, written once per pair; T_m is read until the last pair
+    fresh = [{a: {} for a in tables[0]} for _ in range(m0, N + 1)]
     for i in window.indices():
         for j in range(i + 1, window.hi + 1):
             # B_m = sum_{r+v+w=m} mu_r(phi_v e_i, phi_w e_j) times W_m, in one sweep
@@ -389,19 +392,14 @@ def _conjugate_tables(tables: list, scales: list, omitted: set, window: Window, 
             if lost <= N:
                 omitted.add((i, j))
                 continue
-            for s in range(m0, N + 1):
-                values[s][i, j] = b[s]
-    for m in range(1, N + 1):
-        if m >= m0:
-            g = gcd(work[m], *(c for outs in values[m].values() for c in outs.values()))
-            table = {a: {} for a in tables[0]}
-            for (i, j), outs in values[m].items():
-                if row := tuple((k, c // g) for k, c in outs.items() if c):
+            for table, total in zip(fresh, b[m0:]):
+                if row := tuple((k, c) for k, c in total.items() if c):
                     table[i][j] = row
                     table[j][i] = tuple((k, -c) for k, c in row)
-            tables[m], scales[m] = table, work[m] // g
+    tables[m0:], scales[m0:] = fresh, work[m0:]
+    for table in tables[1:]:
         for i, j in omitted:
-            tables[m][i][j] = tables[m][j][i] = LOST
+            table[i][j] = table[j][i] = LOST
 
 
 def conjugate(d: DeformedBracket, e: Equivalence) -> DeformedBracket:

@@ -22,7 +22,6 @@ from wittcoh.cochains import (
     weight_components,
 )
 from wittcoh.cohomology import (
-    central_extension_dim,
     cocycle_matrix,
     cohomology_dim,
     normalize_weight_zero,
@@ -293,7 +292,7 @@ def test_criterion_07_brute_force_normalized_cocycles():
 
 
 def test_criterion_08_central_extension():
-    report = central_extension_dim(Window(-10, 10), 3)
+    report = cohomology_dim(WITT, 2, 0, Window(-10, 10), 3, coeffs=TRIVIAL)
     assert report.dim_stable == 1
     rep = report.representatives[0]
     assert rep.component(-1, 1) == 0

@@ -6,8 +6,8 @@ import pytest
 
 from wittcoh import replay
 from wittcoh.cli import emit_report, main
-from wittcoh.cochains import ADJOINT, Cochain, MixedCochain, differential
-from wittcoh.cohomology import central_extension_dim, cohomology_by_elimination
+from wittcoh.cochains import ADJOINT, TRIVIAL, Cochain, MixedCochain, differential
+from wittcoh.cohomology import cohomology_by_elimination, cohomology_dim
 from wittcoh.algebra import Window, dump_algebra, load_algebra, make_witt
 from wittcoh.deformation import DeformedBracket, render_deformation
 from wittcoh.errors import ConfigError
@@ -360,7 +360,7 @@ def test_deform_trivial_and_defective(capsys, tmp_path):
 
 
 def test_emit_report_determinism_and_roundtrip():
-    report = central_extension_dim(Window(-8, 8), 3)
+    report = cohomology_dim(make_witt(), 2, 0, Window(-8, 8), 3, coeffs=TRIVIAL)
     a = emit_report(report, "json")
     b = emit_report(report, "json")
     assert a == b
@@ -377,6 +377,22 @@ def test_emit_report_csv_one_row_per_window():
     lines = csv.strip().splitlines()
     assert lines[0] == "window,dim_stable"
     assert lines[1:] == ["-8:8,0", "-10:10,0"]
+
+
+def test_a_stability_scan_reports_its_last_window_with_the_series_in_input_order(capsys):
+    from dataclasses import replace
+
+    from wittcoh.cohomology import stability_scan
+
+    windows = [Window(-8, 8), Window(-6, 6)]
+    report = stability_scan(make_witt(), 2, 1, windows, 4)
+    assert report.stabilization == ((Window(-8, 8), 0), (Window(-6, 6), 0))
+    last = cohomology_dim(make_witt(), 2, 1, Window(-6, 6), 4)
+    assert replace(report, stabilization=last.stabilization) == last
+    code, out, _ = run(capsys, "cohomology", "--stabilize=-8:8,-6:6", "--degree", "2",
+                       "--weight", "1")
+    assert code == 0 and out == emit_report(report, "text")
+    assert "window: [-6,6]\n" in out and "stabilization: [-8,8] -> 0; [-6,6] -> 0\n" in out
 
 
 def test_no_floats_in_output(capsys):

@@ -9,7 +9,6 @@ from wittcoh.algebra import GradedLieAlgebra, Window, make_virasoro, make_witt
 from wittcoh.cochains import (ADJOINT, CENTRAL_TARGET, TRIVIAL, Cochain, MixedCochain, basis_tuples,
                               delta_matrix, differential, omitted_count, weight_components)
 from wittcoh.cohomology import (
-    central_extension_dim,
     coboundary_primitive,
     cocycle_matrix,
     cohomology_by_elimination,
@@ -234,7 +233,7 @@ def test_virasoro_adjoint_cohomology_is_refused():
 
 
 def test_central_extension_dimension_one():
-    r = central_extension_dim(W10, 3)
+    r = cohomology_dim(WITT, 2, 0, W10, 3, coeffs=TRIVIAL)
     assert r.dim_stable == 1
     assert len(r.representatives) == 1
 
@@ -249,7 +248,7 @@ def test_central_representative_is_cubic():
     # the representative, the kernel vector of the free column (-2,2), is zero there
     for h in range(6, 15):
         for margin in range(2, 6):
-            reps = central_extension_dim(Window(-h, h), margin).representatives
+            reps = cohomology_dim(WITT, 2, 0, Window(-h, h), margin, coeffs=TRIVIAL).representatives
             # a core [-1,1] compares the single tuple (-1,1), where no class shows
             assert len(reps) == (h - margin >= 2)
             for rep in reps:
@@ -261,7 +260,7 @@ def test_central_representative_is_cubic():
 
 def test_central_extension_stable_across_windows():
     for h, m in ((8, 3), (10, 3), (12, 3)):
-        assert central_extension_dim(Window(-h, h), m).dim_stable == 1
+        assert cohomology_dim(WITT, 2, 0, Window(-h, h), m, coeffs=TRIVIAL).dim_stable == 1
 
 
 @pytest.mark.xfail(
@@ -272,7 +271,7 @@ def test_central_extension_stable_across_windows():
 def test_a_core_too_small_to_show_the_central_class_is_refused():
     # margins 2..4 on [-6,6] report the class; margin 5 must refuse or report it too
     try:
-        r = central_extension_dim(Window(-6, 6), 5)
+        r = cohomology_dim(WITT, 2, 0, Window(-6, 6), 5, coeffs=TRIVIAL)
     except ConfigError:
         return
     assert r.dim_stable == 1

@@ -1,7 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from random import Random
 
 import pytest
@@ -9,8 +9,9 @@ import pytest
 from wittcoh import cochains, linalg
 from wittcoh.algebra import (CENTRAL, GradedLieAlgebra, Window, load_algebra, make_virasoro,
                              make_witt)
-from wittcoh.cochains import (ADJOINT, TRIVIAL, Cochain, MixedCochain, delta_matrix,
-                              differential, omitted_count, weight_components, window_context)
+from wittcoh.cochains import (ADJOINT, LOST, TRIVIAL, Cochain, MixedCochain, basis_tuples,
+                              delta_matrix, differential, omitted_count, weight_components,
+                              window_context)
 from wittcoh.cohomology import coboundary_primitive, cohomology_dim, comparison_tuples
 from wittcoh.deformation import (
     DeformedBracket,
@@ -843,3 +844,54 @@ def test_trivialize_conjugates_as_the_chain_of_public_conjugates(monkeypatch):
     assert current.omitted_pairs > d.omitted_pairs
     assert (current.layers, current.omitted_pairs) == (res.conjugated.layers,
                                                        res.conjugated.omitted_pairs)
+
+
+def benchmark_trial_order5b():
+    """The `deform` benchmark's trial_order5b input at seed 909: the sixth unipotent
+    equivalence its generator draws, after two each at orders 3 and 4.  Layer s has
+    the weights ((-1, 0), (0, 1), (-1, 1))[(s - 1) % 3], each on a fifth of the tuples,
+    with values p/q, 0 < |p| <= 9 and q in {1, 1, 2, 3}."""
+    rng = Random(909)
+    numerators = [p for p in range(-9, 10) if p]
+    for order in (3, 3, 4, 4, 5, 5):
+        layers = []
+        for s in range(1, order + 1):
+            parts = []
+            for wt in ((-1, 0), (0, 1), (-1, 1))[(s - 1) % 3]:
+                tuples = basis_tuples(1, wt, W12, ADJOINT)
+                support = rng.sample(tuples, k=round(0.2 * len(tuples)))
+                parts.append(Cochain(1, wt, W12, ADJOINT, {
+                    t: Fraction(rng.choice(numerators), rng.choice([1, 1, 2, 3])) for t in support}))
+            layers.append(MixedCochain.from_components(1, W12, parts))
+    return Equivalence(5, W12, tuple(layers))
+
+
+def test_a_conjugated_order_keeps_a_scale_above_its_lcm(monkeypatch):
+    # the first stage of this trial writes orders 1..5 at scales W_m that are 2, 2, 4,
+    # 4 and 8 times the lcm of their denominators; no pass divides that out, and every
+    # entry and omitted pair still equals the Fraction reference, stage by stage
+    import wittcoh.deformation as deformation
+
+    start, e = DeformedBracket.trivial(WITT, W12, 5), benchmark_trial_order5b()
+    d, want = conjugate(start, e), fraction_conjugate(start, e)
+    assert d.omitted_pairs
+    assert (d.layers, d.omitted_pairs) == (want.layers, want.omitted_pairs)
+    stages, real = [], deformation._conjugate_tables
+
+    def core(tables, scales, omitted, window, phi):
+        real(tables, scales, omitted, window, phi)
+        (s, b_s), = phi.items()
+        gcds = [gcd(scale, *(c for row in table.values() for outs in row.values()
+                             if outs is not LOST for _, c in outs))
+                for table, scale in zip(tables[s:], scales[s:])]
+        stages.append((s, b_s, deformation._bracket(d, tables, scales, omitted), gcds))
+
+    monkeypatch.setattr(deformation, "_conjugate_tables", core)
+    res = trivialize(d, W12, 5)
+    assert res.trivialized and stages[0][0] == 1 and stages[0][3] == [2, 2, 4, 4, 8]
+    current = d
+    for s, b_s, got, _ in stages:
+        current = fraction_conjugate(current, single_stage(W12, 5, s, b_s))
+        assert (got.layers, got.omitted_pairs) == (current.layers, current.omitted_pairs)
+    assert (res.conjugated.layers, res.conjugated.omitted_pairs) == (current.layers,
+                                                                     current.omitted_pairs)

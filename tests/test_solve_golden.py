@@ -22,7 +22,7 @@ from random import Random
 
 from wittcoh.algebra import Window, make_witt
 from wittcoh.cochains import ADJOINT, TRIVIAL
-from wittcoh.cohomology import central_extension_dim, cocycle_matrix, comparison_tuples
+from wittcoh.cohomology import cocycle_matrix, cohomology_dim, comparison_tuples
 from wittcoh.linalg import solve
 
 GOLDEN = Path(__file__).parent / "golden" / "solve_digests.json"
@@ -72,7 +72,8 @@ def golden_text() -> str:
                     digests[f"q={q} d={d} window=-{h}:{h} {coeffs}"] = solution_digest(solve(matrix))
     data = {
         "solve_sha256": digests,
-        "central_extension_dim(-10:10, 3)": central_extension_dim(Window(-10, 10), 3).to_json_dict(),
+        "central_extension_dim(-10:10, 3)": cohomology_dim(witt, 2, 0, Window(-10, 10), 3,
+                                                           coeffs=TRIVIAL).to_json_dict(),
         "particular_sha256": {name: particular_digest(solve(m, rhs).particular)
                               for name, m, rhs, _ in rhs_systems()},
     }
